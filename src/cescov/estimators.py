@@ -1,7 +1,11 @@
 """Sample statistics of complex datasets: mean, sample covariance matrix,
 weighted covariance matrices, and a plug-in elliptical kurtosis estimate.
 
-Datasets are (n, p) complex arrays with rows as observations.
+Datasets are (n, p) complex arrays with rows as observations.  The SCM, the
+weighted SCM and the kurtosis estimate are each computed by one stacked core
+that maps an (m, n, p) stack of datasets to m results at once; the public
+single-dataset functions validate their input and call that core with a
+leading axis of 1, and the Monte Carlo harness calls it on whole chunks.
 """
 
 from __future__ import annotations
@@ -54,6 +58,16 @@ class SCMResult:
     n: int
 
 
+def _scm_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unbiased SCMs (m, p, p), exactly Hermitian, and row means (m, p) of
+    an (m, n, p) stack of datasets."""
+    n = x.shape[-2]
+    xbar = x.mean(axis=-2)
+    dev = x - xbar[..., None, :]
+    s = dev.swapaxes(-1, -2) @ dev.conj() / (n - 1)
+    return (s + s.conj().swapaxes(-1, -2)) / 2, xbar
+
+
 def scm(x) -> SCMResult:
     """Unbiased sample covariance matrix of the rows.
 
@@ -66,12 +80,8 @@ def scm(x) -> SCMResult:
         If the dataset has fewer than two rows.
     """
     x = require_dataset(x, min_rows=2)
-    n = x.shape[0]
-    xbar = x.mean(axis=0)
-    dev = x - xbar
-    s = dev.T @ dev.conj() / (n - 1)
-    s = (s + s.conj().T) / 2
-    return SCMResult(s=s, xbar=xbar, n=n)
+    s, xbar = _scm_stack(x[None])
+    return SCMResult(s=s[0], xbar=xbar[0], n=x.shape[0])
 
 
 def sample_variance(x) -> float:
@@ -83,6 +93,32 @@ def sample_variance(x) -> float:
         raise TooFewObservations(f"need at least 2 observations, got {x.shape[0]}")
     dev = x - x.mean()
     return float(np.sum(dev.real**2 + dev.imag**2) / (x.shape[0] - 1))
+
+
+def _weighted_scm_stack(x: np.ndarray, weight_fn, pd_tol: float | None = None) -> np.ndarray:
+    """Weighted covariance matrices (m, p, p) of an (m, n, p) stack of
+    datasets; see :func:`weighted_scm`.  ``weight_fn`` receives the squared
+    distances of all m * n rows as one flat array."""
+    m, n, p = x.shape
+    s, xbar = _scm_stack(x)
+    eigs = np.linalg.eigvalsh(s)  # ascending per replication
+    if pd_tol is None:
+        tol = PD_RTOL * np.maximum(eigs[:, -1], 0.0)
+    else:
+        tol = np.full(m, float(pd_tol))
+    singular = eigs[:, 0] <= tol
+    if n <= p or singular.any():
+        i = int(np.argmax(singular))
+        raise SingularSCM(
+            f"sample covariance is singular at tolerance {tol[i]:.3e} (n={n}, p={p})"
+        )
+    dev = x - xbar[:, None, :]
+    d = np.einsum("mia,mai->mi", dev.conj(), np.linalg.solve(s, dev.swapaxes(-1, -2))).real
+    w = np.asarray(weight_fn(d.ravel()), dtype=float)
+    if w.shape != (m * n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("weight function must map d >= 0 to finite nonnegative weights")
+    r = (w.reshape(m, n, 1) * dev).swapaxes(-1, -2) @ dev.conj() / n
+    return (r + r.conj().swapaxes(-1, -2)) / 2
 
 
 def weighted_scm(x, weight_fn, pd_tol: float | None = None) -> np.ndarray:
@@ -99,22 +135,22 @@ def weighted_scm(x, weight_fn, pd_tol: float | None = None) -> np.ndarray:
         If S is numerically singular (in particular whenever n <= p).
     """
     x = require_dataset(x, min_rows=2)
-    n, p = x.shape
-    res = scm(x)
-    eigs = np.linalg.eigvalsh(res.s)
-    if pd_tol is None:
-        pd_tol = PD_RTOL * max(float(eigs.max()), 0.0)
-    if n <= p or float(eigs.min()) <= pd_tol:
-        raise SingularSCM(
-            f"sample covariance is singular at tolerance {pd_tol:.3e} (n={n}, p={p})"
-        )
-    dev = x - res.xbar
-    d = np.einsum("ia,ai->i", dev.conj(), np.linalg.solve(res.s, dev.T)).real
-    w = np.asarray(weight_fn(d), dtype=float)
-    if w.shape != d.shape or not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weight function must map d >= 0 to finite nonnegative weights")
-    r = (w[:, None] * dev).T @ dev.conj() / n
-    return (r + r.conj().T) / 2
+    return _weighted_scm_stack(x[None], weight_fn, pd_tol)[0]
+
+
+def _kurtosis_stack(x: np.ndarray, clip_eps: float = KURTOSIS_CLIP_EPS) -> np.ndarray:
+    """Plug-in elliptical kurtosis (m,) of an (m, n, p) stack of datasets;
+    see :func:`estimate_kurtosis`."""
+    p = x.shape[-1]
+    dev = x - x.mean(axis=-2, keepdims=True)
+    a2 = dev.real**2 + dev.imag**2
+    m2 = a2.mean(axis=-2)
+    if np.any(m2 == 0.0):
+        bad = int(np.argmax(m2 == 0.0)) % p
+        raise DegenerateCoordinate(f"coordinate {bad} has zero sample variance")
+    m4 = (a2 * a2).mean(axis=-2)
+    kurt = m4 / (m2 * m2) - 2.0
+    return np.maximum(kurt.mean(axis=-1) / 2.0, kurtosis_lower_bound(p) + clip_eps)
 
 
 def estimate_kurtosis(x, clip_eps: float = KURTOSIS_CLIP_EPS) -> float:
@@ -132,14 +168,4 @@ def estimate_kurtosis(x, clip_eps: float = KURTOSIS_CLIP_EPS) -> float:
         If some coordinate has zero sample variance.
     """
     x = require_dataset(x, min_rows=4)
-    p = x.shape[1]
-    dev = x - x.mean(axis=0)
-    a2 = dev.real**2 + dev.imag**2
-    m2 = a2.mean(axis=0)
-    if np.any(m2 == 0.0):
-        bad = int(np.argmax(m2 == 0.0))
-        raise DegenerateCoordinate(f"coordinate {bad} has zero sample variance")
-    m4 = (a2 * a2).mean(axis=0)
-    kurt = m4 / (m2 * m2) - 2.0
-    kappa_hat = float(kurt.mean() / 2.0)
-    return max(kappa_hat, kurtosis_lower_bound(p) + clip_eps)
+    return float(_kurtosis_stack(x[None], clip_eps)[0])

@@ -27,7 +27,6 @@ __all__ = [
     "commutation_matrix",
     "hermitize",
     "hermitian_sqrt",
-    "min_eigenvalue",
     "centering_matrix",
     "scale_and_sphericity",
     "save_complex_matrix",
@@ -99,11 +98,6 @@ def hermitize(a, rtol: float = HERMITIAN_RTOL, name: str = "matrix") -> np.ndarr
     return (a + a.conj().T) / 2
 
 
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(hermitize(m)).min())
-
-
 def hermitian_sqrt(m, pd_tol: float | None = None) -> np.ndarray:
     """Unique Hermitian positive-definite square root, via eigendecomposition.
 
@@ -151,12 +145,18 @@ def scale_and_sphericity(m) -> tuple[float, float]:
     ZeroTrace
         If tr(M) <= 0.
     """
-    m = hermitize(m)
-    p = m.shape[0]
-    t1 = float(np.trace(m).real)
-    if t1 <= 0.0:
-        raise ZeroTrace(f"trace must be positive, got {t1:.3e}")
-    t2 = float(np.trace(m @ m).real)
+    eta, gamma = _scale_and_sphericity_stack(hermitize(m)[None])
+    return float(eta[0]), float(gamma[0])
+
+
+def _scale_and_sphericity_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale and sphericity (each (k,)) of a (k, p, p) stack of exactly
+    Hermitian matrices; see :func:`scale_and_sphericity`."""
+    p = m.shape[-1]
+    t1 = np.trace(m, axis1=-2, axis2=-1).real
+    if np.any(t1 <= 0.0):
+        raise ZeroTrace(f"trace must be positive, got {t1.min():.3e}")
+    t2 = (m.real**2 + m.imag**2).sum(axis=(-2, -1))  # tr(M^2) = ||M||_F^2 for Hermitian M
     return t1 / p, p * t2 / (t1 * t1)
 
 

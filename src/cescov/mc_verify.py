@@ -1,26 +1,32 @@
 """Monte Carlo harness: empirical moments of matrix statistics and pass/fail
 comparisons against the closed-form second-order theory.
 
-Replication r of a run always uses the random stream ``(seed, r)``, and
-replications are processed in fixed chunks whose partial sums are merged in
-chunk order with compensated (Neumaier) summation.  Results are therefore
-bit-identical for a fixed seed regardless of the worker count, and the
-second-moment accumulations keep enough digits over 1e5+ replications to be
-compared against percent-level tolerances.
+Stream contract 2 (``STREAM_CONTRACT``): the replications of a run are cut
+into a fixed grid of chunks of ``CHUNK`` replications (``SPHERE_CHUNK``
+draws for the sphere check), the last chunk holding the remainder.  Chunk
+``c`` draws all of its data from the single random stream ``(seed, c)`` as
+one ``(m, n, p)`` tensor, computes the statistic for the whole stack at
+once and reduces it to partial sums.  The partial sums are merged in chunk
+order with compensated (Neumaier) summation as they arrive.  Results are
+therefore bit-identical for a fixed seed regardless of the worker count,
+and the second-moment accumulations keep enough digits over 1e5+
+replications to be compared against percent-level tolerances.  (Under
+contract 1, replication ``r`` drew from its own stream ``(seed, r)``.)
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .ces_sampler import CESModel, RngStream, elliptical_kurtosis, sample_ces, _sphere
-from .estimators import estimate_kurtosis, scm, weighted_scm
-from .lin_core import scale_and_sphericity, unvec, vec, vec_index
+from .ces_sampler import CESModel, RngStream, elliptical_kurtosis, sample_ces, sample_sphere
+from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
+from .lin_core import _scale_and_sphericity_stack, unvec, vec, vec_index
 from .theory import (
     CovariancePair,
     RadialStructure,
@@ -31,6 +37,7 @@ from .theory import (
 
 __all__ = [
     "CHUNK",
+    "STREAM_CONTRACT",
     "STATISTICS",
     "MCConfig",
     "EmpiricalMoments",
@@ -46,9 +53,13 @@ __all__ = [
     "with_workers",
 ]
 
-# Fixed chunk sizes: the chunk grid (and with it every accumulation order)
-# must not depend on the worker count.
-CHUNK = 2048
+# Version of the mapping from (seed, replication) to random streams.
+STREAM_CONTRACT = 2
+
+# Fixed chunk sizes: the chunk grid (and with it every random stream and
+# every accumulation order) must not depend on the worker count.  CHUNK
+# bounds the per-chunk tensors, and with them the peak memory of a run.
+CHUNK = 512
 SPHERE_CHUNK = 65536
 
 STATISTICS = ("scm", "wscm:one", "wscm:fobi")
@@ -60,13 +71,14 @@ _WEIGHTS = {
 
 
 def _statistic_fn(name: str):
+    """The named statistic on a stack: (m, n, p) data to (m, p, p) matrices."""
     if name == "scm":
-        return lambda x: scm(x).s
+        return lambda x: _scm_stack(x)[0]
     if name.startswith("wscm:"):
         wid = name.split(":", 1)[1]
         if wid in _WEIGHTS:
             w = _WEIGHTS[wid]
-            return lambda x: weighted_scm(x, w)
+            return lambda x: _weighted_scm_stack(x, w)
     raise ValueError(f"unknown statistic {name!r}; expected one of {STATISTICS}")
 
 
@@ -109,37 +121,50 @@ class _Kahan:
         return self.s + self.c
 
 
-def _run_chunks(worker, chunk_args, workers: int) -> list:
-    """Evaluate worker over chunk argument tuples, preserving chunk order."""
-    if workers <= 1:
-        return [worker(a) for a in chunk_args]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, chunk_args))
+def _reduce_chunks(kernel, total: int, chunk: int, workers: int) -> dict:
+    """Compensated sums of the partials ``kernel(c, m)`` over the fixed grid
+    of ``total`` items in chunks of ``chunk`` (chunk ``c`` holds ``m`` items).
+
+    Partials are dicts of arrays or scalars.  Each is merged in chunk order
+    as soon as it arrives, so a run holds only the partials that finished
+    ahead of their turn, never the whole list.
+    """
+    sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
+    acc: dict[str, _Kahan] = {}
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(sizes)))
+            parts = stack.enter_context(pool).map(kernel, range(len(sizes)), sizes)
+        else:
+            parts = map(kernel, range(len(sizes)), sizes)
+        for part in parts:
+            for key, value in part.items():
+                if key not in acc:
+                    acc[key] = _Kahan(value)
+                acc[key].add(value)
+    return {key: a.total() for key, a in acc.items()}
 
 
-def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def _draw_chunk(cfg: MCConfig, c: int, m: int) -> np.ndarray:
+    """The (m, n, p) data of chunk c, drawn from the single stream (seed, c)."""
+    x = sample_ces(cfg.model, m * cfg.n, RngStream(cfg.seed, c))
+    return x.reshape(m, cfg.n, cfg.model.dim)
 
 
-def _moment_chunk(bounds: tuple[int, int], cfg: MCConfig, ref: np.ndarray) -> dict:
-    """Partial moment sums for replications in [lo, hi), shifted by ref."""
-    lo, hi = bounds
-    stat = _statistic_fn(cfg.statistic)
-    k = cfg.model.dim ** 2
-    w = np.empty((hi - lo, k), dtype=np.complex128)
-    for idx, r in enumerate(range(lo, hi)):
-        x = sample_ces(cfg.model, cfg.n, RngStream(cfg.seed, r))
-        w[idx] = vec(stat(x)) - ref
+def _moment_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray) -> dict:
+    """Partial moment sums of chunk c, shifted by ref."""
+    t = _statistic_fn(cfg.statistic)(_draw_chunk(cfg, c, m))
+    # row r is vec(T_r) - ref; vec stacks columns, which are the rows of T_r^T
+    w = t.swapaxes(-1, -2).reshape(m, -1) - ref
     a2 = w.real**2 + w.imag**2
     sq = a2.sum(axis=1)  # per-replication ||T - M_ref||_F^2
     return {
-        "count": hi - lo,
         "s1": w.sum(axis=0),
-        "s2": np.einsum("ra,rb->ab", w, w.conj()),
-        "sp": np.einsum("ra,rb->ab", w, w),
-        "f2": np.einsum("ra,rb->ab", a2, a2),
+        "s2": w.T @ w.conj(),
+        "sp": w.T @ w,
+        "f2": a2.T @ a2,
         "sq1": sq.sum(),
-        "sq2": (sq * sq).sum(),
+        "sq2": sq @ sq,
     }
 
 
@@ -172,31 +197,25 @@ def empirical_moments(cfg: MCConfig) -> EmpiricalMoments:
     """
     p = cfg.model.dim
     ref = vec(cfg.model.cov)
-    worker = partial(_moment_chunk, cfg=cfg, ref=ref)
-    partials = _run_chunks(worker, _chunk_ranges(cfg.replications, CHUNK), cfg.workers)
-
-    acc = {key: _Kahan(partials[0][key]) for key in ("s1", "s2", "sp", "f2", "sq1", "sq2")}
-    for part in partials:  # fixed merge order: ascending replication ranges
-        for key, a in acc.items():
-            a.add(part[key])
+    kernel = partial(_moment_kernel, cfg=cfg, ref=ref)
+    tot = _reduce_chunks(kernel, cfg.replications, CHUNK, cfg.workers)
 
     r = cfg.replications
-    s1 = acc["s1"].total()
-    mean_w = s1 / r
-    var = (acc["s2"].total() - r * np.outer(mean_w, mean_w.conj())) / (r - 1)
-    pvar = (acc["sp"].total() - r * np.outer(mean_w, mean_w)) / (r - 1)
+    mean_w = tot["s1"] / r
+    var = (tot["s2"] - r * np.outer(mean_w, mean_w.conj())) / (r - 1)
+    pvar = (tot["sp"] - r * np.outer(mean_w, mean_w)) / (r - 1)
     var = (var + var.conj().T) / 2
     pvar = (pvar + pvar.T) / 2
     mean_mat = unvec(ref + mean_w, p)
     mean_mat = (mean_mat + mean_mat.conj().T) / 2
 
-    g2 = acc["f2"].total().real / r  # E |w_a w_b|^2, per entry
+    g2 = tot["f2"] / r  # E |w_a w_b|^2, per entry
     se_var = np.sqrt(np.maximum(g2 - np.abs(var) ** 2, 0.0) / r)
     se_pvar = np.sqrt(np.maximum(g2 - np.abs(pvar) ** 2, 0.0) / r)
     se_mean = unvec(np.sqrt(np.maximum(np.diag(var).real, 0.0) / r), p)
 
-    mse_emp = float(acc["sq1"].total()) / r
-    mse_sq = float(acc["sq2"].total()) / r
+    mse_emp = float(tot["sq1"]) / r
+    mse_sq = float(tot["sq2"]) / r
     se_mse = math.sqrt(max(mse_sq - mse_emp**2, 0.0) / r)
 
     return EmpiricalMoments(
@@ -397,13 +416,11 @@ def compare_to_theory(
 # ---------------------------------------------------------------------------
 
 
-def _sphere_chunk(args: tuple[int, int, int], p: int, seed: int) -> dict:
-    _, chunk_id, m = args
-    u = _sphere(RngStream(seed, chunk_id).generator(), p, m)
+def _sphere_kernel(c: int, m: int, p: int, seed: int) -> dict:
+    u = sample_sphere(p, RngStream(seed, c), size=m)
     a2 = u.real**2 + u.imag**2
     a4 = a2 * a2
     return {
-        "count": m,
         "m1": u.sum(axis=0),
         "m2": a2.sum(axis=0),
         "m4": a4.sum(axis=0),
@@ -434,26 +451,11 @@ def verify_sphere_moments(
         raise ValueError(f"sphere moment verification needs p >= 2, got {p}")
     if draws < 10_000:
         raise ValueError(f"need at least 10^4 draws, got {draws}")
-    ranges = _chunk_ranges(draws, SPHERE_CHUNK)
-    args = [(lo, cid, hi - lo) for cid, (lo, hi) in enumerate(ranges)]
-    partials = _run_chunks(partial(_sphere_chunk, p=p, seed=seed), args, workers)
-
-    acc = {key: _Kahan(partials[0][key]) for key in partials[0] if key != "count"}
-    for part in partials:
-        for key, a in acc.items():
-            a.add(part[key])
+    kernel = partial(_sphere_kernel, p=p, seed=seed)
     n = float(draws)
-    m1 = acc["m1"].total() / n
-    m2 = acc["m2"].total() / n
-    m4 = acc["m4"].total() / n
-    m6 = acc["m6"].total() / n
-    m8 = acc["m8"].total() / n
-    m22 = acc["m22"].total() / n
-    m44 = acc["m44"].total() / n
-    c2 = acc["c2"].total() / n
-    cp = acc["cp"].total() / n
-    c4 = acc["c4"].total() / n
-    m3 = acc["m3"].total() / n
+    mom = {key: v / n for key, v in _reduce_chunks(kernel, draws, SPHERE_CHUNK, workers).items()}
+    m1, m2, m4, m6, m8 = mom["m1"], mom["m2"], mom["m4"], mom["m6"], mom["m8"]
+    m22, m44, c2, cp, c4, m3 = mom["m22"], mom["m44"], mom["c2"], mom["cp"], mom["c4"], mom["m3"]
 
     off = ~np.eye(p, dtype=bool)
     devs_target = []
@@ -499,38 +501,29 @@ def verify_sphere_moments(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_chunk(
-    bounds: tuple[int, int], cfg: MCConfig, beta: float, plugin: bool
-) -> dict:
-    lo, hi = bounds
-    m = cfg.model.cov
-    n = cfg.n
-    p = cfg.model.dim
-    e1 = np.empty(hi - lo)
-    e2 = np.empty(hi - lo)
-    e3 = np.zeros(hi - lo)
-    for idx, r in enumerate(range(lo, hi)):
-        x = sample_ces(cfg.model, n, RngStream(cfg.seed, r))
-        s = scm(x).s
-        d1 = s - m
-        e1[idx] = np.sum(d1.real**2 + d1.imag**2)
-        d2 = beta * s - m
-        e2[idx] = np.sum(d2.real**2 + d2.imag**2)
-        if plugin:
-            kap = estimate_kurtosis(x)
-            _, gam = scale_and_sphericity(s)
-            b = beta_opt(nmse_from_sphericity(n, p, gam, kap))
-            d3 = b * s - m
-            e3[idx] = np.sum(d3.real**2 + d3.imag**2)
-    return {
-        "count": hi - lo,
-        "e1": e1.sum(),
-        "e2": e2.sum(),
-        "e3": e3.sum(),
-        "e11": (e1 * e1).sum(),
-        "e22": (e2 * e2).sum(),
-        "e12": (e1 * e2).sum(),
-    }
+def _sq_dist(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius distances ||a_r - m||_F^2 over a (k, p, p) stack."""
+    d = a - m
+    return (d.real**2 + d.imag**2).sum(axis=(-2, -1))
+
+
+def _plugin_beta(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per-replication plug-in shrinkage coefficients of an (m, n, p) data
+    stack with SCMs s, from its estimated sphericity and kurtosis."""
+    n, p = x.shape[-2:]
+    _, gamma = _scale_and_sphericity_stack(s)
+    return beta_opt(nmse_from_sphericity(n, p, gamma, _kurtosis_stack(x)))
+
+
+def _oracle_kernel(c: int, m: int, cfg: MCConfig, beta: float, plugin: bool) -> dict:
+    x = _draw_chunk(cfg, c, m)
+    s, _ = _scm_stack(x)
+    e1 = _sq_dist(s, cfg.model.cov)
+    e2 = _sq_dist(beta * s, cfg.model.cov)
+    part = {"e1": e1.sum(), "e2": e2.sum(), "e11": e1 @ e1, "e22": e2 @ e2, "e12": e1 @ e2}
+    if plugin:
+        part["e3"] = _sq_dist(_plugin_beta(x, s)[:, None, None] * s, cfg.model.cov).sum()
+    return part
 
 
 def verify_oracle_efficiency(
@@ -555,20 +548,16 @@ def verify_oracle_efficiency(
     beta_o = beta_opt(nmse_t)
     b = beta_o if beta is None else float(beta)
 
-    worker = partial(_oracle_chunk, cfg=cfg, beta=b, plugin=include_plugin)
-    partials = _run_chunks(worker, _chunk_ranges(cfg.replications, CHUNK), cfg.workers)
-    acc = {key: _Kahan(0.0) for key in ("e1", "e2", "e3", "e11", "e22", "e12")}
-    for part in partials:
-        for key, a in acc.items():
-            a.add(part[key])
+    kernel = partial(_oracle_kernel, cfg=cfg, beta=b, plugin=include_plugin)
+    tot = _reduce_chunks(kernel, cfg.replications, CHUNK, cfg.workers)
 
     r = cfg.replications
-    mean1 = float(acc["e1"].total()) / r
-    mean2 = float(acc["e2"].total()) / r
+    mean1 = float(tot["e1"]) / r
+    mean2 = float(tot["e2"]) / r
     ratio = mean2 / mean1
-    v11 = float(acc["e11"].total()) / r - mean1**2
-    v22 = float(acc["e22"].total()) / r - mean2**2
-    c12 = float(acc["e12"].total()) / r - mean1 * mean2
+    v11 = float(tot["e11"]) / r - mean1**2
+    v22 = float(tot["e22"]) / r - mean2**2
+    c12 = float(tot["e12"]) / r - mean1 * mean2
     se_ratio = math.sqrt(max(v22 + ratio**2 * v11 - 2 * ratio * c12, 0.0) / r) / mean1
     dev_se = abs(ratio - b) / max(se_ratio, 1e-300)
 
@@ -583,7 +572,7 @@ def verify_oracle_efficiency(
         "improved": mean2 < mean1,
     }
     if include_plugin:
-        details["plugin_ratio"] = float(acc["e3"].total()) / r / mean1
+        details["plugin_ratio"] = float(tot["e3"]) / r / mean1
 
     tol = Tolerances(se_mult=se_mult)
     passed = dev_se <= se_mult and ratio < 1.0 and mean2 < mean1

@@ -174,22 +174,28 @@ def mse_scm(m, n: int, kappa: float) -> tuple[float, float]:
     return mse, mse / t2
 
 
-def nmse_from_sphericity(n: int, p: int, gamma: float, kappa: float) -> float:
-    """NMSE of the sample covariance matrix from (n, p, sphericity, kurtosis)."""
+def nmse_from_sphericity(n: int, p: int, gamma, kappa):
+    """NMSE of the sample covariance matrix from (n, p, sphericity, kurtosis).
+
+    Elementwise over array-valued ``gamma`` and ``kappa``.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if not (1.0 <= gamma <= p):
+    if not np.all((1.0 <= gamma) & (gamma <= p)):
         raise ValueError(f"sphericity must lie in [1, p] = [1, {p}], got {gamma}")
-    if kappa < kurtosis_lower_bound(p):
+    if np.any(kappa < kurtosis_lower_bound(p)):
         raise ValueError(
             f"kappa = {kappa} is below the lower bound -1/(p+1) = {kurtosis_lower_bound(p)}"
         )
     return (p / gamma) * (1.0 / (n - 1) + kappa / n) + kappa / n
 
 
-def beta_opt(nmse: float) -> float:
-    """MSE-optimal scalar multiplier of the sample covariance: 1/(NMSE + 1)."""
-    if not (nmse > 0.0):
+def beta_opt(nmse):
+    """MSE-optimal scalar multiplier of the sample covariance: 1/(NMSE + 1).
+
+    Elementwise over an array-valued ``nmse``.
+    """
+    if not np.all(nmse > 0.0):
         raise ValueError(f"NMSE must be positive, got {nmse}")
     return 1.0 / (nmse + 1.0)
 

@@ -5,6 +5,7 @@ import pytest
 
 from cescov.cli import main, spiked_covariance
 from cescov.lin_core import load_complex_matrix, scale_and_sphericity
+from cescov.mc_verify import Tolerances
 
 
 def run(capsys, *argv):
@@ -261,15 +262,28 @@ class TestMcVerify:
         assert code == 0
         assert payload["report"]["details"]["ratio"] < 1.0
 
-    def test_fail_exit_code(self, capsys):
-        # at 3000 replications this seed lands outside the 2% tau tolerance,
-        # exercising the 0/1/2 exit-code contract's failure branch
+    def test_fail_exit_code(self, capsys, monkeypatch):
+        # zero tolerances fail any run that has sampling error, whatever the
+        # seed, exercising the 0/1/2 exit-code contract's failure branch
+        zero = Tolerances(se_mult=0.0, rel_tau=0.0, rel_mse=0.0)
+        monkeypatch.setattr(Tolerances, "for_family", staticmethod(lambda family: zero))
         code, out, _ = run(
             capsys, "mc-verify", "--target", "thm3", "--dist", "gaussian",
             "--n", "10", "--p", "2", "--reps", "3000", "--seed", "1", "--json",
         )
         assert code == 1
         assert json.loads(out)["report"]["pass"] is False
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_singular_weighted_statistic(self, capsys, workers):
+        # n = p makes every replication's SCM singular
+        code, out, err = run(
+            capsys, "mc-verify", "--target", "thm1", "--stat", "wscm:fobi",
+            "--n", "2", "--p", "2", "--seed", "1", "--workers", workers,
+        )
+        assert code == 2
+        assert out == ""
+        assert "sample covariance is singular" in err
 
     def test_workers_do_not_change_report(self, capsys):
         reports = {}

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cescov.ces_sampler import CESModel, CompoundGaussianK, Gaussian
-from cescov.lin_core import commutation_matrix
+from cescov.ces_sampler import CESModel, CompoundGaussianK, Gaussian, RngStream, sample_ces
+from cescov.estimators import estimate_kurtosis, scm, weighted_scm
+from cescov.lin_core import commutation_matrix, scale_and_sphericity
 from cescov.mc_verify import (
+    CHUNK,
     MCConfig,
     Tolerances,
     compare_to_theory,
@@ -13,9 +15,14 @@ from cescov.mc_verify import (
     verify_oracle_efficiency,
     verify_sphere_moments,
     with_workers,
+    _draw_chunk,
+    _plugin_beta,
+    _statistic_fn,
 )
 from cescov.theory import (
     affine_equivariant_var,
+    beta_opt,
+    nmse_from_sphericity,
     radial_var_structure,
     scm_radial_structure,
 )
@@ -87,15 +94,17 @@ class TestEmpiricalMoments:
         assert np.abs(emp.pvar_emp - prod).max() < 1e-12
 
     def test_determinism_across_workers(self):
-        cfg = MCConfig(replications=5000, n=8, model=spherical_model(2), seed=7)
-        base = empirical_moments(cfg)
-        for workers in (4, 16):
-            other = empirical_moments(with_workers(cfg, workers))
-            np.testing.assert_array_equal(base.var_emp, other.var_emp)
-            np.testing.assert_array_equal(base.pvar_emp, other.pvar_emp)
-            np.testing.assert_array_equal(base.mean_stat, other.mean_stat)
-            assert base.mse_emp == other.mse_emp
-            assert base.se_scale == other.se_scale
+        # 3 * CHUNK + 7 replications end in a ragged chunk
+        for replications, workers_list in ((5000, (4, 16)), (3 * CHUNK + 7, (2,))):
+            cfg = MCConfig(replications=replications, n=8, model=spherical_model(2), seed=7)
+            base = empirical_moments(cfg)
+            for workers in workers_list:
+                other = empirical_moments(with_workers(cfg, workers))
+                np.testing.assert_array_equal(base.var_emp, other.var_emp)
+                np.testing.assert_array_equal(base.pvar_emp, other.pvar_emp)
+                np.testing.assert_array_equal(base.mean_stat, other.mean_stat)
+                assert base.mse_emp == other.mse_emp
+                assert base.se_scale == other.se_scale
 
     def test_se_scales_with_replications(self):
         model = spherical_model(2)
@@ -125,6 +134,48 @@ class TestEmpiricalMoments:
         )
         est = radial_estimate_from_moments(empirical_moments(cfg))
         assert est.tau1 > 0
+
+
+class TestStackedKernels:
+    """A chunk's statistics, computed on the whole (m, n, p) stack, equal
+    the single-dataset estimators applied to each of its datasets."""
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        cov = random_hpd(np.random.default_rng(30), 3)
+        model = CESModel(np.zeros(3), cov, CompoundGaussianK(0.5))
+        return MCConfig(replications=3 * CHUNK, n=10, model=model, seed=31)
+
+    @pytest.fixture(scope="class")
+    def chunk(self, cfg):
+        return _draw_chunk(cfg, 2, 200)
+
+    def test_chunk_draws_from_one_stream(self, cfg, chunk):
+        # stream contract 2: chunk c draws its m * n rows from the stream (seed, c)
+        ref = sample_ces(cfg.model, 200 * cfg.n, RngStream(cfg.seed, 2))
+        np.testing.assert_array_equal(chunk, ref.reshape(chunk.shape))
+
+    @pytest.mark.parametrize(
+        "name, single",
+        [
+            ("scm", lambda x: scm(x).s),
+            ("wscm:one", lambda x: weighted_scm(x, np.ones_like)),
+            ("wscm:fobi", lambda x: weighted_scm(x, lambda d: d)),
+        ],
+    )
+    def test_statistic_matches_single_dataset(self, chunk, name, single):
+        stacked = _statistic_fn(name)(chunk)
+        assert stacked.shape == (len(chunk), 3, 3)
+        for i, x in enumerate(chunk):
+            np.testing.assert_array_equal(stacked[i], single(x))
+
+    def test_plugin_beta_matches_single_dataset(self, chunk):
+        n, p = chunk.shape[1:]
+        stacked = _plugin_beta(chunk, _statistic_fn("scm")(chunk))
+        for i, x in enumerate(chunk):
+            _, gamma = scale_and_sphericity(scm(x).s)
+            kappa = estimate_kurtosis(x)
+            assert stacked[i] == beta_opt(nmse_from_sphericity(n, p, gamma, kappa))
 
 
 class TestEstimateRadialStructure:

@@ -40,6 +40,7 @@ from .lin_core import (
     load_complex_matrix,
     save_complex_matrix,
     scale_and_sphericity,
+    spiked_covariance,
     unvec,
     vec,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -27,8 +26,10 @@ from .lin_core import (
     load_complex_matrix,
     save_complex_matrix,
     scale_and_sphericity,
+    spiked_covariance,
 )
 from .mc_verify import (
+    STATISTICS,
     MCConfig,
     Tolerances,
     compare_to_theory,
@@ -43,7 +44,6 @@ from .theory import (
     empirical_structure_pair,
     mse_scm,
     nmse_from_sphericity,
-    radial_var_structure,
     scm_radial_structure,
     shrinkage_curve,
     shrinkage_report,
@@ -65,34 +65,6 @@ def _resolve_seed(seed: int | None) -> int:
     if os.environ.get(CI_ENV) == "1":
         raise CliError(f"--seed is required when {CI_ENV}=1")
     return int(np.random.SeedSequence().entropy) % (2**63)
-
-
-def spiked_covariance(p: int, gamma: float, tol: float = 1e-12) -> np.ndarray:
-    """Identity plus a rank-one spike along the all-ones direction, with the
-    spike weight solved by bisection so the sphericity equals ``gamma``."""
-    if not (1.0 <= gamma < p):
-        raise CliError(f"spiked preset needs 1 <= gamma < p = {p}, got gamma = {gamma}")
-
-    def sphericity(w: float) -> float:
-        # tr(M) = p + w, tr(M^2) = p + 2w + w^2 for M = I + w vv^H, |v| = 1
-        return p * (p + 2 * w + w * w) / (p + w) ** 2
-
-    if gamma == 1.0:
-        w = 0.0
-    else:
-        hi = 1.0
-        while sphericity(hi) < gamma:
-            hi *= 2.0
-        lo = 0.0
-        while hi - lo > tol * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if sphericity(mid) < gamma:
-                lo = mid
-            else:
-                hi = mid
-        w = 0.5 * (lo + hi)
-    v = np.full(p, 1.0 / math.sqrt(p))
-    return np.eye(p, dtype=np.complex128) + w * np.outer(v, v)
 
 
 def _resolve_cov(spec: str, p: int) -> np.ndarray:
@@ -151,9 +123,7 @@ def _print_json(payload: dict, compact: bool, stream=None) -> None:
 
 
 def _complex_pairs(a: np.ndarray) -> list:
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    return [_complex_pairs(row) for row in a]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +232,17 @@ def cmd_mc_verify(args) -> int:
             est = radial_estimate_from_moments(emp)
             pair = empirical_structure_pair(est.tau1, est.tau2, args.p)
             report = compare_to_theory(emp, pair, tol)
-        elif args.target == "thm3":
-            emp = empirical_moments(cfg)
-            est = radial_estimate_from_moments(emp)
-            struct = scm_radial_structure(args.n, model.kappa, args.p)
-            pair = radial_var_structure(struct.tau1, struct.tau2, args.p)
-            mse_t, _ = mse_scm(model.cov, args.n, model.kappa)
-            report = compare_to_theory(
-                emp, pair, tol, radial_theory=struct, radial_estimate=est, mse_theory=mse_t
-            )
-        elif args.target == "transport":
+        elif args.target in ("thm3", "transport"):
+            # at cov = I (thm3) the transported pair is the radial form
             emp = empirical_moments(cfg)
             struct = scm_radial_structure(args.n, model.kappa, args.p)
             pair = affine_equivariant_var(model.cov, struct)
             mse_t, _ = mse_scm(model.cov, args.n, model.kappa)
-            report = compare_to_theory(emp, pair, tol, mse_theory=mse_t)
+            radial = {}
+            if args.target == "thm3":
+                est = radial_estimate_from_moments(emp)
+                radial = dict(radial_theory=struct, radial_estimate=est)
+            report = compare_to_theory(emp, pair, tol, mse_theory=mse_t, **radial)
         else:  # oracle
             report = verify_oracle_efficiency(cfg, include_plugin=args.plugin)
 
@@ -396,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--reps", type=int, default=200_000)
     p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument("--workers", type=int, default=1)
-    p_mc.add_argument("--stat", default="scm", choices=("scm", "wscm:one", "wscm:fobi"))
+    p_mc.add_argument("--stat", default="scm", choices=STATISTICS)
     p_mc.add_argument("--plugin", action="store_true", help="report plug-in shrinkage ratio")
     p_mc.add_argument("--json", action="store_true")
     p_mc.set_defaults(func=cmd_mc_verify)

@@ -11,6 +11,8 @@ Conventions fixed project-wide:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy import kron  # dense Kronecker product, part of the public surface
 
@@ -29,6 +31,7 @@ __all__ = [
     "hermitian_sqrt",
     "centering_matrix",
     "scale_and_sphericity",
+    "spiked_covariance",
     "save_complex_matrix",
     "load_complex_matrix",
     "dump_complex_matrix",
@@ -75,10 +78,9 @@ def commutation_matrix(p: int) -> np.ndarray:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    i, j = np.divmod(np.arange(p * p), p)
     k = np.zeros((p * p, p * p))
-    for i in range(p):
-        for j in range(p):
-            k[i * p + j, j * p + i] = 1.0
+    k[i * p + j, j * p + i] = 1.0
     return k
 
 
@@ -160,6 +162,25 @@ def _scale_and_sphericity_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1 / p, p * t2 / (t1 * t1)
 
 
+def spiked_covariance(p: int, gamma: float) -> np.ndarray:
+    """Identity plus a rank-one spike w vv^H along the unit all-ones direction
+    v, with the sphericity equal to ``gamma``.
+
+    The sphericity p (p + 2w + w^2) / (p + w)^2 increases with w >= 0 from 1
+    towards p; its inverse is w = p [(gamma - 1) + sqrt((gamma - 1)(p - 1))] / (p - gamma).
+
+    Raises
+    ------
+    ValueError
+        If gamma is outside [1, p).
+    """
+    if not (1.0 <= gamma < p):
+        raise ValueError(f"spiked preset needs 1 <= gamma < p = {p}, got gamma = {gamma}")
+    w = p * ((gamma - 1.0) + math.sqrt((gamma - 1.0) * (p - 1))) / (p - gamma)
+    v = np.full(p, 1.0 / math.sqrt(p))
+    return np.eye(p, dtype=np.complex128) + w * np.outer(v, v)
+
+
 # ---------------------------------------------------------------------------
 # Complex matrix CSV format (shared project-wide)
 #
@@ -177,12 +198,8 @@ def dump_complex_matrix(f, a) -> None:
     rows, cols = a.shape
     f.write(f"# {rows} {cols}\n")
     f.write(",".join(f"re_{j + 1},im_{j + 1}" for j in range(cols)) + "\n")
-    for i in range(rows):
-        parts = []
-        for j in range(cols):
-            parts.append(repr(float(a[i, j].real)))
-            parts.append(repr(float(a[i, j].imag)))
-        f.write(",".join(parts) + "\n")
+    for row in np.ascontiguousarray(a).view(np.float64):
+        f.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def save_complex_matrix(path, a) -> None:
@@ -214,7 +231,9 @@ def parse_complex_matrix(lines) -> np.ndarray:
         raise ValueError(
             f"header must name {2 * cols} value columns, got {header!r}"
         )
-    out = np.empty((rows, cols), dtype=np.complex128)
+    # interleaved (re, im) floats, viewed as complex at the end: every bit
+    # of both parts (signed zeros included) survives the round trip
+    out = np.empty((rows, 2 * cols))
     for i in range(rows):
         try:
             line = next(it)
@@ -223,14 +242,13 @@ def parse_complex_matrix(lines) -> np.ndarray:
         vals = line.strip().split(",")
         if len(vals) != 2 * cols:
             raise ValueError(f"row {i + 1} has {len(vals)} fields, expected {2 * cols}")
-        nums = [float(v) for v in vals]
-        out[i] = np.asarray(nums[0::2]) + 1j * np.asarray(nums[1::2])
+        out[i] = list(map(float, vals))
     for extra in it:
         if extra.strip():
             raise ValueError("trailing non-empty lines after the declared rows")
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix contains non-finite entries")
-    return out
+    return out.view(np.complex128)
 
 
 def load_complex_matrix(path) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "compare_to_theory",
     "verify_sphere_moments",
     "verify_oracle_efficiency",
-    "with_workers",
 ]
 
 # Version of the mapping from (seed, replication) to random streams.
@@ -584,7 +583,3 @@ def verify_oracle_efficiency(
         details=details,
     )
 
-
-def with_workers(cfg: MCConfig, workers: int) -> MCConfig:
-    """Copy of the config with a different worker count (results unchanged)."""
-    return replace(cfg, workers=workers)

@@ -25,7 +25,7 @@ oracle MSE equal to beta_o * MSE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,17 +65,15 @@ class RadialStructure:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        _check_taus(self.tau1, self.tau2, self.dim)
-
-
-def _check_taus(tau1: float, tau2: float, p: int) -> None:
-    if not np.isfinite(tau1) or not np.isfinite(tau2):
-        raise ValueError("tau constants must be finite")
-    if tau1 < 0.0:
-        raise ValueError(f"tau1 must be >= 0, got {tau1}")
-    slack = _TAU_SLACK * (abs(tau1) + abs(tau2) + 1.0)
-    if tau2 < -tau1 / p - slack:
-        raise ValueError(f"tau2 = {tau2} violates tau2 >= -tau1/p = {-tau1 / p}")
+        if not np.isfinite(self.tau1) or not np.isfinite(self.tau2):
+            raise ValueError("tau constants must be finite")
+        if self.tau1 < 0.0:
+            raise ValueError(f"tau1 must be >= 0, got {self.tau1}")
+        slack = _TAU_SLACK * (abs(self.tau1) + abs(self.tau2) + 1.0)
+        if self.tau2 < -self.tau1 / self.dim - slack:
+            raise ValueError(
+                f"tau2 = {self.tau2} violates tau2 >= -tau1/p = {-self.tau1 / self.dim}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,27 +83,12 @@ class CovariancePair:
     var: np.ndarray
     pvar: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.var.shape[0])))
-
-
-def _structure_pair(tau1: float, tau2: float, p: int) -> CovariancePair:
-    # spherical-model form; no constraint validation (also used on raw estimates)
-    v = vec(np.eye(p))
-    rank_one = np.outer(v, v)
-    var = tau1 * np.eye(p * p) + tau2 * rank_one
-    pvar = tau1 * commutation_matrix(p) + tau2 * rank_one
-    return CovariancePair(var=var.astype(np.complex128), pvar=pvar.astype(np.complex128))
-
 
 def radial_var_structure(tau1: float, tau2: float, p: int) -> CovariancePair:
     """Spherical-model covariance pair: tau1-weighted identity / commutation
     parts plus the tau2-weighted vec(I) vec(I)^T rank-one part."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    _check_taus(tau1, tau2, p)
-    return _structure_pair(tau1, tau2, p)
+    RadialStructure(1.0, tau1, tau2, p)  # validates p and the tau constraints
+    return empirical_structure_pair(tau1, tau2, p)
 
 
 def empirical_structure_pair(tau1: float, tau2: float, p: int) -> CovariancePair:
@@ -117,7 +100,12 @@ def empirical_structure_pair(tau1: float, tau2: float, p: int) -> CovariancePair
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _structure_pair(float(tau1), float(tau2), p)
+    tau1, tau2 = float(tau1), float(tau2)
+    v = vec(np.eye(p))
+    rank_one = np.outer(v, v)
+    var = tau1 * np.eye(p * p) + tau2 * rank_one
+    pvar = tau1 * commutation_matrix(p) + tau2 * rank_one
+    return CovariancePair(var=var.astype(np.complex128), pvar=pvar.astype(np.complex128))
 
 
 def affine_equivariant_var(m, s: RadialStructure) -> CovariancePair:
@@ -181,11 +169,15 @@ def nmse_from_sphericity(n: int, p: int, gamma, kappa):
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if not np.all((1.0 <= gamma) & (gamma <= p)):
-        raise ValueError(f"sphericity must lie in [1, p] = [1, {p}], got {gamma}")
-    if np.any(kappa < kurtosis_lower_bound(p)):
+    # the messages name one offending value, also for array-valued input
+    gamma_lo, gamma_hi = np.min(gamma), np.max(gamma)
+    if not (1.0 <= gamma_lo and gamma_hi <= p):
+        bad = gamma_hi if gamma_lo >= 1.0 else gamma_lo
+        raise ValueError(f"sphericity must lie in [1, p] = [1, {p}], got {bad}")
+    kappa_lo = np.min(kappa)
+    if kappa_lo < kurtosis_lower_bound(p):
         raise ValueError(
-            f"kappa = {kappa} is below the lower bound -1/(p+1) = {kurtosis_lower_bound(p)}"
+            f"kappa = {kappa_lo} is below the lower bound -1/(p+1) = {kurtosis_lower_bound(p)}"
         )
     return (p / gamma) * (1.0 / (n - 1) + kappa / n) + kappa / n
 
@@ -195,8 +187,8 @@ def beta_opt(nmse):
 
     Elementwise over an array-valued ``nmse``.
     """
-    if not np.all(nmse > 0.0):
-        raise ValueError(f"NMSE must be positive, got {nmse}")
+    if not np.min(nmse) > 0.0:
+        raise ValueError(f"NMSE must be positive, got {np.min(nmse)}")
     return 1.0 / (nmse + 1.0)
 
 
@@ -228,11 +220,9 @@ def shrinkage_curve(n: int, p: int, gamma: float, kappa_grid) -> list[tuple[floa
     The series is monotonically decreasing in kappa since NMSE is affine
     increasing in kappa.
     """
-    out = []
-    for kappa in kappa_grid:
-        k = float(kappa)
-        out.append((k, beta_opt(nmse_from_sphericity(n, p, gamma, k))))
-    return out
+    kappa = np.asarray(kappa_grid, dtype=float)
+    beta = beta_opt(nmse_from_sphericity(n, p, gamma, kappa))
+    return list(zip(kappa.tolist(), beta.tolist()))
 
 
 @dataclass(frozen=True)
@@ -256,17 +246,7 @@ class ShrinkageReport:
             raise ValueError("oracle_mse must equal beta_o * mse")
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "gamma": self.gamma,
-            "kappa": self.kappa,
-            "n": self.n,
-            "p": self.p,
-            "mse": self.mse,
-            "nmse": self.nmse,
-            "beta_o": self.beta_o,
-            "oracle_mse": self.oracle_mse,
-        }
+        return asdict(self)
 
 
 def shrinkage_report(n: int, p: int, kappa: float, *, cov=None, gamma: float | None = None) -> ShrinkageReport:

@@ -7,6 +7,7 @@ configurations at a different worker count.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ from cescov.ces_sampler import (
     sample_modular,
 )
 from cescov.cli import main as cli_main
-from cescov.cli import spiked_covariance
 from cescov.estimators import scm
-from cescov.lin_core import commutation_matrix, hermitian_sqrt, vec
+from cescov.lin_core import commutation_matrix, hermitian_sqrt, spiked_covariance, vec
 from cescov.mc_verify import (
     MCConfig,
     Tolerances,
@@ -30,7 +30,6 @@ from cescov.mc_verify import (
     radial_estimate_from_moments,
     verify_oracle_efficiency,
     verify_sphere_moments,
-    with_workers,
 )
 from cescov.theory import (
     RadialStructure,
@@ -288,7 +287,7 @@ def test_10_determinism_across_workers(
         ("run2", run_heavy),
         ("run3", run_transport),
     ):
-        redo = empirical_moments(with_workers(cfg, 4))
+        redo = empirical_moments(replace(cfg, workers=4))
         np.testing.assert_array_equal(emp.var_emp, redo.var_emp)
         np.testing.assert_array_equal(emp.pvar_emp, redo.pvar_emp)
         np.testing.assert_array_equal(emp.mean_stat, redo.mean_stat)
@@ -298,7 +297,7 @@ def test_10_determinism_across_workers(
 
     _, runs = oracle_runs
     for key, (cfg, report) in runs.items():
-        redo = verify_oracle_efficiency(with_workers(cfg, 4))
+        redo = verify_oracle_efficiency(replace(cfg, workers=4))
         assert report.details["ratio"] == redo.details["ratio"]
         assert report.details["mse_emp"] == redo.details["mse_emp"]
         checked.append(f"oracle-{key}")

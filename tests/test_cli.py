@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cescov.cli import main, spiked_covariance
-from cescov.lin_core import load_complex_matrix, scale_and_sphericity
+from cescov.cli import main
+from cescov.lin_core import load_complex_matrix, scale_and_sphericity, spiked_covariance
 from cescov.mc_verify import Tolerances
 
 
@@ -106,7 +106,7 @@ class TestSpikedCovariance:
         eta, gamma = scale_and_sphericity(m)
         assert gamma == pytest.approx(2.0, abs=1e-11)
         # closed form for the spike weight at p=10, gamma=2 is w = 5
-        assert np.trace(m).real == pytest.approx(15.0, abs=1e-9)
+        assert np.trace(m).real == 15.0
 
     def test_gamma_one_is_identity(self):
         np.testing.assert_allclose(spiked_covariance(6, 1.0), np.eye(6), atol=1e-12)
@@ -115,11 +115,14 @@ class TestSpikedCovariance:
         for p, g in ((4, 2.0), (8, 5.5), (3, 1.2)):
             _, gamma = scale_and_sphericity(spiked_covariance(p, g))
             assert gamma == pytest.approx(g, abs=1e-10)
+        # the closed-form spike weight hits gamma to rounding over [1, p)
+        for p in range(2, 13):
+            for g in np.linspace(1.0, p - 1e-6, 41):
+                _, gamma = scale_and_sphericity(spiked_covariance(p, g))
+                assert abs(gamma - g) / g <= 1e-14, (p, g, gamma)
 
     def test_rejects_unreachable(self):
-        from cescov.cli import CliError
-
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError, match="1 <= gamma < p"):
             spiked_covariance(4, 4.0)
 
 
@@ -203,6 +206,9 @@ class TestCurve:
     def test_rejects_kappa_below_bound(self, capsys):
         code, _, err = run(capsys, "curve", "--kappa-min", "-0.2")
         assert code == 2
+        # one line naming the offending grid value, not the whole grid
+        assert len(err.splitlines()) == 1
+        assert "kappa = -0.2 " in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"

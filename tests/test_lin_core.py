@@ -219,9 +219,20 @@ class TestComplexCsv:
     def test_roundtrip_exact(self, tmp_path):
         gen = np.random.default_rng(13)
         a = random_complex(gen, 7, 3) * np.pi
-        path = tmp_path / "m.csv"
-        save_complex_matrix(path, a)
-        np.testing.assert_array_equal(load_complex_matrix(path), a)
+        big = 1.7976931348623157e308
+        special = np.array(
+            [[0.0 + 0.0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+             [5e-324 - 5e-324j, complex(big, -big), complex(-big, 1.0), complex(2.5, big)]]
+        )
+        for m in (a, special, special.T):  # special.T is not C-contiguous
+            path = tmp_path / "m.csv"
+            save_complex_matrix(path, m)
+            back = load_complex_matrix(path)
+            assert back.shape == m.shape
+            # bit patterns, so signed zeros count
+            np.testing.assert_array_equal(
+                back.view(np.uint64), np.ascontiguousarray(m).view(np.uint64)
+            )
 
     def test_header_and_shape_line(self, tmp_path):
         path = tmp_path / "m.csv"

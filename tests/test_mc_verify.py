@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from cescov.mc_verify import (
     radial_estimate_from_moments,
     verify_oracle_efficiency,
     verify_sphere_moments,
-    with_workers,
     _draw_chunk,
     _plugin_beta,
     _statistic_fn,
@@ -99,7 +100,7 @@ class TestEmpiricalMoments:
             cfg = MCConfig(replications=replications, n=8, model=spherical_model(2), seed=7)
             base = empirical_moments(cfg)
             for workers in workers_list:
-                other = empirical_moments(with_workers(cfg, workers))
+                other = empirical_moments(replace(cfg, workers=workers))
                 np.testing.assert_array_equal(base.var_emp, other.var_emp)
                 np.testing.assert_array_equal(base.pvar_emp, other.pvar_emp)
                 np.testing.assert_array_equal(base.mean_stat, other.mean_stat)
@@ -295,7 +296,7 @@ class TestVerifyOracleEfficiency:
     def test_deterministic_across_workers(self):
         cfg = MCConfig(replications=4000, n=10, model=spherical_model(2), seed=24)
         r1 = verify_oracle_efficiency(cfg)
-        r4 = verify_oracle_efficiency(with_workers(cfg, 4))
+        r4 = verify_oracle_efficiency(replace(cfg, workers=4))
         assert r1.details["ratio"] == r4.details["ratio"]
         assert r1.details["mse_emp"] == r4.details["mse_emp"]
 

@@ -52,7 +52,6 @@ from .mc_verify import (
     Tolerances,
     compare_to_theory,
     empirical_moments,
-    estimate_radial_structure,
     radial_estimate_from_moments,
     verify_oracle_efficiency,
     verify_sphere_moments,

@@ -28,6 +28,7 @@ __all__ = [
     "estimate_kurtosis",
 ]
 
+# margin above the kurtosis lower bound -1/(p+1) at which estimates are clipped
 KURTOSIS_CLIP_EPS = 1e-6
 
 
@@ -95,17 +96,14 @@ def sample_variance(x) -> float:
     return float(np.sum(dev.real**2 + dev.imag**2) / (x.shape[0] - 1))
 
 
-def _weighted_scm_stack(x: np.ndarray, weight_fn, pd_tol: float | None = None) -> np.ndarray:
+def _weighted_scm_stack(x: np.ndarray, weight_fn) -> np.ndarray:
     """Weighted covariance matrices (m, p, p) of an (m, n, p) stack of
     datasets; see :func:`weighted_scm`.  ``weight_fn`` receives the squared
     distances of all m * n rows as one flat array."""
     m, n, p = x.shape
     s, xbar = _scm_stack(x)
     eigs = np.linalg.eigvalsh(s)  # ascending per replication
-    if pd_tol is None:
-        tol = PD_RTOL * np.maximum(eigs[:, -1], 0.0)
-    else:
-        tol = np.full(m, float(pd_tol))
+    tol = PD_RTOL * np.maximum(eigs[:, -1], 0.0)
     singular = eigs[:, 0] <= tol
     if n <= p or singular.any():
         i = int(np.argmax(singular))
@@ -121,7 +119,7 @@ def _weighted_scm_stack(x: np.ndarray, weight_fn, pd_tol: float | None = None) -
     return (r + r.conj().swapaxes(-1, -2)) / 2
 
 
-def weighted_scm(x, weight_fn, pd_tol: float | None = None) -> np.ndarray:
+def weighted_scm(x, weight_fn) -> np.ndarray:
     """Weighted covariance matrix (1/n) sum_i u(d_i) (x_i - xbar)(x_i - xbar)^H.
 
     The argument of the nonnegative weight function ``u`` is the squared
@@ -132,13 +130,14 @@ def weighted_scm(x, weight_fn, pd_tol: float | None = None) -> np.ndarray:
     Raises
     ------
     SingularSCM
-        If S is numerically singular (in particular whenever n <= p).
+        If the smallest eigenvalue of S is at or below ``PD_RTOL`` times the
+        largest one (in particular whenever n <= p).
     """
     x = require_dataset(x, min_rows=2)
-    return _weighted_scm_stack(x[None], weight_fn, pd_tol)[0]
+    return _weighted_scm_stack(x[None], weight_fn)[0]
 
 
-def _kurtosis_stack(x: np.ndarray, clip_eps: float = KURTOSIS_CLIP_EPS) -> np.ndarray:
+def _kurtosis_stack(x: np.ndarray) -> np.ndarray:
     """Plug-in elliptical kurtosis (m,) of an (m, n, p) stack of datasets;
     see :func:`estimate_kurtosis`."""
     p = x.shape[-1]
@@ -150,15 +149,16 @@ def _kurtosis_stack(x: np.ndarray, clip_eps: float = KURTOSIS_CLIP_EPS) -> np.nd
         raise DegenerateCoordinate(f"coordinate {bad} has zero sample variance")
     m4 = (a2 * a2).mean(axis=-2)
     kurt = m4 / (m2 * m2) - 2.0
-    return np.maximum(kurt.mean(axis=-1) / 2.0, kurtosis_lower_bound(p) + clip_eps)
+    return np.maximum(kurt.mean(axis=-1) / 2.0, kurtosis_lower_bound(p) + KURTOSIS_CLIP_EPS)
 
 
-def estimate_kurtosis(x, clip_eps: float = KURTOSIS_CLIP_EPS) -> float:
+def estimate_kurtosis(x) -> float:
     """Plug-in elliptical kurtosis: average per-coordinate excess kurtosis, halved.
 
     Each coordinate contributes m4/m2^2 - 2 built from plain sample moments
     of |x - xbar|; the average over coordinates is divided by two and clipped
-    from below at -1/(p+1) + clip_eps, the theoretical lower bound.
+    from below at -1/(p+1) + KURTOSIS_CLIP_EPS, just above the theoretical
+    lower bound.
 
     Raises
     ------
@@ -168,4 +168,4 @@ def estimate_kurtosis(x, clip_eps: float = KURTOSIS_CLIP_EPS) -> float:
         If some coordinate has zero sample variance.
     """
     x = require_dataset(x, min_rows=4)
-    return float(_kurtosis_stack(x[None], clip_eps)[0])
+    return float(_kurtosis_stack(x[None])[0])

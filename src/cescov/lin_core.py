@@ -40,7 +40,7 @@ __all__ = [
 
 # Relative tolerance for the Hermitian construction check.
 HERMITIAN_RTOL = 1e-12
-# Default relative eigenvalue floor for positive definiteness.
+# Relative eigenvalue floor for positive definiteness.
 PD_RTOL = 1e-10
 
 
@@ -71,6 +71,12 @@ def vec_index(i: int, j: int, rows: int) -> int:
     return j * rows + i
 
 
+def _vec_transpose_index(p: int) -> np.ndarray:
+    """The index array t with vec(A.T) == vec(A)[t] for p x p matrices A."""
+    i, j = np.divmod(np.arange(p * p), p)
+    return j * p + i
+
+
 def commutation_matrix(p: int) -> np.ndarray:
     """The p^2 x p^2 permutation K with K @ vec(A) == vec(A.T).
 
@@ -78,48 +84,37 @@ def commutation_matrix(p: int) -> np.ndarray:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    i, j = np.divmod(np.arange(p * p), p)
-    k = np.zeros((p * p, p * p))
-    k[i * p + j, j * p + i] = 1.0
-    return k
+    return np.eye(p * p)[_vec_transpose_index(p)]
 
 
-def hermitize(a, rtol: float = HERMITIAN_RTOL, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is Hermitian within ``rtol * max|entry|``, then
-    return the exactly symmetrized ``(a + a^H) / 2``."""
+def hermitize(a, name: str = "matrix") -> np.ndarray:
+    """Validate that ``a`` is Hermitian within ``HERMITIAN_RTOL * max|entry|``,
+    then return the exactly symmetrized ``(a + a^H) / 2``."""
     a = as_complex_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     scale = np.abs(a).max() if a.size else 0.0
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if dev > rtol * scale:
+    if dev > HERMITIAN_RTOL * scale:
         raise NotHermitian(
             f"{name} is not Hermitian: max asymmetry {dev:.3e} "
-            f"exceeds {rtol:.1e} * max|entry| = {rtol * scale:.3e}"
+            f"exceeds {HERMITIAN_RTOL:.1e} * max|entry| = {HERMITIAN_RTOL * scale:.3e}"
         )
     return (a + a.conj().T) / 2
 
 
-def hermitian_sqrt(m, pd_tol: float | None = None) -> np.ndarray:
+def hermitian_sqrt(m) -> np.ndarray:
     """Unique Hermitian positive-definite square root, via eigendecomposition.
-
-    Parameters
-    ----------
-    m : array_like
-        Hermitian positive definite matrix.
-    pd_tol : float, optional
-        Eigenvalue floor below which the input is rejected.  Defaults to
-        ``PD_RTOL`` times the largest eigenvalue.
 
     Raises
     ------
     NotPositiveDefinite
-        If the smallest eigenvalue is at or below ``pd_tol``.
+        If the smallest eigenvalue is at or below ``PD_RTOL`` times the
+        largest one.
     """
     m = hermitize(m)
     w, v = np.linalg.eigh(m)
-    if pd_tol is None:
-        pd_tol = PD_RTOL * max(float(w.max()), 0.0)
+    pd_tol = PD_RTOL * max(float(w.max()), 0.0)
     if float(w.min()) <= pd_tol:
         raise NotPositiveDefinite(
             f"matrix is not positive definite: min eigenvalue {w.min():.3e} "

@@ -12,6 +12,9 @@ spherical-model constants to an arbitrary covariance matrix M:
     var  = tau1 (M* x M)       + tau2 vec(M) vec(M)^H
     pvar = tau1 (M* x M) K_p   + tau2 vec(M) vec(M)^T
 
+In both forms pvar = var K_p, as for every Hermitian statistic, so only var
+is built and pvar is derived from it by a column permutation.
+
 For the unbiased sample covariance matrix built from n observations with
 elliptical kurtosis kappa, the constants are sigma = 1,
 tau1 = 1/(n-1) + kappa/n and tau2 = kappa/n, giving
@@ -25,12 +28,13 @@ oracle MSE equal to beta_o * MSE.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .ces_sampler import kurtosis_lower_bound
-from .lin_core import commutation_matrix, hermitize, kron, scale_and_sphericity, vec
+from .lin_core import _vec_transpose_index, hermitian_sqrt, hermitize, kron, scale_and_sphericity, vec
 
 __all__ = [
     "RadialStructure",
@@ -78,10 +82,19 @@ class RadialStructure:
 
 @dataclass(frozen=True, eq=False)
 class CovariancePair:
-    """Covariance and pseudo-covariance of a vectorized p x p statistic."""
+    """Covariance and pseudo-covariance of a vectorized p x p Hermitian
+    statistic; the pseudo-covariance is derived as var K_p."""
 
     var: np.ndarray
-    pvar: np.ndarray
+
+    @property
+    def pvar(self) -> np.ndarray:
+        return _var_times_commutation(self.var)
+
+
+def _var_times_commutation(var: np.ndarray) -> np.ndarray:
+    """var K_p, an exact column permutation of a (., p^2) array."""
+    return np.take(var, _vec_transpose_index(math.isqrt(var.shape[1])), axis=1)
 
 
 def radial_var_structure(tau1: float, tau2: float, p: int) -> CovariancePair:
@@ -102,10 +115,8 @@ def empirical_structure_pair(tau1: float, tau2: float, p: int) -> CovariancePair
         raise ValueError(f"p must be >= 1, got {p}")
     tau1, tau2 = float(tau1), float(tau2)
     v = vec(np.eye(p))
-    rank_one = np.outer(v, v)
-    var = tau1 * np.eye(p * p) + tau2 * rank_one
-    pvar = tau1 * commutation_matrix(p) + tau2 * rank_one
-    return CovariancePair(var=var.astype(np.complex128), pvar=pvar.astype(np.complex128))
+    var = tau1 * np.eye(p * p) + tau2 * np.outer(v, v)
+    return CovariancePair(var=var.astype(np.complex128))
 
 
 def affine_equivariant_var(m, s: RadialStructure) -> CovariancePair:
@@ -117,11 +128,9 @@ def affine_equivariant_var(m, s: RadialStructure) -> CovariancePair:
     p = m.shape[0]
     if s.dim != p:
         raise ValueError(f"structure is for dim {s.dim}, matrix is {p} x {p}")
-    mm = kron(m.conj(), m)
     vm = vec(m)
-    var = s.tau1 * mm + s.tau2 * np.outer(vm, vm.conj())
-    pvar = s.tau1 * (mm @ commutation_matrix(p)) + s.tau2 * np.outer(vm, vm)
-    return CovariancePair(var=var, pvar=pvar)
+    var = s.tau1 * kron(m.conj(), m) + s.tau2 * np.outer(vm, vm.conj())
+    return CovariancePair(var=var)
 
 
 def scm_radial_structure(n: int, kappa: float, p: int) -> RadialStructure:
@@ -264,6 +273,7 @@ def shrinkage_report(n: int, p: int, kappa: float, *, cov=None, gamma: float | N
         if m.shape[0] != p:
             raise ValueError(f"cov is {m.shape[0]} x {m.shape[1]}, expected p = {p}")
         eta, gamma = scale_and_sphericity(m)
+        hermitian_sqrt(m)  # rejects an indefinite M, as CESModel does
         mse, nmse = mse_scm(m, n, kappa)
     else:
         eta = 1.0

@@ -168,6 +168,18 @@ class TestTheory:
         assert code == 2
         assert "[1, 4]" in err
 
+    def test_rejects_non_pd_cov_file(self, capsys, tmp_path):
+        from cescov.lin_core import save_complex_matrix
+
+        bad = tmp_path / "bad.csv"
+        save_complex_matrix(bad, np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
+        code, out, err = run(
+            capsys, "theory", "--n", "10", "--p", "2", "--kappa", "0", "--cov", str(bad),
+        )
+        assert code == 2
+        assert out == ""
+        assert "not positive definite" in err
+
     def test_cov_from_file(self, capsys, tmp_path):
         from cescov.lin_core import save_complex_matrix
 
@@ -267,6 +279,17 @@ class TestMcVerify:
         payload = json.loads(out)
         assert code == 0
         assert payload["report"]["details"]["ratio"] < 1.0
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_oracle_plugin_needs_four_observations(self, capsys, n):
+        # the plug-in kurtosis estimate is defined for n >= 4 only
+        code, out, err = run(
+            capsys, "mc-verify", "--target", "oracle", "--plugin", "--n", n, "--p", "4",
+            "--reps", "20000", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"need at least 4 observations, got {n}" in err
 
     def test_fail_exit_code(self, capsys, monkeypatch):
         # zero tolerances fail any run that has sampling error, whatever the

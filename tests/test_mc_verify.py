@@ -5,14 +5,13 @@ import pytest
 
 from cescov.ces_sampler import CESModel, CompoundGaussianK, Gaussian, RngStream, sample_ces
 from cescov.estimators import estimate_kurtosis, scm, weighted_scm
-from cescov.lin_core import commutation_matrix, scale_and_sphericity
+from cescov.lin_core import scale_and_sphericity
 from cescov.mc_verify import (
     CHUNK,
     MCConfig,
     Tolerances,
     compare_to_theory,
     empirical_moments,
-    estimate_radial_structure,
     radial_estimate_from_moments,
     verify_oracle_efficiency,
     verify_sphere_moments,
@@ -89,10 +88,18 @@ class TestEmpiricalMoments:
         assert recon == pytest.approx(emp.mse_emp, rel=1e-10)
 
     def test_pvar_equals_var_commutation_empirically(self, gaussian_run):
-        # exact identity, not just statistical: the statistic is Hermitian
-        _, emp = gaussian_run
-        prod = emp.var_emp @ commutation_matrix(2)
-        assert np.abs(emp.pvar_emp - prod).max() < 1e-12
+        # the derived pvar_emp (var K_p) equals the pseudo-covariance
+        # sum_r w_r w_r^T / (R - 1) of the centred vec(T_r), built here from
+        # the same chunks; a row permutation K var would give its conjugate
+        cfg, emp = gaussian_run
+        r = cfg.replications
+        stat = _statistic_fn(cfg.statistic)
+        t = np.concatenate(
+            [stat(_draw_chunk(cfg, c, min(CHUNK, r - lo))) for c, lo in enumerate(range(0, r, CHUNK))]
+        )
+        w = t.swapaxes(-1, -2).reshape(r, -1)  # row r is vec(T_r)
+        w = w - w.mean(axis=0)
+        np.testing.assert_allclose(emp.pvar_emp, w.T @ w / (r - 1), rtol=1e-12)
 
     def test_determinism_across_workers(self):
         # 3 * CHUNK + 7 replications end in a ragged chunk
@@ -180,21 +187,14 @@ class TestStackedKernels:
 
 
 class TestEstimateRadialStructure:
-    def test_requires_spherical_model(self):
-        gen = np.random.default_rng(14)
-        model = CESModel(np.zeros(2), random_hpd(gen, 2), Gaussian())
-        cfg = MCConfig(replications=100, n=10, model=model, seed=1)
-        with pytest.raises(ValueError):
-            estimate_radial_structure(cfg)
-
     def test_requires_p2(self):
         cfg = MCConfig(replications=100, n=10, model=spherical_model(1), seed=1)
         with pytest.raises(ValueError):
-            estimate_radial_structure(cfg)
+            radial_estimate_from_moments(empirical_moments(cfg))
 
     def test_matches_closed_form(self):
         cfg = MCConfig(replications=30_000, n=10, model=spherical_model(2), seed=15)
-        est = estimate_radial_structure(cfg)
+        est = radial_estimate_from_moments(empirical_moments(cfg))
         s = scm_radial_structure(10, 0.0, 2)
         assert abs(est.tau1 - s.tau1) < 4 * est.se_tau1
         assert abs(est.tau2 - s.tau2) < 4 * est.se_tau2
@@ -242,6 +242,8 @@ class TestCompareToTheory:
         pair = affine_equivariant_var(m, scm_radial_structure(10, 0.0, 2))
         report = compare_to_theory(emp, pair, Tolerances())
         assert report.passed
+        # pvar = var K_p on both sides: one deviation, reported twice
+        assert report.max_abs_dev_pvar == report.max_abs_dev_var
 
     def test_tolerances_per_family(self):
         assert Tolerances.for_family(Gaussian()).rel_tau == 0.02

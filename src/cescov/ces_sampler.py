@@ -1,20 +1,23 @@
 """Sampling from circular complex elliptically symmetric distributions.
 
-A draw is ``mu + r * C @ u`` where ``C`` is the Hermitian square root of
-the covariance matrix, ``u`` is uniform on the complex unit sphere, and
-the modular variate ``r >= 0`` is independent of ``u`` and normalized so
-that ``E[r^2] = p``.  With that normalization the scatter matrix of the
-draw equals its covariance matrix.
+A draw has the law of ``mu + r * C @ u`` where ``C`` is the Hermitian square
+root of the covariance matrix, ``u`` is uniform on the complex unit sphere,
+and the modular variate ``r >= 0`` is independent of ``u`` and normalized so
+that ``E[r^2] = p``.  With that normalization the scatter matrix of the draw
+equals its covariance matrix.
 
-Supported tail families and their elliptical kurtosis
-``kappa = E[r^4] / (p (p + 1)) - 1``:
+Every family has ``r^2 = q * tau`` with ``q ~ chi^2_{2p} / 2`` and an independent
+unit-mean texture ``tau``; its elliptical kurtosis is ``kappa = E[r^4] / (p (p + 1)) - 1``:
 
-* ``Gaussian``            -- ``2 r^2 ~ chi^2_{2p}``, kappa = 0.
-* ``StudentT(dof)``       -- ``r^2 = q * (dof - 2) / s`` with
-  ``q ~ chi^2_{2p} / 2`` and ``s ~ chi^2_dof``; kappa = 2 / (dof - 4).
-  Requires ``dof > 4`` so fourth-order moments are finite.
-* ``CompoundGaussianK(shape)`` -- ``r^2 = q * t`` with a unit-mean gamma
-  texture ``t ~ Gamma(shape, 1/shape)``; kappa = 1 / shape.
+* ``Gaussian``            -- ``tau = 1``, kappa = 0.
+* ``StudentT(dof)``       -- ``tau = (dof - 2) / s``, ``s ~ chi^2_dof``;
+  kappa = 2 / (dof - 4).  Requires ``dof > 4`` (finite fourth moments).
+* ``CompoundGaussianK(shape)`` -- ``tau ~ Gamma(shape, 1/shape)``; kappa = 1 / shape.
+
+Data are drawn in compound-Gaussian form: for a complex normal ``z`` with
+N(0, 1) real and imaginary parts, ``||z||^2 / 2`` has the law of ``q`` and
+``z / ||z||`` is uniform on the sphere and independent of ``||z||``, so
+``r u`` has the law of ``sqrt(tau / 2) z``.
 
 Reproducibility: all samplers take an :class:`RngStream` value, and a
 fixed ``(seed, stream_id)`` always yields the same output.
@@ -140,24 +143,14 @@ class RngStream:
         )
 
 
-def _sphere(gen: np.random.Generator, p: int, n: int) -> np.ndarray:
-    """n draws uniform on the complex unit sphere, as rows of an (n, p) array."""
-    z = gen.standard_normal((n, 2 * p))
-    zc = z[:, :p] + 1j * z[:, p:]
-    return zc / np.linalg.norm(zc, axis=1, keepdims=True)
-
-
-def _modular_squared(gen: np.random.Generator, family: Family, p: int, n: int) -> np.ndarray:
-    """n draws of r^2 with E[r^2] = p under the given family."""
-    q = 0.5 * gen.chisquare(2 * p, size=n)
+def _texture(gen: np.random.Generator, family: Family, n: int):
+    """n draws of the unit-mean texture tau of r^2 = tau * chi^2_{2p} / 2 (1.0 if Gaussian)."""
     if isinstance(family, Gaussian):
-        return q
+        return 1.0
     if isinstance(family, StudentT):
-        s = gen.chisquare(family.dof, size=n)
-        return q * (family.dof - 2.0) / s
+        return (family.dof - 2.0) / gen.chisquare(family.dof, size=n)
     if isinstance(family, CompoundGaussianK):
-        a = family.shape
-        return q * gen.gamma(a, 1.0 / a, size=n)
+        return gen.gamma(family.shape, 1.0 / family.shape, size=n)
     raise InvalidFamily(f"unsupported family {family!r}")
 
 
@@ -169,7 +162,8 @@ def sample_sphere(p: int, rng: RngStream, size: int | None = None) -> np.ndarray
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    u = _sphere(rng.generator(), p, 1 if size is None else int(size))
+    z = rng.generator().standard_normal((1 if size is None else int(size), 2 * p))
+    u = z.view(np.complex128) / np.linalg.norm(z, axis=1, keepdims=True)
     return u[0] if size is None else u
 
 
@@ -180,7 +174,8 @@ def sample_modular(family: Family, p: int, rng: RngStream, size: int | None = No
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    r = np.sqrt(_modular_squared(rng.generator(), family, p, 1 if size is None else int(size)))
+    gen, k = rng.generator(), 1 if size is None else int(size)
+    r = np.sqrt(0.5 * gen.chisquare(2 * p, size=k) * _texture(gen, family, k))
     return float(r[0]) if size is None else r
 
 
@@ -229,15 +224,16 @@ class CESModel:
 def sample_ces(model: CESModel, n: int, rng: RngStream) -> np.ndarray:
     """Draw an (n, p) dataset with rows i.i.d. from the model.
 
-    Row i equals ``mu + r_i * sqrt_cov @ u_i`` with the modular variates and
-    sphere directions independent across rows and of each other.  Output is
-    byte-identical across runs for a fixed ``rng``.
+    Row i is ``mu + sqrt(tau_i / 2) * sqrt_cov @ z_i`` for a complex normal ``z_i``
+    and then a texture ``tau_i``: ``||z_i||^2 / 2`` is the chi-square factor of
+    ``r_i^2`` and ``z_i / ||z_i||`` an independent sphere direction, so the row
+    has the law of ``mu + r_i * sqrt_cov @ u_i``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.generator()
-    p = model.dim
-    u = _sphere(gen, p, n)
-    r = np.sqrt(_modular_squared(gen, model.family, p, n))
-    # row form of mu + r C u: C is Hermitian so C^T = C*, and rows are u_i^T C^T
-    return model.mu + (r[:, None] * u) @ model.sqrt_cov.T
+    z = gen.standard_normal((n, 2 * model.dim)).view(np.complex128)
+    z *= np.sqrt(0.5 * _texture(gen, model.family, n))[..., None]
+    x = z @ model.sqrt_cov.T  # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
+    x += model.mu  # in place: a fresh (n, p) array costs more than the sum
+    return x

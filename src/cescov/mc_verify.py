@@ -1,7 +1,7 @@
 """Monte Carlo harness: empirical moments of matrix statistics and pass/fail
 comparisons against the closed-form second-order theory.
 
-Stream contract 2 (``STREAM_CONTRACT``): the replications of a run are cut
+Stream contract 3 (``STREAM_CONTRACT``): the replications of a run are cut
 into a fixed grid of chunks of ``CHUNK`` replications (``SPHERE_CHUNK``
 draws for the sphere check), the last chunk holding the remainder.  Chunk
 ``c`` draws all of its data from the single random stream ``(seed, c)`` as
@@ -10,8 +10,8 @@ once and reduces it to partial sums.  The partial sums are merged in chunk
 order with compensated (Neumaier) summation as they arrive.  Results are
 therefore bit-identical for a fixed seed regardless of the worker count,
 and the second-moment accumulations keep enough digits over 1e5+
-replications to be compared against percent-level tolerances.  (Under
-contract 1, replication ``r`` drew from its own stream ``(seed, r)``.)
+replications to be compared against percent-level tolerances.  Contract 3
+draws each chunk's CES data in compound-Gaussian form (``sample_ces``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from .ces_sampler import CESModel, RngStream, elliptical_kurtosis, sample_ces, sample_sphere
-from .errors import TooFewObservations
+from .ces_sampler import CESModel, RngStream, StudentT, elliptical_kurtosis, sample_ces, sample_sphere
+from .errors import InvalidFamily, TooFewObservations
 from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
 from .lin_core import _scale_and_sphericity_stack, unvec, vec, vec_index
 from .theory import (
@@ -53,8 +53,8 @@ __all__ = [
     "verify_oracle_efficiency",
 ]
 
-# Version of the mapping from (seed, replication) to random streams.
-STREAM_CONTRACT = 2
+# Version of the mapping from (seed, replication) to random streams and data.
+STREAM_CONTRACT = 3
 
 # Fixed chunk sizes: the chunk grid (and with it every random stream and
 # every accumulation order) must not depend on the worker count.  CHUNK
@@ -101,6 +101,10 @@ class MCConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         _statistic_fn(self.statistic)
+        family = self.model.family  # every MC standard error is eighth order in x
+        if isinstance(family, StudentT) and family.dof <= 8.0:
+            raise InvalidFamily(f"{family} has infinite E[r^8] (needs dof > 8), so the Monte Carlo "
+                                "standard errors, eighth-order moments of the data, do not exist")
 
 
 class _Kahan:

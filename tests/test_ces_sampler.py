@@ -26,13 +26,17 @@ from util import mc_se, random_hpd, random_unitary
 # ---------------------------------------------------------------------------
 
 
-def _oracle_r2(gen, family, p, n):
-    q = 0.5 * gen.chisquare(2 * p, size=n)
+def _texture_by_hand(gen, family, n):
+    """Unit-mean texture tau of r^2 = tau * chi^2_{2p} / 2, as an (n,) array."""
     if isinstance(family, Gaussian):
-        return q
+        return np.ones(n)
     if isinstance(family, StudentT):
-        return q * (family.dof - 2.0) / gen.chisquare(family.dof, size=n)
-    return q * gen.gamma(family.shape, 1.0 / family.shape, size=n)
+        return (family.dof - 2.0) / gen.chisquare(family.dof, size=n)
+    return gen.gamma(family.shape, 1.0 / family.shape, size=n)
+
+
+def _oracle_r2(gen, family, p, n):
+    return 0.5 * gen.chisquare(2 * p, size=n) * _texture_by_hand(gen, family, n)
 
 
 def oracle_kurtosis(family, p, n=10**6, seed=1234):
@@ -40,6 +44,9 @@ def oracle_kurtosis(family, p, n=10**6, seed=1234):
     gen = np.random.default_rng(seed)
     terms = _oracle_r2(gen, family, p, n) ** 2 / (p * (p + 1))
     return terms.mean() - 1.0, mc_se(terms)
+
+
+FAMILIES = [Gaussian(), StudentT(6.0), StudentT(12.0), CompoundGaussianK(0.5)]
 
 
 class TestFamilies:
@@ -144,6 +151,15 @@ class TestSampleModular:
         r = sample_modular(Gaussian(), 3, RngStream(2))
         assert isinstance(r, float) and r > 0
 
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_draw_order(self, family):
+        # the chi-square factor of r^2 first, then the texture
+        p, n = 3, 101
+        r = sample_modular(family, p, RngStream(25, 2), size=n)
+        gen = RngStream(25, 2).generator()
+        q = 0.5 * gen.chisquare(2 * p, size=n)
+        np.testing.assert_array_equal(r, np.sqrt(q * _texture_by_hand(gen, family, n)))
+
     @pytest.mark.parametrize("p", [1, 2, 4, 8])
     @pytest.mark.parametrize(
         "family", [Gaussian(), StudentT(12.0), CompoundGaussianK(2.0)]
@@ -235,6 +251,39 @@ class TestSampleCes:
         model = CESModel(np.zeros(2), np.eye(2), Gaussian())
         with pytest.raises(ValueError):
             sample_ces(model, 0, RngStream(1))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_compound_gaussian_draw(self, family):
+        # stream contract 3: one complex normal row z, then one texture tau per row
+        gen = np.random.default_rng(40)
+        cov = random_hpd(gen, 3)
+        mu = np.array([1.0 - 2j, 0.5, -1j])
+        model = CESModel(mu, cov, family)
+        n = 257
+        x = sample_ces(model, n, RngStream(41, 5))
+        ref_gen = RngStream(41, 5).generator()
+        z = ref_gen.standard_normal((n, 6)).view(np.complex128)
+        tau = _texture_by_hand(ref_gen, family, n)
+        ref = mu + (np.sqrt(tau / 2)[:, None] * z) @ model.sqrt_cov.T
+        np.testing.assert_array_equal(x, ref)
+
+    @pytest.mark.parametrize("family", [Gaussian(), StudentT(12.0), CompoundGaussianK(2.0)], ids=str)
+    def test_law_at_general_covariance(self, family):
+        # whitened rows w = C^{-1}(x - mu) = r u: E r^2 = p, E r^4 = p(p+1)(1 + kappa),
+        # and u uniform on the sphere, E|u_q|^4 = 2/(p(p+1)); t:12 keeps E r^8 finite
+        p, n = 3, 4 * 10**5
+        cov = random_hpd(np.random.default_rng(42), p)
+        mu = np.array([2.0, -1j, 0.5 + 0.5j])
+        model = CESModel(mu, cov, family)
+        x = sample_ces(model, n, RngStream(43))
+        w = np.linalg.solve(model.sqrt_cov, (x - mu).T).T
+        r2 = np.sum(np.abs(w) ** 2, axis=1)
+        assert abs(r2.mean() - p) < 4 * mc_se(r2)
+        terms = r2**2 / (p * (p + 1))
+        assert abs(terms.mean() - 1.0 - elliptical_kurtosis(family)) < 4 * mc_se(terms)
+        u4 = np.abs(w) ** 4 / r2[:, None] ** 2
+        for q in range(p):
+            assert abs(u4[:, q].mean() - 2 / (p * (p + 1))) < 4 * mc_se(u4[:, q])
 
 
 class TestRngStream:

@@ -333,6 +333,24 @@ class TestMcVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("dist", ["t:6", "t:8"])
+    def test_refuses_infinite_eighth_moment(self, capsys, dist):
+        code, out, err = run(
+            capsys, "mc-verify", "--target", "thm3", "--dist", dist,
+            "--reps", "100", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{dist} has infinite E[r^8]" in err
+
+    def test_sphere_ignores_family(self, capsys):
+        code, out, _ = run(
+            capsys, "mc-verify", "--target", "sphere", "--dist", "t:6", "--p", "2",
+            "--reps", "10000", "--seed", "1", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["pass"] is True
+
     def test_ci_mode_requires_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("CES_SCM_CI", "1")
         code, _, err = run(

@@ -1,13 +1,23 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cescov.ces_sampler import CESModel, CompoundGaussianK, Gaussian, RngStream, sample_ces
+from cescov.ces_sampler import (
+    CESModel,
+    CompoundGaussianK,
+    Gaussian,
+    RngStream,
+    StudentT,
+    sample_ces,
+)
+from cescov.errors import InvalidFamily
 from cescov.estimators import estimate_kurtosis, scm, weighted_scm
 from cescov.lin_core import scale_and_sphericity
 from cescov.mc_verify import (
     CHUNK,
+    STREAM_CONTRACT,
     MCConfig,
     Tolerances,
     compare_to_theory,
@@ -52,6 +62,21 @@ class TestMCConfig:
             MCConfig(replications=10, n=10, model=model, workers=0)
         with pytest.raises(ValueError):
             MCConfig(replications=10, n=10, model=model, statistic="median")
+
+    @pytest.mark.parametrize("dof", [6.0, 8.0])
+    def test_refuses_infinite_eighth_moment(self, dof):
+        # the SEs of var entries, the MSE and the oracle ratio are eighth order in x
+        with pytest.raises(InvalidFamily, match=rf"t:{dof:g} has infinite E\[r\^8\]"):
+            MCConfig(replications=10, n=10, model=spherical_model(2, StudentT(dof)))
+
+    def test_accepts_finite_eighth_moment(self):
+        MCConfig(replications=10, n=10, model=spherical_model(2, StudentT(8.5)))
+
+
+def test_readme_names_the_stream_contract():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Determinism", 1)[1].split("\n## ", 1)[0]
+    assert f"stream contract {STREAM_CONTRACT}" in " ".join(section.split())
 
 
 class TestEmpiricalMoments:
@@ -159,7 +184,7 @@ class TestStackedKernels:
         return _draw_chunk(cfg, 2, 200)
 
     def test_chunk_draws_from_one_stream(self, cfg, chunk):
-        # stream contract 2: chunk c draws its m * n rows from the stream (seed, c)
+        # stream contract 3: chunk c draws its m * n rows from the stream (seed, c)
         ref = sample_ces(cfg.model, 200 * cfg.n, RngStream(cfg.seed, 2))
         np.testing.assert_array_equal(chunk, ref.reshape(chunk.shape))
 

@@ -206,11 +206,6 @@ class CESModel:
             )
         sqrt_cov = hermitian_sqrt(cov)  # also enforces positive definiteness
         kappa = elliptical_kurtosis(self.family)
-        p = cov.shape[0]
-        if kappa < kurtosis_lower_bound(p):
-            raise InvalidFamily(
-                f"kappa = {kappa:.6g} is below the lower bound -1/(p+1) = {kurtosis_lower_bound(p):.6g}"
-            )
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "kappa", kappa)

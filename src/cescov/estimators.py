@@ -61,11 +61,15 @@ class SCMResult:
 
 def _scm_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased SCMs (m, p, p), exactly Hermitian, and row means (m, p) of
-    an (m, n, p) stack of datasets."""
+    an (m, n, p) stack of datasets.
+
+    Centres ``x`` in place: on return it holds the deviations from the row
+    means.  Callers that must keep their data pass a copy.
+    """
     n = x.shape[-2]
     xbar = x.mean(axis=-2)
-    dev = x - xbar[..., None, :]
-    s = dev.swapaxes(-1, -2) @ dev.conj() / (n - 1)
+    x -= xbar[..., None, :]
+    s = x.swapaxes(-1, -2) @ x.conj() / (n - 1)
     return (s + s.conj().swapaxes(-1, -2)) / 2, xbar
 
 
@@ -81,7 +85,7 @@ def scm(x) -> SCMResult:
         If the dataset has fewer than two rows.
     """
     x = require_dataset(x, min_rows=2)
-    s, xbar = _scm_stack(x[None])
+    s, xbar = _scm_stack(x[None].copy())
     return SCMResult(s=s[0], xbar=xbar[0], n=x.shape[0])
 
 
@@ -99,9 +103,11 @@ def sample_variance(x) -> float:
 def _weighted_scm_stack(x: np.ndarray, weight_fn) -> np.ndarray:
     """Weighted covariance matrices (m, p, p) of an (m, n, p) stack of
     datasets; see :func:`weighted_scm`.  ``weight_fn`` receives the squared
-    distances of all m * n rows as one flat array."""
+    distances of all m * n rows as one flat array.  Centres ``x`` in place,
+    as :func:`_scm_stack` does."""
     m, n, p = x.shape
-    s, xbar = _scm_stack(x)
+    s, _ = _scm_stack(x)
+    dev = x  # centred by _scm_stack
     eigs = np.linalg.eigvalsh(s)  # ascending per replication
     tol = PD_RTOL * np.maximum(eigs[:, -1], 0.0)
     singular = eigs[:, 0] <= tol
@@ -110,7 +116,6 @@ def _weighted_scm_stack(x: np.ndarray, weight_fn) -> np.ndarray:
         raise SingularSCM(
             f"sample covariance is singular at tolerance {tol[i]:.3e} (n={n}, p={p})"
         )
-    dev = x - xbar[:, None, :]
     d = np.einsum("mia,mai->mi", dev.conj(), np.linalg.solve(s, dev.swapaxes(-1, -2))).real
     w = np.asarray(weight_fn(d.ravel()), dtype=float)
     if w.shape != (m * n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -134,7 +139,7 @@ def weighted_scm(x, weight_fn) -> np.ndarray:
         largest one (in particular whenever n <= p).
     """
     x = require_dataset(x, min_rows=2)
-    return _weighted_scm_stack(x[None], weight_fn)[0]
+    return _weighted_scm_stack(x[None].copy(), weight_fn)[0]
 
 
 def _kurtosis_stack(x: np.ndarray) -> np.ndarray:

@@ -12,13 +12,19 @@ therefore bit-identical for a fixed seed regardless of the worker count,
 and the second-moment accumulations keep enough digits over 1e5+
 replications to be compared against percent-level tolerances.  Contract 3
 draws each chunk's CES data in compound-Gaussian form (``sample_ces``).
+
+``workers > 1`` runs the chunks on that many threads of the calling process
+(numpy releases the GIL in the kernels that dominate a chunk), over the same
+chunk grid, so the worker count changes no bit of a result.  Run BLAS
+single-threaded (``OPENBLAS_NUM_THREADS=1`` / ``OMP_NUM_THREADS=1``) with
+``workers > 1`` so that the two levels of threads do not oversubscribe the
+CPUs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -131,21 +137,26 @@ def _reduce_chunks(kernel, total: int, chunk: int, workers: int) -> dict:
 
     Partials are dicts of arrays or scalars.  Each is merged in chunk order
     as soon as it arrives, so a run holds only the partials that finished
-    ahead of their turn, never the whole list.
+    ahead of their turn, never the whole list.  With ``workers > 1`` the
+    kernels run on that many threads of this process over the same grid, so
+    the sums are bit-identical at any worker count; an exception in a kernel
+    cancels the chunks not yet started and is raised here.
     """
     sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
+    if workers == 1:
+        return _merge(map(kernel, range(len(sizes)), sizes))
+    with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+        return _merge(pool.map(kernel, range(len(sizes)), sizes))
+
+
+def _merge(parts) -> dict:
+    """Compensated sums, key by key, of partial dicts taken in order."""
     acc: dict[str, _Kahan] = {}
-    with ExitStack() as stack:
-        if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(sizes)))
-            parts = stack.enter_context(pool).map(kernel, range(len(sizes)), sizes)
-        else:
-            parts = map(kernel, range(len(sizes)), sizes)
-        for part in parts:
-            for key, value in part.items():
-                if key not in acc:
-                    acc[key] = _Kahan(value)
-                acc[key].add(value)
+    for part in parts:
+        for key, value in part.items():
+            if key not in acc:
+                acc[key] = _Kahan(value)
+            acc[key].add(value)
     return {key: a.total() for key, a in acc.items()}
 
 
@@ -490,7 +501,8 @@ def _plugin_beta(x: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _oracle_kernel(c: int, m: int, cfg: MCConfig, beta: float, plugin: bool) -> dict:
     x = _draw_chunk(cfg, c, m)
-    s, _ = _scm_stack(x)
+    # the plug-in kurtosis needs x uncentred, so its SCM centres a copy
+    s, _ = _scm_stack(x.copy() if plugin else x)
     e1 = _sq_dist(s, cfg.model.cov)
     e2 = _sq_dist(beta * s, cfg.model.cov)
     part = {"e1": e1.sum(), "e2": e2.sum(), "e11": e1 @ e1, "e22": e2 @ e2, "e12": e1 @ e2}

@@ -13,6 +13,7 @@ from cescov.ces_sampler import (
 from cescov.errors import DegenerateCoordinate, SingularSCM, TooFewObservations
 from cescov.estimators import (
     estimate_kurtosis,
+    require_dataset,
     sample_mean,
     sample_variance,
     scm,
@@ -21,6 +22,26 @@ from cescov.estimators import (
 from cescov.lin_core import centering_matrix
 
 from util import random_complex, random_hpd, random_unitary
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        scm,
+        lambda x: weighted_scm(x, np.ones_like),
+        lambda x: weighted_scm(x, lambda d: d),
+        estimate_kurtosis,
+    ],
+    ids=["scm", "wscm:one", "wscm:fobi", "kurtosis"],
+)
+def test_estimators_leave_the_callers_data_unchanged(estimate):
+    # the stacked cores centre their input in place; a C-contiguous complex128
+    # dataset reaches them without a copy from require_dataset
+    x = random_complex(np.random.default_rng(57), 12, 3)
+    assert require_dataset(x) is x
+    before = x.tobytes()
+    estimate(x)
+    assert x.tobytes() == before
 
 
 class TestSampleMean:

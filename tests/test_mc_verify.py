@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from cescov.mc_verify import (
     verify_sphere_moments,
     _draw_chunk,
     _plugin_beta,
+    _reduce_chunks,
     _statistic_fn,
 )
 from cescov.theory import (
@@ -197,18 +199,47 @@ class TestStackedKernels:
         ],
     )
     def test_statistic_matches_single_dataset(self, chunk, name, single):
-        stacked = _statistic_fn(name)(chunk)
+        stacked = _statistic_fn(name)(chunk.copy())
         assert stacked.shape == (len(chunk), 3, 3)
         for i, x in enumerate(chunk):
             np.testing.assert_array_equal(stacked[i], single(x))
 
     def test_plugin_beta_matches_single_dataset(self, chunk):
         n, p = chunk.shape[1:]
-        stacked = _plugin_beta(chunk, _statistic_fn("scm")(chunk))
+        stacked = _plugin_beta(chunk, _statistic_fn("scm")(chunk.copy()))
         for i, x in enumerate(chunk):
             _, gamma = scale_and_sphericity(scm(x).s)
             kappa = estimate_kurtosis(x)
             assert stacked[i] == beta_opt(nmse_from_sphericity(n, p, gamma, kappa))
+
+
+class TestReduceChunks:
+    def test_threads_match_serial_with_a_closure_kernel(self):
+        seed = 41
+
+        def kernel(c, m):  # a closure, which a process pool could not pickle
+            x = np.random.default_rng([seed, c]).standard_normal((m, 3))
+            return {"s1": x.sum(axis=0), "s2": x.T @ x, "n": float(m)}
+
+        serial = _reduce_chunks(kernel, 20 * 64 + 5, 64, workers=1)
+        threaded = _reduce_chunks(kernel, 20 * 64 + 5, 64, workers=2)
+        assert serial.keys() == threaded.keys()
+        for key in serial:
+            np.testing.assert_array_equal(serial[key], threaded[key])
+
+    def test_kernel_error_cancels_the_queued_chunks(self):
+        calls = []
+
+        def kernel(c, m):
+            calls.append(c)
+            if c == 0:
+                raise ValueError("chunk 0 failed")
+            time.sleep(0.01)
+            return {"n": float(m)}
+
+        with pytest.raises(ValueError, match="chunk 0 failed"):
+            _reduce_chunks(kernel, 64 * 8, 8, workers=2)
+        assert len(calls) < 64
 
 
 class TestEstimateRadialStructure:

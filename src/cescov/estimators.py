@@ -6,6 +6,10 @@ weighted SCM and the kurtosis estimate are each computed by one stacked core
 that maps an (m, n, p) stack of datasets to m results at once; the public
 single-dataset functions validate their input and call that core with a
 leading axis of 1, and the Monte Carlo harness calls it on whole chunks.
+The covariance cores return the p^2 real Hermitian coordinates of
+``lin_core._hermitian_coords``, gathered from one real Gram of the data's
+float view; the public functions assemble the matrix from them, which makes
+it exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCoordinate, SingularSCM, TooFewObservations
-from .lin_core import PD_RTOL
+from .lin_core import PD_RTOL, _hermitian_coords
 from .ces_sampler import kurtosis_lower_bound
 
 __all__ = [
@@ -59,24 +63,31 @@ class SCMResult:
     n: int
 
 
+def _centre(x: np.ndarray) -> np.ndarray:
+    """Subtract the row means (m, p) of an (m, n, p) stack in place and
+    return them."""
+    xbar = x.mean(axis=-2)
+    x -= xbar[..., None, :]
+    return xbar
+
+
 def _scm_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unbiased SCMs (m, p, p), exactly Hermitian, and row means (m, p) of
-    an (m, n, p) stack of datasets.
+    """Unbiased SCMs, as Hermitian coordinates (m, p^2), and row means
+    (m, p) of a C-contiguous (m, n, p) stack of datasets.
 
     Centres ``x`` in place: on return it holds the deviations from the row
     means.  Callers that must keep their data pass a copy.
     """
-    n = x.shape[-2]
-    xbar = x.mean(axis=-2)
-    x -= xbar[..., None, :]
-    s = x.swapaxes(-1, -2) @ x.conj() / (n - 1)
-    return (s + s.conj().swapaxes(-1, -2)) / 2, xbar
+    n, p = x.shape[-2:]
+    xbar = _centre(x)
+    y = x.view(np.float64)
+    return _hermitian_coords(p).from_gram(y.swapaxes(-1, -2) @ y, 1.0 / (n - 1)), xbar
 
 
 def scm(x) -> SCMResult:
     """Unbiased sample covariance matrix of the rows.
 
-    S = (n-1)^{-1} sum_i (x_i - xbar)(x_i - xbar)^H, exactly symmetrized.
+    S = (n-1)^{-1} sum_i (x_i - xbar)(x_i - xbar)^H, exactly Hermitian.
     Affine equivariant: scm(X A^T + 1 a^T).s == A @ scm(X).s @ A^H.
 
     Raises
@@ -85,8 +96,8 @@ def scm(x) -> SCMResult:
         If the dataset has fewer than two rows.
     """
     x = require_dataset(x, min_rows=2)
-    s, xbar = _scm_stack(x[None].copy())
-    return SCMResult(s=s[0], xbar=xbar[0], n=x.shape[0])
+    h, xbar = _scm_stack(x[None].copy())
+    return SCMResult(s=_hermitian_coords(x.shape[1]).to_matrix(h[0]), xbar=xbar[0], n=x.shape[0])
 
 
 def sample_variance(x) -> float:
@@ -101,12 +112,14 @@ def sample_variance(x) -> float:
 
 
 def _weighted_scm_stack(x: np.ndarray, weight_fn) -> np.ndarray:
-    """Weighted covariance matrices (m, p, p) of an (m, n, p) stack of
-    datasets; see :func:`weighted_scm`.  ``weight_fn`` receives the squared
-    distances of all m * n rows as one flat array.  Centres ``x`` in place,
-    as :func:`_scm_stack` does."""
+    """Weighted covariance matrices, as Hermitian coordinates (m, p^2), of
+    an (m, n, p) stack of datasets; see :func:`weighted_scm`.  ``weight_fn``
+    receives the squared distances of all m * n rows as one flat array.
+    Centres ``x`` in place, as :func:`_scm_stack` does."""
     m, n, p = x.shape
-    s, _ = _scm_stack(x)
+    coords = _hermitian_coords(p)
+    h, _ = _scm_stack(x)
+    s = coords.to_matrix(h)
     dev = x  # centred by _scm_stack
     eigs = np.linalg.eigvalsh(s)  # ascending per replication
     tol = PD_RTOL * np.maximum(eigs[:, -1], 0.0)
@@ -120,8 +133,8 @@ def _weighted_scm_stack(x: np.ndarray, weight_fn) -> np.ndarray:
     w = np.asarray(weight_fn(d.ravel()), dtype=float)
     if w.shape != (m * n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weight function must map d >= 0 to finite nonnegative weights")
-    r = (w.reshape(m, n, 1) * dev).swapaxes(-1, -2) @ dev.conj() / n
-    return (r + r.conj().swapaxes(-1, -2)) / 2
+    y = dev.view(np.float64)
+    return coords.from_gram((w.reshape(m, n, 1) * y).swapaxes(-1, -2) @ y, 1.0 / n)
 
 
 def weighted_scm(x, weight_fn) -> np.ndarray:
@@ -139,14 +152,13 @@ def weighted_scm(x, weight_fn) -> np.ndarray:
         largest one (in particular whenever n <= p).
     """
     x = require_dataset(x, min_rows=2)
-    return _weighted_scm_stack(x[None].copy(), weight_fn)[0]
+    return _hermitian_coords(x.shape[1]).to_matrix(_weighted_scm_stack(x[None].copy(), weight_fn)[0])
 
 
-def _kurtosis_stack(x: np.ndarray) -> np.ndarray:
-    """Plug-in elliptical kurtosis (m,) of an (m, n, p) stack of datasets;
-    see :func:`estimate_kurtosis`."""
-    p = x.shape[-1]
-    dev = x - x.mean(axis=-2, keepdims=True)
+def _kurtosis_stack(dev: np.ndarray) -> np.ndarray:
+    """Plug-in elliptical kurtosis (m,) of an (m, n, p) stack of datasets
+    already centred by :func:`_centre`; see :func:`estimate_kurtosis`."""
+    p = dev.shape[-1]
     a2 = dev.real**2 + dev.imag**2
     m2 = a2.mean(axis=-2)
     if np.any(m2 == 0.0):
@@ -172,5 +184,6 @@ def estimate_kurtosis(x) -> float:
     DegenerateCoordinate
         If some coordinate has zero sample variance.
     """
-    x = require_dataset(x, min_rows=4)
-    return float(_kurtosis_stack(x[None])[0])
+    dev = require_dataset(x, min_rows=4)[None].copy()
+    _centre(dev)
+    return float(_kurtosis_stack(dev)[0])

@@ -11,6 +11,7 @@ Conventions fixed project-wide:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -75,6 +76,96 @@ def _vec_transpose_index(p: int) -> np.ndarray:
     """The index array t with vec(A.T) == vec(A)[t] for p x p matrices A."""
     i, j = np.divmod(np.arange(p * p), p)
     return j * p + i
+
+
+class _HermitianCoords:
+    """The p^2 real coordinates of p x p Hermitian matrices.
+
+    h = (T_ii for i < p, Re T_ij for i < j, Im T_ij for i < j), pairs in
+    row-major order.  The first q = p(p+1)/2 coordinates are the real parts
+    of the q unique entries (diagonal first), the last p(p-1)/2 the
+    imaginary parts above the diagonal.  Every map below copies or negates
+    entries, so matrix -> coordinates -> matrix is exact and a matrix built
+    from coordinates is exactly Hermitian.
+
+    The linear map U with vec(T) = U h is held by index:
+    vec(T)[a] = h[re[a]] + 1j * sign[a] * h[im[a]], sign 0 on the diagonal,
+    +1 above it and -1 below.  ``re[a]`` is also the index of entry a among
+    the q unique entries.  ``weight`` is 1 on the diagonal coordinates and 2
+    on the others, so ||T||_F^2 = sum(weight * h^2).
+    """
+
+    def __init__(self, p: int):
+        self.p, self.q = p, p * (p + 1) // 2
+        iu, ju = np.triu_indices(p, 1)
+        d = np.arange(p)
+        ci = np.concatenate([d, iu, iu])  # row, column and real/imag part of each coordinate
+        cj = np.concatenate([d, ju, ju])
+        part = np.repeat([0, 0, 1], [p, iu.size, iu.size])
+        # positions in the (p, 2p) float view of a C-contiguous matrix
+        self.entries = ci * 2 * p + 2 * cj + part
+        # Re T_ij = G[2i, 2j] + G[2i+1, 2j+1] and Im T_ij = G[2i+1, 2j] - G[2i, 2j+1]
+        # in the real Gram G of the float view (see from_gram)
+        self.gram = np.stack([(2 * ci + part) * 2 * p + 2 * cj, (2 * ci + 1 - part) * 2 * p + 2 * cj + 1])
+        coord = np.zeros((p, p), dtype=np.intp)
+        coord[d, d] = d
+        coord[iu, ju] = coord[ju, iu] = p + np.arange(iu.size)
+        sign = np.zeros((p, p))
+        sign[iu, ju], sign[ju, iu] = 1.0, -1.0
+        self.re = vec(coord)
+        self.im = np.where(self.re < p, self.re, self.re + iu.size)
+        self.sign = vec(sign)
+        self.off = np.flatnonzero(self.sign)
+        self.weight = np.repeat([1.0, 2.0], [p, p * p - p])
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+    def from_gram(self, g: np.ndarray, factor: float) -> np.ndarray:
+        """Coordinates (..., p^2) of factor * sum_k x_k x_k^H over the rows
+        x_k of complex data, from the real Grams g = y^T y (..., 2p, 2p) of
+        its float views y (row k of y is (Re x_k0, Im x_k0, Re x_k1, ...))."""
+        g = g.reshape(g.shape[:-2] + (-1,))
+        # np.take keeps the stack C-ordered, so that a row's reductions
+        # do not depend on the stack's size
+        h, b = np.take(g, self.gram[0], axis=-1), np.take(g, self.gram[1], axis=-1)
+        h[..., : self.q] += b[..., : self.q]
+        h[..., self.q :] -= b[..., self.q :]
+        h *= factor
+        return h
+
+    def from_matrix(self, t) -> np.ndarray:
+        """Coordinates (..., p^2) of Hermitian matrices t (..., p, p); reads
+        the upper triangle."""
+        t = np.ascontiguousarray(t, dtype=np.complex128)
+        return np.take(t.view(np.float64).reshape(t.shape[:-2] + (-1,)), self.entries, axis=-1)
+
+    def to_matrix(self, h: np.ndarray) -> np.ndarray:
+        """The Hermitian matrices (..., p, p) with coordinates h (..., p^2)."""
+        v = np.zeros(h.shape[:-1] + (self.p * self.p,), dtype=np.complex128)  # vec(T)
+        v.real[...] = h[..., self.re]
+        v.imag[..., self.off] = h[..., self.im[self.off]] * self.sign[self.off]
+        return v.reshape(h.shape[:-1] + (self.p, self.p)).swapaxes(-1, -2)
+
+    def sq_norm(self, h: np.ndarray) -> np.ndarray:
+        """Squared Frobenius norms (...,) of the matrices with coordinates h."""
+        return np.einsum("...k,...k,k->...", h, h, self.weight)
+
+    def vec_cov(self, a: np.ndarray) -> np.ndarray:
+        """U a U^H (p^2 x p^2, complex): the covariance of vec(T) from the
+        covariance a of its coordinates.  Each entry is a signed sum of two
+        entries of a, so a symmetric a gives an exactly Hermitian result."""
+        re, im, s = self.re, self.im, self.sign
+        out = np.empty(a.shape, dtype=np.complex128)
+        out.real = a[np.ix_(re, re)] + np.outer(s, s) * a[np.ix_(im, im)]
+        out.imag = s[:, None] * a[np.ix_(im, re)] - s * a[np.ix_(re, im)]
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _hermitian_coords(p: int) -> _HermitianCoords:
+    """The cached coordinate map of p x p Hermitian matrices."""
+    return _HermitianCoords(p)
 
 
 def commutation_matrix(p: int) -> np.ndarray:
@@ -142,18 +233,19 @@ def scale_and_sphericity(m) -> tuple[float, float]:
     ZeroTrace
         If tr(M) <= 0.
     """
-    eta, gamma = _scale_and_sphericity_stack(hermitize(m)[None])
+    m = hermitize(m)
+    eta, gamma = _scale_and_sphericity_stack(_hermitian_coords(m.shape[0]).from_matrix(m[None]))
     return float(eta[0]), float(gamma[0])
 
 
-def _scale_and_sphericity_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale and sphericity (each (k,)) of a (k, p, p) stack of exactly
-    Hermitian matrices; see :func:`scale_and_sphericity`."""
-    p = m.shape[-1]
-    t1 = np.trace(m, axis1=-2, axis2=-1).real
+def _scale_and_sphericity_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale and sphericity (each (k,)) of a stack of Hermitian matrices
+    given by their coordinates h (k, p^2); see :func:`scale_and_sphericity`."""
+    p = math.isqrt(h.shape[-1])
+    t1 = h[..., :p].sum(axis=-1)
     if np.any(t1 <= 0.0):
         raise ZeroTrace(f"trace must be positive, got {t1.min():.3e}")
-    t2 = (m.real**2 + m.imag**2).sum(axis=(-2, -1))  # tr(M^2) = ||M||_F^2 for Hermitian M
+    t2 = _hermitian_coords(p).sq_norm(h)  # tr(M^2) = ||M||_F^2 for Hermitian M
     return t1 / p, p * t2 / (t1 * t1)
 
 

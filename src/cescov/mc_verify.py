@@ -13,6 +13,14 @@ and the second-moment accumulations keep enough digits over 1e5+
 replications to be compared against percent-level tolerances.  Contract 3
 draws each chunk's CES data in compound-Gaussian form (``sample_ces``).
 
+The moments of a Hermitian p x p statistic accumulate on its p^2 real
+coordinates (``lin_core._hermitian_coords``): the diagonal and the real and
+imaginary parts of the upper triangle, taken from one real Gram of the
+chunk.  A run rebuilds the complex p^2 x p^2 covariance and its standard
+errors from them once, by an exact index map.  Reports therefore differ from
+those of the complex accumulation by rounding only, under the same stream
+contract 3.
+
 ``workers > 1`` runs the chunks on that many threads of the calling process
 (numpy releases the GIL in the kernels that dominate a chunk), over the same
 chunk grid, so the worker count changes no bit of a result.  Run BLAS
@@ -33,7 +41,7 @@ import numpy as np
 from .ces_sampler import CESModel, RngStream, StudentT, elliptical_kurtosis, sample_ces, sample_sphere
 from .errors import InvalidFamily, TooFewObservations
 from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
-from .lin_core import _scale_and_sphericity_stack, unvec, vec, vec_index
+from .lin_core import _hermitian_coords, _scale_and_sphericity_stack, unvec, vec_index
 from .theory import (
     CovariancePair,
     RadialStructure,
@@ -77,7 +85,8 @@ _WEIGHTS = {
 
 
 def _statistic_fn(name: str):
-    """The named statistic on a stack: (m, n, p) data to (m, p, p) matrices."""
+    """The named statistic on a stack: (m, n, p) data to the Hermitian
+    coordinates (m, p^2) of its m matrices.  Centres the data in place."""
     if name == "scm":
         return lambda x: _scm_stack(x)[0]
     if name.startswith("wscm:"):
@@ -114,18 +123,33 @@ class MCConfig:
 
 
 class _Kahan:
-    """Neumaier-compensated elementwise accumulator for ndarrays/scalars."""
+    """Neumaier-compensated elementwise accumulator for ndarrays/scalars.
+
+    ``add`` works in buffers allocated once, so merging a chunk allocates
+    nothing; its bits are those of the textbook update
+    ``t = s + x; c += (s - t) + x if |s| >= |x| else (x - t) + s; s = t``.
+    """
 
     def __init__(self, like):
         self.s = np.zeros_like(np.asarray(like))
         self.c = np.zeros_like(self.s)
+        self._t, self._u, self._v = (np.empty_like(self.s) for _ in range(3))
+        self._big = np.empty(self.s.shape, dtype=bool)
+        # magnitudes: real accumulators reuse the branch buffers
+        real = not np.iscomplexobj(self.s)
+        self._mag = (self._u, self._v) if real else (np.empty(self.s.shape), np.empty(self.s.shape))
 
     def add(self, x):
-        x = np.asarray(x)
-        t = self.s + x
-        big = np.abs(self.s) >= np.abs(x)
-        self.c = self.c + np.where(big, (self.s - t) + x, (x - t) + self.s)
-        self.s = t
+        s, t, u, v, big = self.s, self._t, self._u, self._v, self._big
+        np.greater_equal(np.abs(s, out=self._mag[0]), np.abs(x, out=self._mag[1]), out=big)
+        np.add(s, x, out=t)
+        np.subtract(s, t, out=u)
+        u += x  # (s - t) + x, taken where |s| >= |x|
+        np.subtract(x, t, out=v)
+        v += s  # (x - t) + s, taken elsewhere
+        np.copyto(v, u, where=big)
+        self.c += v
+        self.s, self._t = t, s
 
     def total(self):
         return self.s + self.c
@@ -167,16 +191,19 @@ def _draw_chunk(cfg: MCConfig, c: int, m: int) -> np.ndarray:
 
 
 def _moment_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray) -> dict:
-    """Partial moment sums of chunk c, shifted by ref."""
-    t = _statistic_fn(cfg.statistic)(_draw_chunk(cfg, c, m))
-    # row r is vec(T_r) - ref; vec stacks columns, which are the rows of T_r^T
-    w = t.swapaxes(-1, -2).reshape(m, -1) - ref
-    a2 = w.real**2 + w.imag**2
-    sq = a2.sum(axis=1)  # per-replication ||T - M_ref||_F^2
+    """Partial moment sums of chunk c, on the Hermitian coordinates of its
+    statistics shifted by the coordinates ref."""
+    coords = _hermitian_coords(cfg.model.dim)
+    h = _statistic_fn(cfg.statistic)(_draw_chunk(cfg, c, m))
+    h -= ref
+    sq = coords.sq_norm(h)  # per-replication ||T - M_ref||_F^2
+    a2 = h * h
+    u = a2[:, : coords.q]
+    u[:, coords.p :] += a2[:, coords.q :]  # |T_ij - M_ij|^2 over the q unique entries
     return {
-        "s1": w.sum(axis=0),
-        "s2": w.T @ w.conj(),
-        "f2": a2.T @ a2,
+        "s1": h.sum(axis=0),
+        "s2": h.T @ h,
+        "f2": u.T @ u,
         "sq1": sq.sum(),
         "sq2": sq @ sq,
     }
@@ -188,7 +215,10 @@ class EmpiricalMoments:
     statistic over R replications, with per-entry Monte Carlo standard errors.
 
     The statistic is Hermitian, so its pseudo-covariance and that SE are
-    derived from ``var_emp`` and ``se_var`` as var K_p, not stored.
+    derived from ``var_emp`` and ``se_var`` as var K_p, not stored.  The
+    moments accumulate on the p^2 real coordinates of the statistic, and
+    ``var_emp`` and ``se_var`` are rebuilt from them by an exact index map:
+    ``var_emp`` is exactly Hermitian.
     ``mse_emp`` is the direct average of the squared Frobenius distance of
     the statistic from the model covariance matrix.
     """
@@ -218,18 +248,18 @@ def empirical_moments(cfg: MCConfig) -> EmpiricalMoments:
     with divisor R - 1.  Deterministic for a fixed seed at any worker count.
     """
     p = cfg.model.dim
-    ref = vec(cfg.model.cov)
+    coords = _hermitian_coords(p)
+    ref = coords.from_matrix(cfg.model.cov)
     kernel = partial(_moment_kernel, cfg=cfg, ref=ref)
     tot = _reduce_chunks(kernel, cfg.replications, CHUNK, cfg.workers)
 
     r = cfg.replications
-    mean_w = tot["s1"] / r
-    var = (tot["s2"] - r * np.outer(mean_w, mean_w.conj())) / (r - 1)
-    var = (var + var.conj().T) / 2
-    mean_mat = unvec(ref + mean_w, p)
-    mean_mat = (mean_mat + mean_mat.conj().T) / 2
+    mean_h = tot["s1"] / r
+    var = coords.vec_cov((tot["s2"] - r * np.outer(mean_h, mean_h)) / (r - 1))
+    mean_mat = coords.to_matrix(ref + mean_h)
 
-    g2 = tot["f2"] / r  # E |w_a w_b|^2, per entry
+    uniq = coords.re  # vec entry -> unique entry
+    g2 = tot["f2"][np.ix_(uniq, uniq)] / r  # E |w_a w_b|^2, per entry
     se_var = np.sqrt(np.maximum(g2 - np.abs(var) ** 2, 0.0) / r)
     se_mean = unvec(np.sqrt(np.maximum(np.diag(var).real, 0.0) / r), p)
 
@@ -485,29 +515,27 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
 # ---------------------------------------------------------------------------
 
 
-def _sq_dist(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Squared Frobenius distances ||a_r - m||_F^2 over a (k, p, p) stack."""
-    d = a - m
-    return (d.real**2 + d.imag**2).sum(axis=(-2, -1))
+def _plugin_beta(dev: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per-replication plug-in shrinkage coefficients of an (m, n, p) stack
+    of centred datasets with SCM coordinates h, from its estimated
+    sphericity and kurtosis."""
+    n, p = dev.shape[-2:]
+    _, gamma = _scale_and_sphericity_stack(h)
+    return beta_opt(nmse_from_sphericity(n, p, gamma, _kurtosis_stack(dev)))
 
 
-def _plugin_beta(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-replication plug-in shrinkage coefficients of an (m, n, p) data
-    stack with SCMs s, from its estimated sphericity and kurtosis."""
-    n, p = x.shape[-2:]
-    _, gamma = _scale_and_sphericity_stack(s)
-    return beta_opt(nmse_from_sphericity(n, p, gamma, _kurtosis_stack(x)))
-
-
-def _oracle_kernel(c: int, m: int, cfg: MCConfig, beta: float, plugin: bool) -> dict:
+def _oracle_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray, beta: float, plugin: bool) -> dict:
+    """Partial sums of the squared errors of chunk c's SCMs, scaled by beta
+    (and by the plug-in coefficient), from the model covariance with
+    coordinates ref."""
+    sq_norm = _hermitian_coords(cfg.model.dim).sq_norm
     x = _draw_chunk(cfg, c, m)
-    # the plug-in kurtosis needs x uncentred, so its SCM centres a copy
-    s, _ = _scm_stack(x.copy() if plugin else x)
-    e1 = _sq_dist(s, cfg.model.cov)
-    e2 = _sq_dist(beta * s, cfg.model.cov)
+    h, _ = _scm_stack(x)  # leaves x centred
+    e1 = sq_norm(h - ref)
+    e2 = sq_norm(beta * h - ref)
     part = {"e1": e1.sum(), "e2": e2.sum(), "e11": e1 @ e1, "e22": e2 @ e2, "e12": e1 @ e2}
     if plugin:
-        part["e3"] = _sq_dist(_plugin_beta(x, s)[:, None, None] * s, cfg.model.cov).sum()
+        part["e3"] = sq_norm(_plugin_beta(x, h)[:, None] * h - ref).sum()
     return part
 
 
@@ -532,7 +560,8 @@ def verify_oracle_efficiency(
     beta_o = beta_opt(nmse_t)
     b = beta_o if beta is None else float(beta)
 
-    kernel = partial(_oracle_kernel, cfg=cfg, beta=b, plugin=include_plugin)
+    ref = _hermitian_coords(model.dim).from_matrix(model.cov)
+    kernel = partial(_oracle_kernel, cfg=cfg, ref=ref, beta=b, plugin=include_plugin)
     tot = _reduce_chunks(kernel, cfg.replications, CHUNK, cfg.workers)
 
     r = cfg.replications

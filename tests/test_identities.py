@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cescov.ces_sampler import kurtosis_lower_bound
 from cescov.estimators import scm
-from cescov.lin_core import commutation_matrix, vec
+from cescov.lin_core import _hermitian_coords, commutation_matrix, vec
 from cescov.theory import (
     RadialStructure,
     affine_equivariant_var,
@@ -43,6 +43,35 @@ def kappa_for(p, u):
 def test_commutation_transposes_vec(p, seed):
     a = random_complex(np.random.default_rng(seed), p, p)
     np.testing.assert_array_equal(commutation_matrix(p) @ vec(a), vec(a.T))
+
+
+@exact
+@given(p=dims, seed=seeds)
+def test_hermitian_coordinates_round_trip(p, seed):
+    gen = np.random.default_rng(seed)
+    coords = _hermitian_coords(p)
+    h = gen.standard_normal(p * p) * np.exp(gen.uniform(-30.0, 30.0, p * p))
+    a = coords.to_matrix(h)
+    np.testing.assert_array_equal(a, a.conj().T)
+    np.testing.assert_array_equal(coords.from_matrix(a).view(np.uint64), h.view(np.uint64))
+    # vec(A) = U h, with U held by index
+    u = np.zeros((p * p, p * p), dtype=complex)
+    rows = np.arange(p * p)
+    u[rows, coords.re] = 1.0
+    u[rows, coords.im] += 1j * coords.sign
+    np.testing.assert_array_equal(u @ h, vec(a))
+    norm2 = float(np.sum(np.abs(a) ** 2))
+    assert abs(coords.sq_norm(h) - norm2) <= 1e-14 * norm2
+
+
+@exact
+@given(p=dims, n=sizes, seed=seeds)
+def test_coordinates_from_the_real_gram(p, n, seed):
+    x = random_complex(np.random.default_rng(seed), n, p)
+    y = x.view(np.float64)
+    got = _hermitian_coords(p).from_gram(y.T @ y, 0.5)
+    want = _hermitian_coords(p).from_matrix(x.T @ x.conj() * 0.5)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 @exact

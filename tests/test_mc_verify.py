@@ -15,7 +15,7 @@ from cescov.ces_sampler import (
 )
 from cescov.errors import InvalidFamily
 from cescov.estimators import estimate_kurtosis, scm, weighted_scm
-from cescov.lin_core import scale_and_sphericity
+from cescov.lin_core import _hermitian_coords, _vec_transpose_index, scale_and_sphericity, vec
 from cescov.mc_verify import (
     CHUNK,
     STREAM_CONTRACT,
@@ -26,6 +26,7 @@ from cescov.mc_verify import (
     radial_estimate_from_moments,
     verify_oracle_efficiency,
     verify_sphere_moments,
+    _Kahan,
     _draw_chunk,
     _plugin_beta,
     _reduce_chunks,
@@ -121,12 +122,46 @@ class TestEmpiricalMoments:
         cfg, emp = gaussian_run
         r = cfg.replications
         stat = _statistic_fn(cfg.statistic)
-        t = np.concatenate(
+        t = _hermitian_coords(cfg.model.dim).to_matrix(np.concatenate(
             [stat(_draw_chunk(cfg, c, min(CHUNK, r - lo))) for c, lo in enumerate(range(0, r, CHUNK))]
-        )
+        ))
         w = t.swapaxes(-1, -2).reshape(r, -1)  # row r is vec(T_r)
         w = w - w.mean(axis=0)
         np.testing.assert_allclose(emp.pvar_emp, w.T @ w / (r - 1), rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("statistic", ["scm", "wscm:one", "wscm:fobi"])
+    def test_matches_direct_complex_accumulation(self, statistic, p):
+        # moments accumulated on the real coordinates equal those of the
+        # complex vec(T_r) summed directly; 3 * CHUNK + 7 replications end
+        # in a ragged chunk, and p = 1 has no off-diagonal coordinate
+        r = 3 * CHUNK + 7
+        cov = random_hpd(np.random.default_rng(40 + p), p)
+        model = CESModel(np.zeros(p), cov, CompoundGaussianK(0.5))
+        cfg = MCConfig(replications=r, n=8, model=model, statistic=statistic, seed=41)
+        emp = empirical_moments(cfg)
+        single = {
+            "scm": lambda x: scm(x).s,
+            "wscm:one": lambda x: weighted_scm(x, np.ones_like),
+            "wscm:fobi": lambda x: weighted_scm(x, lambda d: d),
+        }[statistic]
+        t = np.stack([
+            single(x) for c, lo in enumerate(range(0, r, CHUNK)) for x in _draw_chunk(cfg, c, min(CHUNK, r - lo))
+        ])
+        w = t.swapaxes(-1, -2).reshape(r, -1) - vec(cov)  # row r is vec(T_r - M)
+        mean_w = w.mean(axis=0)
+        var = (w.T @ w.conj() - r * np.outer(mean_w, mean_w.conj())) / (r - 1)
+        a2 = np.abs(w) ** 2
+        se_var = np.sqrt(np.maximum(a2.T @ a2 / r - np.abs(var) ** 2, 0.0) / r)
+        sq = a2.sum(axis=1)
+        np.testing.assert_allclose(emp.var_emp, var, rtol=1e-12)
+        np.testing.assert_allclose(emp.se_var, se_var, rtol=1e-12)
+        np.testing.assert_allclose(emp.mean_stat, t.mean(axis=0), rtol=1e-12)
+        assert emp.mse_emp == pytest.approx(sq.mean(), rel=1e-12)
+        assert emp.se_mse == pytest.approx(np.sqrt((sq @ sq / r - sq.mean() ** 2) / r), rel=1e-12)
+        # vec(T^T) = vec(T)[t] and T^T = conj(T): exact on the rebuilt covariance
+        t_idx = _vec_transpose_index(p)
+        np.testing.assert_array_equal(emp.var_emp[t_idx][:, t_idx], emp.var_emp.conj())
 
     def test_determinism_across_workers(self):
         # 3 * CHUNK + 7 replications end in a ragged chunk
@@ -199,18 +234,51 @@ class TestStackedKernels:
         ],
     )
     def test_statistic_matches_single_dataset(self, chunk, name, single):
-        stacked = _statistic_fn(name)(chunk.copy())
+        stacked = _hermitian_coords(3).to_matrix(_statistic_fn(name)(chunk.copy()))
         assert stacked.shape == (len(chunk), 3, 3)
         for i, x in enumerate(chunk):
             np.testing.assert_array_equal(stacked[i], single(x))
 
     def test_plugin_beta_matches_single_dataset(self, chunk):
         n, p = chunk.shape[1:]
-        stacked = _plugin_beta(chunk, _statistic_fn("scm")(chunk.copy()))
+        dev = chunk.copy()  # the stacked SCM centres it in place
+        stacked = _plugin_beta(dev, _statistic_fn("scm")(dev))
         for i, x in enumerate(chunk):
             _, gamma = scale_and_sphericity(scm(x).s)
             kappa = estimate_kurtosis(x)
             assert stacked[i] == beta_opt(nmse_from_sphericity(n, p, gamma, kappa))
+
+
+class TestKahan:
+    @staticmethod
+    def neumaier(values):
+        """The textbook Neumaier sum, one Python number at a time."""
+        s = c = 0.0
+        for x in values:
+            t = s + x
+            c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+            s = t
+        return s + c
+
+    def test_cancels_exactly(self):
+        acc = _Kahan(0.0)
+        for x in (1e16, 1.0, -1e16):
+            acc.add(np.float64(x))
+        assert acc.total() == 1.0  # a plain sum gives 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_bits_match_the_textbook_update(self, dtype):
+        gen = np.random.default_rng(43)
+        cols = [[1e16, 1.0, -1e16, 3.0], [1.0, 1e100, 1.0, -1e100], [-0.0, 0.0, -0.0, 5e-324]]
+        cols += (gen.standard_normal((5, 4)) * 10.0 ** gen.integers(-20, 20, (5, 4))).tolist()
+        rows = np.array(cols, dtype=dtype).T
+        if dtype is np.complex128:
+            rows = rows + 1j * rows[::-1]
+        acc = _Kahan(rows[0])
+        for row in rows:
+            acc.add(row)
+        want = np.array([self.neumaier(col.tolist()) for col in rows.T], dtype=dtype)
+        np.testing.assert_array_equal(acc.total().view(np.uint64), want.view(np.uint64))
 
 
 class TestReduceChunks:

@@ -184,7 +184,9 @@ class CESModel:
     """A circular CES model: mean, covariance, tail family.
 
     The elliptical kurtosis and the Hermitian covariance square root are
-    derived once at construction and cached.
+    derived once at construction and cached, and so are two flags that let
+    ``sample_ces`` skip work that changes no bit: whether that root is
+    exactly the identity and whether the mean is exactly zero.
     """
 
     mu: np.ndarray
@@ -192,6 +194,8 @@ class CESModel:
     family: Family
     kappa: float = field(init=False)
     sqrt_cov: np.ndarray = field(init=False, repr=False)
+    _identity_sqrt: bool = field(init=False, repr=False)
+    _zero_mean: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=np.complex128)
@@ -210,6 +214,8 @@ class CESModel:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "sqrt_cov", sqrt_cov)
+        object.__setattr__(self, "_identity_sqrt", np.array_equal(sqrt_cov, np.eye(len(mu))))
+        object.__setattr__(self, "_zero_mean", not mu.any())
 
     @property
     def dim(self) -> int:
@@ -222,13 +228,24 @@ def sample_ces(model: CESModel, n: int, rng: RngStream) -> np.ndarray:
     Row i is ``mu + sqrt(tau_i / 2) * sqrt_cov @ z_i`` for a complex normal ``z_i``
     and then a texture ``tau_i``: ``||z_i||^2 / 2`` is the chi-square factor of
     ``r_i^2`` and ``z_i / ||z_i||`` an independent sphere direction, so the row
-    has the law of ``mu + r_i * sqrt_cov @ u_i``.
+    has the law of ``mu + r_i * sqrt_cov @ u_i``.  The product with an
+    identity ``sqrt_cov`` is skipped, and so then is the sum with a zero
+    ``mu``: for finite draws they change no bit.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.generator()
-    z = gen.standard_normal((n, 2 * model.dim)).view(np.complex128)
-    z *= np.sqrt(0.5 * _texture(gen, model.family, n))[..., None]
-    x = z @ model.sqrt_cov.T  # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
-    x += model.mu  # in place: a fresh (n, p) array costs more than the sum
+    y = gen.standard_normal((n, 2 * model.dim))
+    # a real multiply of the float view has the bits of z * (s + 0j) for finite z
+    y *= np.sqrt(0.5 * _texture(gen, model.family, n))[..., None]
+    x = y.view(np.complex128)
+    if not model._identity_sqrt:
+        x = x @ model.sqrt_cov.T  # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
+        # The sum stays after the GEMM even for a zero mu.  OpenBLAS's complex
+        # GEMM can return with the upper halves of the vector registers dirty,
+        # which slows the SSE code that runs next (numpy's gamma draws ran 6x
+        # slower on an AVX-512 Xeon), and numpy's loop for the sum clears them.
+        x += model.mu
+    elif not model._zero_mean:
+        x += model.mu  # in place: a fresh (n, p) array costs more than the sum
     return x

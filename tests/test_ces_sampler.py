@@ -47,6 +47,7 @@ def oracle_kurtosis(family, p, n=10**6, seed=1234):
 
 
 FAMILIES = [Gaussian(), StudentT(6.0), StudentT(12.0), CompoundGaussianK(0.5)]
+DRAW_MU = np.array([1.0 - 2j, 0.5, -1j])
 
 
 class TestFamilies:
@@ -252,12 +253,20 @@ class TestSampleCes:
         with pytest.raises(ValueError):
             sample_ces(model, 0, RngStream(1))
 
-    @pytest.mark.parametrize("family", FAMILIES, ids=str)
-    def test_compound_gaussian_draw(self, family):
-        # stream contract 3: one complex normal row z, then one texture tau per row
-        gen = np.random.default_rng(40)
-        cov = random_hpd(gen, 3)
-        mu = np.array([1.0 - 2j, 0.5, -1j])
+    @pytest.mark.parametrize(
+        "family, cov, mu",
+        [pytest.param(f, None, DRAW_MU, id=str(f)) for f in FAMILIES]
+        + [
+            pytest.param(Gaussian(), np.eye(3), np.zeros(3), id="identity-zero-mu"),
+            pytest.param(CompoundGaussianK(0.5), np.eye(3), DRAW_MU, id="identity-mu"),
+        ],
+    )
+    def test_compound_gaussian_draw(self, family, cov, mu):
+        # stream contract 3: one complex normal row z, then one texture tau per row;
+        # the sampler skips the product with an identity C, and then the sum with a
+        # zero mu, and must still give the bits of the full expression
+        if cov is None:
+            cov = random_hpd(np.random.default_rng(40), 3)
         model = CESModel(mu, cov, family)
         n = 257
         x = sample_ces(model, n, RngStream(41, 5))

@@ -28,6 +28,7 @@ from cescov.mc_verify import (
     verify_sphere_moments,
     _Kahan,
     _draw_chunk,
+    _merge,
     _plugin_beta,
     _reduce_chunks,
     _statistic_fn,
@@ -266,19 +267,51 @@ class TestKahan:
             acc.add(np.float64(x))
         assert acc.total() == 1.0  # a plain sum gives 0.0
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_bits_match_the_textbook_update(self, dtype):
+    @staticmethod
+    def columns():
+        """Columns with 1e16 and 1e100 cancellations, signed zeros and a
+        denormal, then random values over 40 decades."""
         gen = np.random.default_rng(43)
         cols = [[1e16, 1.0, -1e16, 3.0], [1.0, 1e100, 1.0, -1e100], [-0.0, 0.0, -0.0, 5e-324]]
-        cols += (gen.standard_normal((5, 4)) * 10.0 ** gen.integers(-20, 20, (5, 4))).tolist()
-        rows = np.array(cols, dtype=dtype).T
-        if dtype is np.complex128:
-            rows = rows + 1j * rows[::-1]
+        return cols + (gen.standard_normal((5, 4)) * 10.0 ** gen.integers(-20, 20, (5, 4))).tolist()
+
+    def test_bits_match_the_textbook_update(self):
+        rows = np.array(self.columns()).T
         acc = _Kahan(rows[0])
         for row in rows:
             acc.add(row)
-        want = np.array([self.neumaier(col.tolist()) for col in rows.T], dtype=dtype)
+        want = np.array([self.neumaier(col) for col in rows.T])
         np.testing.assert_array_equal(acc.total().view(np.uint64), want.view(np.uint64))
+
+    def test_merge_sums_each_real_component(self):
+        # four partials of complex, matrix and 0-d scalar entries, merged as
+        # one flat vector: each real and each imaginary part is the textbook
+        # sum, and an integer entry is summed as float64
+        cols = np.array(self.columns())  # (8, 4): 8 components over 4 partials
+        parts = [
+            {
+                "vec": cols[:3, k] + 1j * cols[3:6, k],
+                "mat": cols[:, k].reshape(2, 4),
+                "real": cols[6, k],
+                "cplx": complex(cols[7, k], cols[0, k]),
+                "int": k,
+            }
+            for k in range(cols.shape[1])
+        ]
+        tot = _merge(parts)
+        want = {
+            "vec": np.array([complex(self.neumaier(cols[i]), self.neumaier(cols[i + 3])) for i in range(3)]),
+            "mat": np.array([self.neumaier(col) for col in cols]).reshape(2, 4),
+            "real": np.float64(self.neumaier(cols[6])),
+            "cplx": np.complex128(complex(self.neumaier(cols[7]), self.neumaier(cols[0]))),
+            "int": np.float64(6.0),
+        }
+        assert list(tot) == list(want)
+        for key, value in want.items():
+            assert type(tot[key]) is type(value), key
+            assert tot[key].shape == value.shape and tot[key].dtype == value.dtype, key
+            bits = [np.atleast_1d(v).view(np.uint64) for v in (tot[key], value)]
+            np.testing.assert_array_equal(*bits, err_msg=key)
 
 
 class TestReduceChunks:

@@ -1,7 +1,8 @@
 """Per-chunk layer times of the Monte Carlo moment engine.
 
-Times one ``CHUNK``-replication chunk of ``mc-verify --target transport``
-(SCM, k:0.5, spiked gamma=2) at each requested p, split into the layers
+Times one ``CHUNK``-replication SCM chunk of two ``mc-verify`` models at
+each requested p: ``thm3`` (gaussian, identity covariance) at every p and
+``transport`` (k:0.5, spiked gamma=2) where p > 2, split into the layers
 
 * draw: ``_draw_chunk``, the chunk's (m, n, p) data;
 * statistic: the stacked statistic on that data;
@@ -12,7 +13,7 @@ Times one ``CHUNK``-replication chunk of ``mc-verify --target transport``
 Each figure is the best of ``--repeat`` runs, in milliseconds.  Run it with
 BLAS single-threaded, from the repository root::
 
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/layer_times.py --p 10 16 24
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/layer_times.py --p 2 4 10
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ from cescov.ces_sampler import CESModel, parse_family
 from cescov.lin_core import spiked_covariance
 
 MERGES = 16
+
+# model name -> (the CESModel at dimension p, smallest p it exists at)
+MODELS = {
+    "thm3": (lambda p: CESModel(np.zeros(p), np.eye(p), parse_family("gaussian")), 1),
+    "transport": (lambda p: CESModel(np.zeros(p), spiked_covariance(p, 2.0), parse_family("k:0.5")), 3),
+}
 
 
 def best_ms(fn, repeat: int) -> float:
@@ -57,8 +64,7 @@ def moment_kernel(cfg):
     return kernels[0]
 
 
-def layer_times(p: int, n: int, repeat: int) -> dict:
-    model = CESModel(np.zeros(p, dtype=np.complex128), spiked_covariance(p, 2.0), parse_family("k:0.5"))
+def layer_times(model: CESModel, n: int, repeat: int) -> dict:
     cfg = mc.MCConfig(replications=mc.CHUNK, n=n, model=model, seed=1)
     m = mc.CHUNK
     kernel = moment_kernel(cfg)
@@ -75,15 +81,19 @@ def layer_times(p: int, n: int, repeat: int) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--p", type=int, nargs="+", default=[10, 16, 24])
+    ap.add_argument("--p", type=int, nargs="+", default=[2, 4, 10])
     ap.add_argument("--n", type=int, default=10)
     ap.add_argument("--repeat", type=int, default=15)
     args = ap.parse_args()
     print(f"chunk of {mc.CHUNK} replications, n={args.n}, best of {args.repeat}, ms")
-    print(f"{'p':>3} {'draw':>8} {'statistic':>10} {'accumulate':>11} {'merge':>8}")
-    for p in args.p:
-        t = layer_times(p, args.n, args.repeat)
-        print(f"{p:>3} {t['draw']:8.2f} {t['statistic']:10.2f} {t['accumulate']:11.2f} {t['merge']:8.2f}")
+    print(f"{'model':<10} {'p':>3} {'draw':>8} {'statistic':>10} {'accumulate':>11} {'merge':>8}")
+    for name, (model, p_min) in MODELS.items():
+        for p in args.p:
+            if p < p_min:
+                continue
+            t = layer_times(model(p), args.n, args.repeat)
+            print(f"{name:<10} {p:>3} {t['draw']:8.2f} {t['statistic']:10.2f} "
+                  f"{t['accumulate']:11.2f} {t['merge']:8.2f}")
 
 
 if __name__ == "__main__":

@@ -234,13 +234,22 @@ def sample_ces(model: CESModel, n: int, rng: RngStream) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    return _draw_ces(model, rng, np.empty((n, 2 * model.dim)), None)
+
+
+def _draw_ces(model: CESModel, rng: RngStream, y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """:func:`sample_ces` of ``len(y)`` rows into caller buffers: the float64
+    (n, 2p) ``y`` takes the normal draw, and the complex128 (n, p) ``out``
+    (a new array if None) its product with ``sqrt_cov``.  Returns the data:
+    ``y`` viewed as complex when that product is skipped, else ``out``."""
     gen = rng.generator()
-    y = gen.standard_normal((n, 2 * model.dim))
+    gen.standard_normal(out=y)
     # a real multiply of the float view has the bits of z * (s + 0j) for finite z
-    y *= np.sqrt(0.5 * _texture(gen, model.family, n))[..., None]
+    y *= np.sqrt(0.5 * _texture(gen, model.family, len(y)))[..., None]
     x = y.view(np.complex128)
     if not model._identity_sqrt:
-        x = x @ model.sqrt_cov.T  # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
+        # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
+        x = np.matmul(x, model.sqrt_cov.T, out=out)
         # The sum stays after the GEMM even for a zero mu.  OpenBLAS's complex
         # GEMM can return with the upper halves of the vector registers dirty,
         # which slows the SSE code that runs next (numpy's gamma draws ran 6x

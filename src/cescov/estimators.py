@@ -10,6 +10,10 @@ The covariance cores return the p^2 real Hermitian coordinates of
 ``lin_core._hermitian_coords``, gathered from one real Gram of the data's
 float view; the public functions assemble the matrix from them, which makes
 it exactly Hermitian.
+
+The cores write their temporaries, and their results, into the buffers of a
+``lin_core._Workspace``: the Monte Carlo harness lends each chunk one that
+persists across chunks, and the public functions pass a new one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCoordinate, SingularSCM, TooFewObservations
-from .lin_core import PD_RTOL, _hermitian_coords
+from .lin_core import PD_RTOL, _hermitian_coords, _Workspace
 from .ces_sampler import kurtosis_lower_bound
 
 __all__ = [
@@ -63,25 +67,52 @@ class SCMResult:
     n: int
 
 
-def _centre(x: np.ndarray) -> np.ndarray:
+def _row_means(a: np.ndarray, ws: _Workspace, name: str) -> np.ndarray:
+    """Means (m, p) over the rows of a C-contiguous real or complex (m, n, p)
+    stack, with the bits of ``a.mean(axis=-2)``, into the buffer ``name``.
+
+    At p >= 2 numpy's mean adds the n rows one after another, many short
+    loops over p; here one reduce over the outer axis of an (n, m, p) copy
+    adds them in the same order, in loops over the whole (m, p) output.  At
+    p = 1 the mean sums pairwise, so it is used there.
+    """
+    m, n, p = a.shape
+    if p == 1:
+        return a.mean(axis=-2)
+    f = a.view(np.float64)  # a complex entry as its real and imaginary parts
+    rows = f.swapaxes(0, 1)
+    if not rows.flags.c_contiguous:  # it is when m = 1: no copy then
+        rows = ws.take("rows", rows.shape)
+        np.copyto(rows, f.swapaxes(0, 1))
+    s = np.add.reduce(rows, axis=0, out=ws.take(name, (m, f.shape[-1])))
+    if a.dtype.kind == "c":
+        s *= 1.0 / n  # numpy divides a complex sum by n + 0j, which multiplies by 1/n
+        return s.view(np.complex128)
+    s /= n
+    return s
+
+
+def _centre(x: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Subtract the row means (m, p) of an (m, n, p) stack in place and
-    return them."""
-    xbar = x.mean(axis=-2)
+    return them (the workspace buffer "xbar")."""
+    xbar = _row_means(x, ws, "xbar")
     x -= xbar[..., None, :]
     return xbar
 
 
-def _scm_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scm_stack(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased SCMs, as Hermitian coordinates (m, p^2), and row means
-    (m, p) of a C-contiguous (m, n, p) stack of datasets.
+    (m, p) of a C-contiguous (m, n, p) stack of datasets, both in buffers
+    of the workspace.
 
     Centres ``x`` in place: on return it holds the deviations from the row
     means.  Callers that must keep their data pass a copy.
     """
     n, p = x.shape[-2:]
-    xbar = _centre(x)
+    xbar = _centre(x, ws)
     y = x.view(np.float64)
-    return _hermitian_coords(p).from_gram(y.swapaxes(-1, -2) @ y, 1.0 / (n - 1)), xbar
+    g = np.matmul(y.swapaxes(-1, -2), y, out=ws.take("gram", x.shape[:-2] + (2 * p, 2 * p)))
+    return _hermitian_coords(p).from_gram(g, 1.0 / (n - 1), ws), xbar
 
 
 def scm(x) -> SCMResult:
@@ -96,7 +127,7 @@ def scm(x) -> SCMResult:
         If the dataset has fewer than two rows.
     """
     x = require_dataset(x, min_rows=2)
-    h, xbar = _scm_stack(x[None].copy())
+    h, xbar = _scm_stack(x[None].copy(), _Workspace())
     return SCMResult(s=_hermitian_coords(x.shape[1]).to_matrix(h[0]), xbar=xbar[0], n=x.shape[0])
 
 
@@ -111,14 +142,15 @@ def sample_variance(x) -> float:
     return float(np.sum(dev.real**2 + dev.imag**2) / (x.shape[0] - 1))
 
 
-def _weighted_scm_stack(x: np.ndarray, weight_fn) -> np.ndarray:
-    """Weighted covariance matrices, as Hermitian coordinates (m, p^2), of
-    an (m, n, p) stack of datasets; see :func:`weighted_scm`.  ``weight_fn``
-    receives the squared distances of all m * n rows as one flat array.
-    Centres ``x`` in place, as :func:`_scm_stack` does."""
+def _weighted_scm_stack(x: np.ndarray, weight_fn, ws: _Workspace) -> np.ndarray:
+    """Weighted covariance matrices, as Hermitian coordinates (m, p^2) in a
+    workspace buffer, of an (m, n, p) stack of datasets; see
+    :func:`weighted_scm`.  ``weight_fn`` receives the squared distances of
+    all m * n rows as one flat array.  Centres ``x`` in place, as
+    :func:`_scm_stack` does."""
     m, n, p = x.shape
     coords = _hermitian_coords(p)
-    h, _ = _scm_stack(x)
+    h, _ = _scm_stack(x, ws)
     s = coords.to_matrix(h)
     dev = x  # centred by _scm_stack
     eigs = np.linalg.eigvalsh(s)  # ascending per replication
@@ -134,7 +166,9 @@ def _weighted_scm_stack(x: np.ndarray, weight_fn) -> np.ndarray:
     if w.shape != (m * n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weight function must map d >= 0 to finite nonnegative weights")
     y = dev.view(np.float64)
-    return coords.from_gram((w.reshape(m, n, 1) * y).swapaxes(-1, -2) @ y, 1.0 / n)
+    wy = np.multiply(w.reshape(m, n, 1), y, out=ws.take("wy", y.shape))
+    g = np.matmul(wy.swapaxes(-1, -2), y, out=ws.take("gram", (m, 2 * p, 2 * p)))
+    return coords.from_gram(g, 1.0 / n, ws)
 
 
 def weighted_scm(x, weight_fn) -> np.ndarray:
@@ -152,19 +186,22 @@ def weighted_scm(x, weight_fn) -> np.ndarray:
         largest one (in particular whenever n <= p).
     """
     x = require_dataset(x, min_rows=2)
-    return _hermitian_coords(x.shape[1]).to_matrix(_weighted_scm_stack(x[None].copy(), weight_fn)[0])
+    h = _weighted_scm_stack(x[None].copy(), weight_fn, _Workspace())
+    return _hermitian_coords(x.shape[1]).to_matrix(h[0])
 
 
-def _kurtosis_stack(dev: np.ndarray) -> np.ndarray:
+def _kurtosis_stack(dev: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Plug-in elliptical kurtosis (m,) of an (m, n, p) stack of datasets
     already centred by :func:`_centre`; see :func:`estimate_kurtosis`."""
     p = dev.shape[-1]
-    a2 = dev.real**2 + dev.imag**2
-    m2 = a2.mean(axis=-2)
+    a2 = np.multiply(dev.real, dev.real, out=ws.take("abs2", dev.shape))
+    a4 = np.multiply(dev.imag, dev.imag, out=ws.take("abs4", dev.shape))
+    a2 += a4
+    m2 = _row_means(a2, ws, "m2")
     if np.any(m2 == 0.0):
         bad = int(np.argmax(m2 == 0.0)) % p
         raise DegenerateCoordinate(f"coordinate {bad} has zero sample variance")
-    m4 = (a2 * a2).mean(axis=-2)
+    m4 = _row_means(np.multiply(a2, a2, out=a4), ws, "m4")
     kurt = m4 / (m2 * m2) - 2.0
     return np.maximum(kurt.mean(axis=-1) / 2.0, kurtosis_lower_bound(p) + KURTOSIS_CLIP_EPS)
 
@@ -184,6 +221,6 @@ def estimate_kurtosis(x) -> float:
     DegenerateCoordinate
         If some coordinate has zero sample variance.
     """
-    dev = require_dataset(x, min_rows=4)[None].copy()
-    _centre(dev)
-    return float(_kurtosis_stack(dev)[0])
+    dev, ws = require_dataset(x, min_rows=4)[None].copy(), _Workspace()
+    _centre(dev, ws)
+    return float(_kurtosis_stack(dev, ws)[0])

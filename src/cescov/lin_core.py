@@ -78,6 +78,27 @@ def _vec_transpose_index(p: int) -> np.ndarray:
     return j * p + i
 
 
+class _Workspace:
+    """Named scratch buffers, reused from one call to the next.
+
+    ``take(name, shape, dtype)`` returns a C-contiguous array of that shape
+    (contents undefined): a prefix view of the buffer kept under
+    (name, dtype), which grows to the largest size asked for.  A workspace
+    serves one thread at a time, and arrays taken from it are valid only
+    until the same name is taken again.
+    """
+
+    def __init__(self):
+        self.buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        key, size = (name, np.dtype(dtype)), math.prod(shape)
+        buf = self.buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self.buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
 class _HermitianCoords:
     """The p^2 real coordinates of p x p Hermitian matrices.
 
@@ -121,14 +142,18 @@ class _HermitianCoords:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
-    def from_gram(self, g: np.ndarray, factor: float) -> np.ndarray:
+    def from_gram(self, g: np.ndarray, factor: float, ws: _Workspace) -> np.ndarray:
         """Coordinates (..., p^2) of factor * sum_k x_k x_k^H over the rows
         x_k of complex data, from the real Grams g = y^T y (..., 2p, 2p) of
-        its float views y (row k of y is (Re x_k0, Im x_k0, Re x_k1, ...))."""
+        its float views y (row k of y is (Re x_k0, Im x_k0, Re x_k1, ...)).
+        The result is the workspace buffer "h"."""
         g = g.reshape(g.shape[:-2] + (-1,))
-        # np.take keeps the stack C-ordered, so that a row's reductions
-        # do not depend on the stack's size
-        h, b = np.take(g, self.gram[0], axis=-1), np.take(g, self.gram[1], axis=-1)
+        shape = g.shape[:-1] + (self.p * self.p,)
+        # np.take keeps the stack C-ordered, so that a row's reductions do not
+        # depend on the stack's size; mode "clip" (the indices are in range)
+        # writes straight into out, where "raise" would buffer the result
+        h = np.take(g, self.gram[0], axis=-1, out=ws.take("h", shape), mode="clip")
+        b = np.take(g, self.gram[1], axis=-1, out=ws.take("h_b", shape), mode="clip")
         h[..., : self.q] += b[..., : self.q]
         h[..., self.q :] -= b[..., self.q :]
         h *= factor

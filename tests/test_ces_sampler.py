@@ -7,6 +7,7 @@ from cescov.ces_sampler import (
     Gaussian,
     RngStream,
     StudentT,
+    _draw_ces,
     elliptical_kurtosis,
     kurtosis_lower_bound,
     parse_family,
@@ -275,6 +276,29 @@ class TestSampleCes:
         tau = _texture_by_hand(ref_gen, family, n)
         ref = mu + (np.sqrt(tau / 2)[:, None] * z) @ model.sqrt_cov.T
         np.testing.assert_array_equal(x, ref)
+
+    @pytest.mark.parametrize(
+        "family, cov, mu",
+        [
+            pytest.param(CompoundGaussianK(0.5), None, DRAW_MU, id="k:0.5-cov-mu"),
+            pytest.param(StudentT(10.0), None, np.zeros(3), id="t:10-cov"),
+            pytest.param(CompoundGaussianK(0.5), np.eye(3), DRAW_MU, id="identity-mu"),
+        ],
+    )
+    def test_draw_into_reused_buffers(self, family, cov, mu):
+        # the Monte Carlo chunks draw into prefixes of workspace buffers that
+        # hold NaN or an earlier draw: the bits are those of sample_ces, and
+        # nothing past the prefix is written
+        if cov is None:
+            cov = random_hpd(np.random.default_rng(44), 3)
+        model = CESModel(mu, cov, family)
+        n = 257
+        y, out = np.full(2 * n * 6, np.nan), np.full(2 * n * 3, np.nan, dtype=np.complex128)
+        for stream in (5, 6):
+            prefix = y[: n * 6].reshape(n, 6), out[: n * 3].reshape(n, 3)
+            x = _draw_ces(model, RngStream(45, stream), *prefix)
+            np.testing.assert_array_equal(x, sample_ces(model, n, RngStream(45, stream)))
+            assert np.isnan(y[n * 6 :]).all() and np.isnan(out[n * 3 :]).all()
 
     @pytest.mark.parametrize("family", [Gaussian(), StudentT(12.0), CompoundGaussianK(2.0)], ids=str)
     def test_law_at_general_covariance(self, family):

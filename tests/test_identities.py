@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cescov.ces_sampler import kurtosis_lower_bound
 from cescov.estimators import scm
-from cescov.lin_core import _hermitian_coords, commutation_matrix, vec
+from cescov.lin_core import _hermitian_coords, _Workspace, commutation_matrix, vec
 from cescov.theory import (
     RadialStructure,
     affine_equivariant_var,
@@ -69,7 +69,7 @@ def test_hermitian_coordinates_round_trip(p, seed):
 def test_coordinates_from_the_real_gram(p, n, seed):
     x = random_complex(np.random.default_rng(seed), n, p)
     y = x.view(np.float64)
-    got = _hermitian_coords(p).from_gram(y.T @ y, 0.5)
+    got = _hermitian_coords(p).from_gram(y.T @ y, 0.5, _Workspace())
     want = _hermitian_coords(p).from_matrix(x.T @ x.conj() * 0.5)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 

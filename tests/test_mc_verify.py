@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cescov
+from cescov import mc_verify
 from cescov.ces_sampler import (
     CESModel,
     CompoundGaussianK,
@@ -13,12 +19,20 @@ from cescov.ces_sampler import (
     StudentT,
     sample_ces,
 )
-from cescov.errors import InvalidFamily
+from cescov.errors import InvalidFamily, SingularSCM
 from cescov.estimators import estimate_kurtosis, scm, weighted_scm
-from cescov.lin_core import _hermitian_coords, _vec_transpose_index, scale_and_sphericity, vec
+from cescov.lin_core import (
+    _hermitian_coords,
+    _vec_transpose_index,
+    _Workspace,
+    scale_and_sphericity,
+    spiked_covariance,
+    vec,
+)
 from cescov.mc_verify import (
     CHUNK,
     STREAM_CONTRACT,
+    STATISTICS,
     MCConfig,
     Tolerances,
     compare_to_theory,
@@ -29,6 +43,8 @@ from cescov.mc_verify import (
     _Kahan,
     _draw_chunk,
     _merge,
+    _moment_kernel,
+    _oracle_kernel,
     _plugin_beta,
     _reduce_chunks,
     _statistic_fn,
@@ -41,7 +57,7 @@ from cescov.theory import (
     scm_radial_structure,
 )
 
-from util import random_hpd
+from util import random_hpd, report_digests
 
 
 def spherical_model(p, family=None):
@@ -124,7 +140,8 @@ class TestEmpiricalMoments:
         r = cfg.replications
         stat = _statistic_fn(cfg.statistic)
         t = _hermitian_coords(cfg.model.dim).to_matrix(np.concatenate(
-            [stat(_draw_chunk(cfg, c, min(CHUNK, r - lo))) for c, lo in enumerate(range(0, r, CHUNK))]
+            [stat(_draw_chunk(cfg, c, min(CHUNK, r - lo), _Workspace()), _Workspace())
+             for c, lo in enumerate(range(0, r, CHUNK))]
         ))
         w = t.swapaxes(-1, -2).reshape(r, -1)  # row r is vec(T_r)
         w = w - w.mean(axis=0)
@@ -147,7 +164,9 @@ class TestEmpiricalMoments:
             "wscm:fobi": lambda x: weighted_scm(x, lambda d: d),
         }[statistic]
         t = np.stack([
-            single(x) for c, lo in enumerate(range(0, r, CHUNK)) for x in _draw_chunk(cfg, c, min(CHUNK, r - lo))
+            single(x)
+            for c, lo in enumerate(range(0, r, CHUNK))
+            for x in _draw_chunk(cfg, c, min(CHUNK, r - lo), _Workspace())
         ])
         w = t.swapaxes(-1, -2).reshape(r, -1) - vec(cov)  # row r is vec(T_r - M)
         mean_w = w.mean(axis=0)
@@ -219,7 +238,7 @@ class TestStackedKernels:
 
     @pytest.fixture(scope="class")
     def chunk(self, cfg):
-        return _draw_chunk(cfg, 2, 200)
+        return _draw_chunk(cfg, 2, 200, _Workspace())
 
     def test_chunk_draws_from_one_stream(self, cfg, chunk):
         # stream contract 3: chunk c draws its m * n rows from the stream (seed, c)
@@ -235,15 +254,15 @@ class TestStackedKernels:
         ],
     )
     def test_statistic_matches_single_dataset(self, chunk, name, single):
-        stacked = _hermitian_coords(3).to_matrix(_statistic_fn(name)(chunk.copy()))
+        stacked = _hermitian_coords(3).to_matrix(_statistic_fn(name)(chunk.copy(), _Workspace()))
         assert stacked.shape == (len(chunk), 3, 3)
         for i, x in enumerate(chunk):
             np.testing.assert_array_equal(stacked[i], single(x))
 
     def test_plugin_beta_matches_single_dataset(self, chunk):
         n, p = chunk.shape[1:]
-        dev = chunk.copy()  # the stacked SCM centres it in place
-        stacked = _plugin_beta(dev, _statistic_fn("scm")(dev))
+        dev, ws = chunk.copy(), _Workspace()  # the stacked SCM centres dev in place
+        stacked = _plugin_beta(dev, _statistic_fn("scm")(dev, ws), ws)
         for i, x in enumerate(chunk):
             _, gamma = scale_and_sphericity(scm(x).s)
             kappa = estimate_kurtosis(x)
@@ -341,6 +360,92 @@ class TestReduceChunks:
         with pytest.raises(ValueError, match="chunk 0 failed"):
             _reduce_chunks(kernel, 64 * 8, 8, workers=2)
         assert len(calls) < 64
+
+
+class TestWorkspaces:
+    """Each running chunk borrows a workspace from ``mc_verify._IDLE`` and
+    returns it when it ends; the workspaces, and the data they hold, outlive
+    the run."""
+
+    def test_warm_pool_matches_a_fresh_interpreter(self):
+        # buffers left by larger chunks (p = 10), by the plug-in kurtosis and
+        # by the weighted SCM change no bit of a following run
+        transport = CESModel(np.zeros(10), spiked_covariance(10, 2.0), CompoundGaussianK(0.5))
+        empirical_moments(MCConfig(4 * CHUNK, 10, transport, seed=61, workers=2))
+        oracle = CESModel(np.zeros(4), spiked_covariance(4, 2.0), CompoundGaussianK(0.5))
+        verify_oracle_efficiency(MCConfig(4 * CHUNK, 10, oracle, seed=62, workers=2), include_plugin=True)
+        empirical_moments(MCConfig(2 * CHUNK, 12, spherical_model(3), "wscm:fobi", seed=63, workers=2))
+        warm = report_digests()
+        paths = [str(Path(cescov.__file__).parents[1]), str(Path(__file__).parent)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import util; print(*util.report_digests())"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.split()
+        assert warm == fresh
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_partials_share_no_memory_with_a_workspace(self, monkeypatch, statistic):
+        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        model = CESModel(np.zeros(3), random_hpd(np.random.default_rng(64), 3), CompoundGaussianK(0.5))
+        cfg = MCConfig(CHUNK, 10, model, statistic, seed=65)
+        ref = _hermitian_coords(3).from_matrix(model.cov)
+        for kernel in (
+            partial(_moment_kernel, cfg=cfg, ref=ref),
+            partial(_oracle_kernel, cfg=cfg, ref=ref, beta=0.5, plugin=True),
+        ):
+            part = kernel(0, CHUNK)
+            (ws,) = mc_verify._IDLE
+            assert ws.buffers
+            for key, value in part.items():
+                assert not any(np.shares_memory(value, buf) for buf in ws.buffers.values()), key
+
+    def test_a_raising_kernel_gives_its_workspace_back(self, monkeypatch):
+        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        good = MCConfig(3 * CHUNK + 7, 12, spherical_model(3), "wscm:fobi", seed=66)
+        want = empirical_moments(good)
+        assert len(mc_verify._IDLE) == 1
+        with pytest.raises(SingularSCM):
+            empirical_moments(replace(good, n=3))  # n <= p: every weighted SCM is singular
+        assert len(mc_verify._IDLE) == 1
+        for workers in (1, 2):
+            got = empirical_moments(replace(good, workers=workers))
+            for key, value in vars(want).items():
+                np.testing.assert_array_equal(getattr(got, key), value, err_msg=key)
+
+    def test_idle_list_holds_one_workspace_per_concurrent_chunk(self, monkeypatch):
+        # more threads than CPUs, switching as often as the interpreter allows:
+        # a workspace lent twice would change the sums, one lost or appended
+        # twice would show in the list
+        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        cfg = MCConfig(16 * CHUNK, 10, spherical_model(3, CompoundGaussianK(0.5)), seed=67)
+        want = empirical_moments(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 4, 8):
+                got = empirical_moments(replace(cfg, workers=workers))
+                np.testing.assert_array_equal(got.var_emp, want.var_emp)
+                assert got.mse_emp == want.mse_emp
+                idle = mc_verify._IDLE
+                assert 1 <= len(idle) <= workers
+                assert len({id(ws) for ws in idle}) == len(idle)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the minor page faults of Linux")
+def test_warm_oracle_call_takes_few_page_faults():
+    # a warm run reuses the workspace of the first; with fresh per-chunk
+    # arrays this call took 837 minor faults on Linux
+    import resource
+
+    model = CESModel(np.zeros(4), spiked_covariance(4, 2.0), CompoundGaussianK(0.5))
+    cfg = MCConfig(4 * CHUNK, 10, model, seed=68)
+    verify_oracle_efficiency(cfg, include_plugin=True)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    verify_oracle_efficiency(cfg, include_plugin=True)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 100
 
 
 class TestEstimateRadialStructure:

@@ -1,17 +1,22 @@
 """Per-chunk layer times of the Monte Carlo moment engine.
 
-Times one ``CHUNK``-replication SCM chunk of two ``mc-verify`` models at
-each requested p: ``thm3`` (gaussian, identity covariance) at every p and
-``transport`` (k:0.5, spiked gamma=2) where p > 2, split into the layers
+Runs ``empirical_moments`` on ``--chunks`` chunks of ``CHUNK`` replications
+for two ``mc-verify`` models at each requested p: ``thm3`` (gaussian,
+identity covariance) at every p and ``transport`` (k:0.5, spiked gamma=2)
+where p > 2.  The layers are timed inside that real chunk loop, which
+``_reduce_chunks`` drives, by wrapping the functions the moment kernel calls:
 
 * draw: ``_draw_chunk``, the chunk's (m, n, p) data;
 * statistic: the stacked statistic on that data;
 * accumulate: the rest of the moment kernel (its partial sums), taken as
   the kernel's time less the two above;
-* merge: the compensated merge of one chunk's partial sums.
+* merge: the rest of ``_reduce_chunks``, mostly the compensated merge of
+  the partial sums, taken as its time less the kernels';
+* faults: the minor page faults of the process (``ru_minflt``).
 
-Each figure is the best of ``--repeat`` runs, in milliseconds.  Run it with
-BLAS single-threaded, from the repository root::
+Each figure is per chunk, the median over ``--repeat`` runs after one
+warm-up run; times are in milliseconds.  Run it with BLAS single-threaded,
+from the repository root::
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/layer_times.py --p 2 4 10
 """
@@ -19,6 +24,8 @@ BLAS single-threaded, from the repository root::
 from __future__ import annotations
 
 import argparse
+import resource
+import statistics
 import time
 
 import numpy as np
@@ -27,7 +34,7 @@ from cescov import mc_verify as mc
 from cescov.ces_sampler import CESModel, parse_family
 from cescov.lin_core import spiked_covariance
 
-MERGES = 16
+COLUMNS = ("draw", "statistic", "accumulate", "merge", "faults")
 
 # model name -> (the CESModel at dimension p, smallest p it exists at)
 MODELS = {
@@ -36,64 +43,68 @@ MODELS = {
 }
 
 
-def best_ms(fn, repeat: int) -> float:
-    times = []
-    for _ in range(repeat):
+def timed(fn, layer: str, totals: dict):
+    """fn, adding the seconds of each call to totals[layer]."""
+
+    def wrapper(*args):
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return 1e3 * min(times)
+        try:
+            return fn(*args)
+        finally:
+            totals[layer] += time.perf_counter() - t0
+
+    return wrapper
 
 
-def moment_kernel(cfg):
-    """The moment kernel ``empirical_moments`` runs for cfg, captured from
-    one run, so that the script does not depend on how the kernel's
-    arguments are built."""
-    kernels = []
-    reduce_chunks = mc._reduce_chunks
-
-    def capture(kernel, *args):
-        kernels.append(kernel)
-        return reduce_chunks(kernel, *args)
-
-    mc._reduce_chunks = capture
+def layer_times(model: CESModel, n: int, chunks: int, repeat: int) -> dict:
+    cfg = mc.MCConfig(replications=chunks * mc.CHUNK, n=n, model=model, seed=1)
+    totals = dict.fromkeys(("draw", "statistic", "kernel", "reduce"), 0.0)
+    names = ("_draw_chunk", "_statistic_fn", "_reduce_chunks")
+    originals = {name: getattr(mc, name) for name in names}
+    mc._draw_chunk = timed(originals["_draw_chunk"], "draw", totals)
+    mc._statistic_fn = lambda name: timed(originals["_statistic_fn"](name), "statistic", totals)
+    reduce_chunks = timed(originals["_reduce_chunks"], "reduce", totals)
+    mc._reduce_chunks = lambda kernel, *args: reduce_chunks(timed(kernel, "kernel", totals), *args)
+    runs = []
     try:
-        mc.empirical_moments(cfg)
+        mc.empirical_moments(cfg)  # warm-up
+        for _ in range(repeat):
+            totals.update(dict.fromkeys(totals, 0.0))
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            mc.empirical_moments(cfg)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            draw, stat, kernel, whole = (totals[k] for k in ("draw", "statistic", "kernel", "reduce"))
+            ms = 1e3 / chunks
+            runs.append({
+                "draw": draw * ms,
+                "statistic": stat * ms,
+                "accumulate": (kernel - draw - stat) * ms,
+                "merge": (whole - kernel) * ms,
+                "faults": faults / chunks,
+            })
     finally:
-        mc._reduce_chunks = reduce_chunks
-    return kernels[0]
-
-
-def layer_times(model: CESModel, n: int, repeat: int) -> dict:
-    cfg = mc.MCConfig(replications=mc.CHUNK, n=n, model=model, seed=1)
-    m = mc.CHUNK
-    kernel = moment_kernel(cfg)
-    stat = mc._statistic_fn(cfg.statistic)
-    draw = best_ms(lambda: mc._draw_chunk(cfg, 0, m), repeat)
-    x = mc._draw_chunk(cfg, 0, m)
-    # the statistic centres its input in place, so it runs on a fresh copy
-    statistic = best_ms(lambda: stat(x.copy()), repeat) - best_ms(x.copy, repeat)
-    whole = best_ms(lambda: kernel(0, m), repeat)
-    part = kernel(0, m)
-    merge = best_ms(lambda: mc._merge([part] * MERGES), repeat) / MERGES
-    return {"draw": draw, "statistic": statistic, "accumulate": whole - draw - statistic, "merge": merge}
+        for name, fn in originals.items():
+            setattr(mc, name, fn)
+    return {col: statistics.median(run[col] for run in runs) for col in COLUMNS}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--p", type=int, nargs="+", default=[2, 4, 10])
     ap.add_argument("--n", type=int, default=10)
-    ap.add_argument("--repeat", type=int, default=15)
+    ap.add_argument("--chunks", type=int, default=16)
+    ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args()
-    print(f"chunk of {mc.CHUNK} replications, n={args.n}, best of {args.repeat}, ms")
-    print(f"{'model':<10} {'p':>3} {'draw':>8} {'statistic':>10} {'accumulate':>11} {'merge':>8}")
+    print(f"{args.chunks} chunks of {mc.CHUNK} replications, n={args.n}, median of {args.repeat} runs, "
+          "ms and minor page faults per chunk")
+    print(f"{'model':<10} {'p':>3} {'draw':>8} {'statistic':>10} {'accumulate':>11} {'merge':>8} {'faults':>8}")
     for name, (model, p_min) in MODELS.items():
         for p in args.p:
             if p < p_min:
                 continue
-            t = layer_times(model(p), args.n, args.repeat)
+            t = layer_times(model(p), args.n, args.chunks, args.repeat)
             print(f"{name:<10} {p:>3} {t['draw']:8.2f} {t['statistic']:10.2f} "
-                  f"{t['accumulate']:11.2f} {t['merge']:8.2f}")
+                  f"{t['accumulate']:11.2f} {t['merge']:8.2f} {t['faults']:8.1f}")
 
 
 if __name__ == "__main__":

@@ -31,9 +31,12 @@ temporaries there, so a warm run allocates no chunk-sized array and takes no
 page faults for them (a warm p = 4 oracle call took 830-900 minor faults
 with fresh arrays).  Workspaces outlive a run: the list keeps one per chunk
 that ever ran concurrently, each holding the buffers of the largest chunk it
-served, about 1.5-1.8 MB at p = 4 and 5.4 MB at p = 10 (n = 10).  No result
-bit depends on them: every partial sum a kernel returns is a new array, and
-the row means taken in a workspace have the bits of numpy's ``mean``.
+served, about 1.5-1.8 MB at p = 4 and 5.4 MB at p = 10 (n = 10).  Nothing
+releases them, so what the process holds grows with the largest p, n and
+worker count it ever ran: after one p = 24, n = 30 run at ``workers=4`` the
+four idle workspaces held 137.6 MB.  No result bit depends on them: every
+partial sum a kernel returns is a new array, and the row means taken in a
+workspace have the bits of numpy's ``mean``.
 
 ``workers > 1`` runs the chunks on that many threads of the calling process
 (numpy releases the GIL in the kernels that dominate a chunk), over the same

@@ -1,6 +1,6 @@
 """Per-chunk layer times of the Monte Carlo moment engine.
 
-Runs ``empirical_moments`` on ``--chunks`` chunks of ``CHUNK`` replications
+Runs ``empirical_moments`` on ``CHUNKS`` chunks of ``CHUNK`` replications
 for two ``mc-verify`` models at each requested p: ``thm3`` (gaussian,
 identity covariance) at every p and ``transport`` (k:0.5, spiked gamma=2)
 where p > 2.  The layers are timed inside that real chunk loop, which
@@ -35,6 +35,7 @@ from cescov.ces_sampler import CESModel, parse_family
 from cescov.lin_core import spiked_covariance
 
 COLUMNS = ("draw", "statistic", "accumulate", "merge", "faults")
+CHUNKS = 16  # chunks per timed run
 
 # model name -> (the CESModel at dimension p, smallest p it exists at)
 MODELS = {
@@ -56,8 +57,8 @@ def timed(fn, layer: str, totals: dict):
     return wrapper
 
 
-def layer_times(model: CESModel, n: int, chunks: int, repeat: int) -> dict:
-    cfg = mc.MCConfig(replications=chunks * mc.CHUNK, n=n, model=model, seed=1)
+def layer_times(model: CESModel, n: int, repeat: int) -> dict:
+    cfg = mc.MCConfig(replications=CHUNKS * mc.CHUNK, n=n, model=model, seed=1)
     totals = dict.fromkeys(("draw", "statistic", "kernel", "reduce"), 0.0)
     names = ("_draw_chunk", "_statistic_fn", "_reduce_chunks")
     originals = {name: getattr(mc, name) for name in names}
@@ -74,13 +75,13 @@ def layer_times(model: CESModel, n: int, chunks: int, repeat: int) -> dict:
             mc.empirical_moments(cfg)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             draw, stat, kernel, whole = (totals[k] for k in ("draw", "statistic", "kernel", "reduce"))
-            ms = 1e3 / chunks
+            ms = 1e3 / CHUNKS
             runs.append({
                 "draw": draw * ms,
                 "statistic": stat * ms,
                 "accumulate": (kernel - draw - stat) * ms,
                 "merge": (whole - kernel) * ms,
-                "faults": faults / chunks,
+                "faults": faults / CHUNKS,
             })
     finally:
         for name, fn in originals.items():
@@ -92,17 +93,16 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--p", type=int, nargs="+", default=[2, 4, 10])
     ap.add_argument("--n", type=int, default=10)
-    ap.add_argument("--chunks", type=int, default=16)
     ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args()
-    print(f"{args.chunks} chunks of {mc.CHUNK} replications, n={args.n}, median of {args.repeat} runs, "
+    print(f"{CHUNKS} chunks of {mc.CHUNK} replications, n={args.n}, median of {args.repeat} runs, "
           "ms and minor page faults per chunk")
     print(f"{'model':<10} {'p':>3} {'draw':>8} {'statistic':>10} {'accumulate':>11} {'merge':>8} {'faults':>8}")
     for name, (model, p_min) in MODELS.items():
         for p in args.p:
             if p < p_min:
                 continue
-            t = layer_times(model(p), args.n, args.chunks, args.repeat)
+            t = layer_times(model(p), args.n, args.repeat)
             print(f"{name:<10} {p:>3} {t['draw']:8.2f} {t['statistic']:10.2f} "
                   f"{t['accumulate']:11.2f} {t['merge']:8.2f} {t['faults']:8.1f}")
 

@@ -34,10 +34,12 @@ from .estimators import (
 from .lin_core import (
     centering_matrix,
     commutation_matrix,
+    covariance_preset,
     hermitian_sqrt,
     hermitize,
     kron,
     load_complex_matrix,
+    mean_preset,
     save_complex_matrix,
     scale_and_sphericity,
     spiked_covariance,
@@ -55,6 +57,7 @@ from .mc_verify import (
     radial_estimate_from_moments,
     verify_oracle_efficiency,
     verify_sphere_moments,
+    verify_target,
 )
 from .theory import (
     CovariancePair,

@@ -1,6 +1,10 @@
 """Command-line front end: sampling, estimation, closed-form shrinkage
 theory, the shrinkage-versus-kurtosis curve, and Monte Carlo verification.
 
+This module only parses arguments, calls the library and prints: ``--cov``
+and ``--mu`` are ``lin_core.covariance_preset`` and ``mean_preset``, and
+``mc-verify`` is ``mc_verify.verify_target``.
+
 All commands emit JSON (indented by default, compact with ``--json``) except
 ``sample`` and ``curve``, whose primary output is CSV.  Exit codes: 0 on
 success / verification pass, 1 on verification failure, 2 on configuration
@@ -18,41 +22,16 @@ import time
 
 import numpy as np
 
-from .ces_sampler import CESModel, RngStream, parse_family, sample_ces
+from .ces_sampler import CESModel, RngStream, kurtosis_lower_bound, parse_family, sample_ces
 from .errors import CescovError
 from .estimators import estimate_kurtosis, scm
-from .lin_core import (
-    dump_complex_matrix,
-    load_complex_matrix,
-    save_complex_matrix,
-    scale_and_sphericity,
-    spiked_covariance,
-)
-from .mc_verify import (
-    STATISTICS,
-    MCConfig,
-    Tolerances,
-    compare_to_theory,
-    empirical_moments,
-    radial_estimate_from_moments,
-    verify_oracle_efficiency,
-    verify_sphere_moments,
-)
-from .theory import (
-    affine_equivariant_var,
-    beta_opt,
-    empirical_structure_pair,
-    mse_scm,
-    nmse_from_sphericity,
-    scm_radial_structure,
-    shrinkage_curve,
-    shrinkage_report,
-)
+from .lin_core import (covariance_preset, dump_complex_matrix, load_complex_matrix, mean_preset,
+                       save_complex_matrix, scale_and_sphericity)
+from .mc_verify import STATISTICS, TARGETS, verify_target
+from .theory import beta_opt, nmse_from_sphericity, scm_radial_structure, shrinkage_curve, shrinkage_report
 
 SCHEMA_VERSION = 1
 CI_ENV = "CES_SCM_CI"
-
-MC_TARGETS = ("thm1", "thm3", "transport", "sphere", "oracle")
 
 
 class CliError(Exception):
@@ -67,54 +46,8 @@ def _resolve_seed(seed: int | None) -> int:
     return int(np.random.SeedSequence().entropy) % (2**63)
 
 
-def _resolve_cov(spec: str, p: int) -> np.ndarray:
-    if spec == "identity":
-        return np.eye(p, dtype=np.complex128)
-    if spec.startswith("diag:"):
-        try:
-            vals = [float(v) for v in spec[len("diag:"):].split(",")]
-        except ValueError:
-            raise CliError(f"cannot parse --cov {spec!r}") from None
-        if len(vals) != p:
-            raise CliError(
-                f"conflicting flags: --cov diag has {len(vals)} entries but --p is {p}"
-            )
-        if any(v <= 0 for v in vals):
-            raise CliError("--cov diag entries must be positive")
-        return np.diag(np.asarray(vals, dtype=np.complex128))
-    if spec.startswith("spiked:gamma="):
-        try:
-            g = float(spec[len("spiked:gamma="):])
-        except ValueError:
-            raise CliError(f"cannot parse --cov {spec!r}") from None
-        return spiked_covariance(p, g)
-    try:
-        m = load_complex_matrix(spec)
-    except OSError as e:
-        raise CliError(f"cannot read --cov file {spec!r}: {e}") from None
-    except ValueError as e:
-        raise CliError(f"malformed --cov file {spec!r}: {e}") from None
-    if m.shape != (p, p):
-        raise CliError(
-            f"conflicting flags: --cov file is {m.shape[0]} x {m.shape[1]} but --p is {p}"
-        )
-    return m
-
-
-def _resolve_mu(spec: str, p: int) -> np.ndarray:
-    if spec == "zero":
-        return np.zeros(p, dtype=np.complex128)
-    try:
-        m = load_complex_matrix(spec)
-    except OSError as e:
-        raise CliError(f"cannot read --mu file {spec!r}: {e}") from None
-    except ValueError as e:
-        raise CliError(f"malformed --mu file {spec!r}: {e}") from None
-    if 1 not in m.shape or max(m.shape) != p:
-        raise CliError(
-            f"conflicting flags: --mu file has shape {m.shape} but --p is {p}"
-        )
-    return m.ravel()
+# bench/workloads.py still builds its covariance matrices through this name
+_resolve_cov = covariance_preset
 
 
 def _print_json(payload: dict, compact: bool, stream=None) -> None:
@@ -133,8 +66,8 @@ def _complex_pairs(a: np.ndarray) -> list:
 
 def cmd_sample(args) -> int:
     family = parse_family(args.dist)
-    cov = _resolve_cov(args.cov, args.p)
-    mu = _resolve_mu(args.mu, args.p)
+    cov = covariance_preset(args.cov, args.p)
+    mu = mean_preset(args.mu, args.p)
     model = CESModel(mu, cov, family)
     seed = _resolve_seed(args.seed)
     x = sample_ces(model, args.n, RngStream(seed))
@@ -160,11 +93,8 @@ def cmd_sample(args) -> int:
 def cmd_theory(args) -> int:
     if (args.gamma is None) == (args.cov is None):
         raise CliError("conflicting flags: give exactly one of --gamma and --cov")
-    if args.cov is not None:
-        cov = _resolve_cov(args.cov, args.p)
-        rep = shrinkage_report(args.n, args.p, args.kappa, cov=cov)
-    else:
-        rep = shrinkage_report(args.n, args.p, args.kappa, gamma=args.gamma)
+    cov = None if args.cov is None else covariance_preset(args.cov, args.p)
+    rep = shrinkage_report(args.n, args.p, args.kappa, cov=cov, gamma=args.gamma)
     s = scm_radial_structure(args.n, args.kappa, args.p)
     payload = {"schema_version": SCHEMA_VERSION, **rep.to_dict(), "tau1": s.tau1, "tau2": s.tau2}
     _print_json(payload, compact=args.json)
@@ -172,7 +102,7 @@ def cmd_theory(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    kappa_min = args.kappa_min if args.kappa_min is not None else -1.0 / (args.p + 1)
+    kappa_min = args.kappa_min if args.kappa_min is not None else kurtosis_lower_bound(args.p)
     if args.steps < 1:
         raise CliError(f"--steps must be >= 1, got {args.steps}")
     if args.kappa_max <= kappa_min:
@@ -197,55 +127,12 @@ def cmd_curve(args) -> int:
 def cmd_mc_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     t0 = time.perf_counter()
-    config_echo = {
-        "target": args.target,
-        "dist": args.dist,
-        "n": args.n,
-        "p": args.p,
-        "cov": args.cov,
-        "reps": args.reps,
-        "workers": args.workers,
-        "stat": args.stat,
-    }
-
-    if args.target == "sphere":
-        report = verify_sphere_moments(args.p, args.reps, seed, workers=args.workers)
-    else:
-        family = parse_family(args.dist)
-        tol = Tolerances.for_family(family)
-        if args.target in ("thm1", "thm3"):
-            cov = np.eye(args.p, dtype=np.complex128)
-        else:
-            cov = _resolve_cov(args.cov, args.p)
-        model = CESModel(np.zeros(args.p, dtype=np.complex128), cov, family)
-        stat = args.stat if args.target == "thm1" else "scm"
-        cfg = MCConfig(
-            replications=args.reps,
-            n=args.n,
-            model=model,
-            statistic=stat,
-            seed=seed,
-            workers=args.workers,
-        )
-        if args.target == "thm1":
-            emp = empirical_moments(cfg)
-            est = radial_estimate_from_moments(emp)
-            pair = empirical_structure_pair(est.tau1, est.tau2, args.p)
-            report = compare_to_theory(emp, pair, tol)
-        elif args.target in ("thm3", "transport"):
-            # at cov = I (thm3) the transported pair is the radial form
-            emp = empirical_moments(cfg)
-            struct = scm_radial_structure(args.n, model.kappa, args.p)
-            pair = affine_equivariant_var(model.cov, struct)
-            mse_t, _ = mse_scm(model.cov, args.n, model.kappa)
-            radial = {}
-            if args.target == "thm3":
-                est = radial_estimate_from_moments(emp)
-                radial = dict(radial_theory=struct, radial_estimate=est)
-            report = compare_to_theory(emp, pair, tol, mse_theory=mse_t, **radial)
-        else:  # oracle
-            report = verify_oracle_efficiency(cfg, include_plugin=args.plugin)
-
+    keys = ("target", "dist", "n", "p", "cov", "reps", "workers", "stat")
+    config_echo = {key: getattr(args, key) for key in keys}
+    report = verify_target(
+        args.target, args.dist, args.n, args.p, args.cov, args.reps, seed,
+        workers=args.workers, statistic=args.stat, plugin=args.plugin,
+    )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": config_echo,
@@ -273,11 +160,7 @@ def cmd_estimate(args) -> int:
         "n": n,
         "p": p,
         "xbar": _complex_pairs(res.xbar),
-        "eta": None,
-        "gamma": None,
-        "kappa": None,
-        "nmse": None,
-        "beta_o": None,
+        **dict.fromkeys(("eta", "gamma", "kappa", "nmse", "beta_o")),
         "partial": False,
         "error": None,
     }
@@ -349,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument(
         "--target",
         required=True,
-        choices=MC_TARGETS,
+        choices=TARGETS,
         help="thm1: radial form of the statistic at the spherical model; "
         "thm3: SCM constants vs closed form; transport: full matrices at a "
         "general covariance; sphere: unit-sphere moments; oracle: shrinkage "

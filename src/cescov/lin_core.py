@@ -33,6 +33,8 @@ __all__ = [
     "centering_matrix",
     "scale_and_sphericity",
     "spiked_covariance",
+    "covariance_preset",
+    "mean_preset",
     "save_complex_matrix",
     "load_complex_matrix",
     "dump_complex_matrix",
@@ -85,17 +87,21 @@ class _Workspace:
     (contents undefined): a prefix view of the buffer kept under
     (name, dtype), which grows to the largest size asked for.  A workspace
     serves one thread at a time, and arrays taken from it are valid only
-    until the same name is taken again.
+    until the same name is taken again.  ``nbytes`` is the size of all its
+    buffers together.
     """
 
     def __init__(self):
         self.buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+        self.nbytes = 0
 
     def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         key, size = (name, np.dtype(dtype)), math.prod(shape)
         buf = self.buffers.get(key)
         if buf is None or buf.size < size:
+            self.nbytes -= 0 if buf is None else buf.nbytes
             buf = self.buffers[key] = np.empty(size, dtype)
+            self.nbytes += buf.nbytes
         return buf[:size].reshape(shape)
 
 
@@ -291,6 +297,56 @@ def spiked_covariance(p: int, gamma: float) -> np.ndarray:
     w = p * ((gamma - 1.0) + math.sqrt((gamma - 1.0) * (p - 1))) / (p - gamma)
     v = np.full(p, 1.0 / math.sqrt(p))
     return np.eye(p, dtype=np.complex128) + w * np.outer(v, v)
+
+
+def covariance_preset(spec: str, p: int) -> np.ndarray:
+    """The p x p covariance matrix named by a ``--cov`` value: ``identity``,
+    ``diag:a,b,...``, ``spiked:gamma=G`` (:func:`spiked_covariance`) or the
+    path of a matrix CSV file.  Raises ValueError for a spec it cannot
+    parse or read, and for a matrix that is not p x p."""
+    if spec == "identity":
+        return np.eye(p, dtype=np.complex128)
+    if spec.startswith("diag:"):
+        try:
+            vals = [float(v) for v in spec[len("diag:"):].split(",")]
+        except ValueError:
+            raise ValueError(f"cannot parse --cov {spec!r}") from None
+        if len(vals) != p:
+            raise ValueError(f"conflicting flags: --cov diag has {len(vals)} entries but --p is {p}")
+        if any(v <= 0 for v in vals):
+            raise ValueError("--cov diag entries must be positive")
+        return np.diag(np.asarray(vals, dtype=np.complex128))
+    if spec.startswith("spiked:gamma="):
+        try:
+            g = float(spec[len("spiked:gamma="):])
+        except ValueError:
+            raise ValueError(f"cannot parse --cov {spec!r}") from None
+        return spiked_covariance(p, g)
+    m = _load_preset("--cov", spec)
+    if m.shape != (p, p):
+        raise ValueError(f"conflicting flags: --cov file is {m.shape[0]} x {m.shape[1]} but --p is {p}")
+    return m
+
+
+def mean_preset(spec: str, p: int) -> np.ndarray:
+    """The length-p mean named by a ``--mu`` value: ``zero`` or the path of a
+    1 x p or p x 1 matrix CSV file.  Raises ValueError as
+    :func:`covariance_preset` does."""
+    if spec == "zero":
+        return np.zeros(p, dtype=np.complex128)
+    m = _load_preset("--mu", spec)
+    if 1 not in m.shape or max(m.shape) != p:
+        raise ValueError(f"conflicting flags: --mu file has shape {m.shape} but --p is {p}")
+    return m.ravel()
+
+
+def _load_preset(flag: str, path: str) -> np.ndarray:
+    try:
+        return load_complex_matrix(path)
+    except OSError as e:
+        raise ValueError(f"cannot read {flag} file {path!r}: {e}") from None
+    except ValueError as e:
+        raise ValueError(f"malformed {flag} file {path!r}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

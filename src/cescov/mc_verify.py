@@ -1,5 +1,7 @@
 """Monte Carlo harness: empirical moments of matrix statistics and pass/fail
-comparisons against the closed-form second-order theory.
+comparisons against the closed-form second-order theory.  ``verify_target``
+is the check that ``cescov mc-verify`` runs for each of its ``TARGETS``: it
+picks the model, the closed form, the MSE and the tolerances of the target.
 
 Stream contract 3 (``STREAM_CONTRACT``): the replications of a run are cut
 into a fixed grid of chunks of ``CHUNK`` replications (``SPHERE_CHUNK``
@@ -31,12 +33,14 @@ temporaries there, so a warm run allocates no chunk-sized array and takes no
 page faults for them (a warm p = 4 oracle call took 830-900 minor faults
 with fresh arrays).  Workspaces outlive a run: the list keeps one per chunk
 that ever ran concurrently, each holding the buffers of the largest chunk it
-served, about 1.5-1.8 MB at p = 4 and 5.4 MB at p = 10 (n = 10).  Nothing
-releases them, so what the process holds grows with the largest p, n and
-worker count it ever ran: after one p = 24, n = 30 run at ``workers=4`` the
-four idle workspaces held 137.6 MB.  No result bit depends on them: every
-partial sum a kernel returns is a new array, and the row means taken in a
-workspace have the bits of numpy's ``mean``.
+served, about 1.5-1.8 MB at p = 4 and 5.4 MB at p = 10 (n = 10).  A
+workspace handed back is dropped, and its memory freed, if keeping it would
+take the idle list above ``_IDLE_CAP`` (64 MiB) of buffers: one p = 24,
+n = 30 run at ``workers=4`` would otherwise leave four workspaces of 137.6 MB
+together.  Runs that large therefore allocate afresh in the chunks that get
+no idle workspace.  No result bit depends on them: every partial sum a
+kernel returns is a new array, and the row means taken in a workspace have
+the bits of numpy's ``mean``.
 
 ``workers > 1`` runs the chunks on that many threads of the calling process
 (numpy releases the GIL in the kernels that dominate a chunk), over the same
@@ -52,6 +56,7 @@ the CPUs.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -59,23 +64,20 @@ from functools import partial
 
 import numpy as np
 
-from .ces_sampler import CESModel, RngStream, StudentT, _draw_ces, elliptical_kurtosis, sample_sphere
+from .ces_sampler import (CESModel, RngStream, StudentT, _draw_ces, elliptical_kurtosis, parse_family,
+                          sample_sphere)
 from .errors import InvalidFamily, TooFewObservations
 from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
-from .lin_core import _hermitian_coords, _scale_and_sphericity_stack, _Workspace, unvec, vec_index
-from .theory import (
-    CovariancePair,
-    RadialStructure,
-    _var_times_commutation,
-    beta_opt,
-    mse_scm,
-    nmse_from_sphericity,
-)
+from .lin_core import (_hermitian_coords, _scale_and_sphericity_stack, _Workspace, covariance_preset, unvec,
+                       vec_index)
+from .theory import (CovariancePair, RadialStructure, _var_times_commutation, affine_equivariant_var,
+                     beta_opt, empirical_structure_pair, mse_scm, nmse_from_sphericity, scm_radial_structure)
 
 __all__ = [
     "CHUNK",
     "STREAM_CONTRACT",
     "STATISTICS",
+    "TARGETS",
     "MCConfig",
     "EmpiricalMoments",
     "RadialEstimate",
@@ -86,6 +88,7 @@ __all__ = [
     "compare_to_theory",
     "verify_sphere_moments",
     "verify_oracle_efficiency",
+    "verify_target",
 ]
 
 # Version of the mapping from (seed, replication) to random streams and data.
@@ -219,23 +222,27 @@ def _merge(parts) -> dict:
     return out
 
 
-# Workspaces not lent to a running chunk.  list.pop and list.append are
-# atomic, so no two running chunks share one, and the list never holds more
-# than the largest number of chunks that ran at once.
+# Workspaces not lent to a running chunk.  No two running chunks share one,
+# and the list never holds more than the largest number of chunks that ran
+# at once, nor more than _IDLE_CAP bytes of buffers together.
 _IDLE: list[_Workspace] = []
+_IDLE_CAP = 64 * 2**20
+_IDLE_LOCK = threading.Lock()
 
 
 @contextmanager
 def _borrowed_workspace():
-    """An idle workspace, or a new one, lent for the body of the block."""
-    try:
-        ws = _IDLE.pop()
-    except IndexError:
-        ws = _Workspace()
+    """An idle workspace, or a new one, lent for the body of the block.  It
+    goes back to the idle list if the list stays within _IDLE_CAP bytes, and
+    is dropped otherwise."""
+    with _IDLE_LOCK:
+        ws = _IDLE.pop() if _IDLE else _Workspace()
     try:
         yield ws
     finally:
-        _IDLE.append(ws)
+        with _IDLE_LOCK:
+            if ws.nbytes + sum(idle.nbytes for idle in _IDLE) <= _IDLE_CAP:
+                _IDLE.append(ws)
 
 
 def _draw_chunk(cfg: MCConfig, c: int, m: int, ws: _Workspace) -> np.ndarray:
@@ -659,3 +666,47 @@ def verify_oracle_efficiency(
         details=details,
     )
 
+
+# ---------------------------------------------------------------------------
+# The checks of ``cescov mc-verify``
+# ---------------------------------------------------------------------------
+
+TARGETS = ("thm1", "thm3", "transport", "sphere", "oracle")
+
+
+def verify_target(target: str, dist: str, n: int, p: int, cov: str, replications: int, seed: int,
+                  workers: int = 1, statistic: str = "scm", plugin: bool = False) -> ComparisonReport:
+    """The check that ``cescov mc-verify`` runs, keyed by the values of its
+    flags.  thm1 compares ``statistic`` at the spherical model with the
+    two-constant form of its empirical (tau1, tau2); thm3 the SCM there with
+    its closed-form tau1, tau2, covariance and MSE; transport the SCM at the
+    covariance ``cov`` (a :func:`~cescov.lin_core.covariance_preset` spec)
+    with its transported covariance and MSE; sphere the unit-sphere moment
+    panel in dimension p (``dist`` and n unused); oracle the shrinkage MSE
+    ratio at ``cov``, with the plug-in ratio if ``plugin``.  Only transport
+    and oracle read ``cov``, and only thm1 ``statistic``.
+    """
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
+    if target == "sphere":
+        return verify_sphere_moments(p, replications, seed, workers=workers)
+    family = parse_family(dist)
+    tol = Tolerances.for_family(family)
+    m = covariance_preset(cov, p) if target in ("transport", "oracle") else np.eye(p, dtype=np.complex128)
+    model = CESModel(np.zeros(p, dtype=np.complex128), m, family)
+    stat = statistic if target == "thm1" else "scm"
+    cfg = MCConfig(replications, n, model, stat, seed, workers)
+    if target == "oracle":
+        return verify_oracle_efficiency(cfg, include_plugin=plugin)
+    emp = empirical_moments(cfg)
+    if target == "thm1":
+        est = radial_estimate_from_moments(emp)
+        return compare_to_theory(emp, empirical_structure_pair(est.tau1, est.tau2, p), tol)
+    # at cov = I (thm3) the transported pair is the radial form
+    struct = scm_radial_structure(n, model.kappa, p)
+    pair = affine_equivariant_var(model.cov, struct)
+    mse_t, _ = mse_scm(model.cov, n, model.kappa)
+    radial = {}
+    if target == "thm3":
+        radial = dict(radial_theory=struct, radial_estimate=radial_estimate_from_moments(emp))
+    return compare_to_theory(emp, pair, tol, mse_theory=mse_t, **radial)

@@ -53,7 +53,8 @@ __all__ = [
     "shrinkage_report",
 ]
 
-# slack for the tau2 >= -tau1/p boundary so exact boundary inputs pass
+# relative slack for the tau2 >= -tau1/p and 1 <= sphericity <= p boundaries,
+# so that inputs on a boundary pass also when rounding puts them just beyond it
 _TAU_SLACK = 1e-12
 
 
@@ -178,10 +179,13 @@ def nmse_from_sphericity(n: int, p: int, gamma, kappa):
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    # the messages name one offending value, also for array-valued input
+    # the messages name one offending value, also for array-valued input;
+    # the computed sphericity of a scaled identity can fall below 1, and that
+    # of a rank-one matrix exceed p, by rounding
     gamma_lo, gamma_hi = np.min(gamma), np.max(gamma)
-    if not (1.0 <= gamma_lo and gamma_hi <= p):
-        bad = gamma_hi if gamma_lo >= 1.0 else gamma_lo
+    lo_ok = gamma_lo >= 1.0 - _TAU_SLACK
+    if not (lo_ok and gamma_hi <= p * (1.0 + _TAU_SLACK)):
+        bad = gamma_hi if lo_ok else gamma_lo
         raise ValueError(f"sphericity must lie in [1, p] = [1, {p}], got {bad}")
     kappa_lo = np.min(kappa)
     if kappa_lo < kurtosis_lower_bound(p):

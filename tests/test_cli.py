@@ -5,7 +5,7 @@ import pytest
 
 from cescov.cli import main
 from cescov.lin_core import load_complex_matrix, scale_and_sphericity, spiked_covariance
-from cescov.mc_verify import Tolerances
+from cescov.mc_verify import Tolerances, verify_target
 
 
 def run(capsys, *argv):
@@ -359,6 +359,51 @@ class TestMcVerify:
         assert code == 2
         assert "--seed" in err
 
+    @pytest.mark.parametrize("target, dist, n, p, cov, reps, stat, plugin", [
+        ("thm1", "gaussian", 10, 2, "identity", 3000, "scm", False),
+        ("thm1", "gaussian", 12, 2, "identity", 3000, "wscm:fobi", False),
+        ("thm3", "k:0.5", 10, 3, "identity", 3000, "scm", False),
+        ("transport", "gaussian", 10, 2, "diag:1,3", 3000, "scm", False),
+        ("transport", "k:0.5", 10, 4, "spiked:gamma=2", 3000, "scm", False),
+        ("sphere", "gaussian", 10, 3, "identity", 10000, "scm", False),
+        ("oracle", "k:0.5", 10, 4, "spiked:gamma=2", 3000, "scm", False),
+        ("oracle", "k:0.5", 10, 4, "spiked:gamma=2", 3000, "scm", True),
+    ])
+    def test_is_verify_target(self, capsys, target, dist, n, p, cov, reps, stat, plugin):
+        argv = ["mc-verify", "--target", target, "--dist", dist, "--n", str(n), "--p", str(p),
+                "--cov", cov, "--reps", str(reps), "--seed", "7", "--stat", stat, "--json"]
+        code, out, _ = run(capsys, *argv, *(["--plugin"] if plugin else []))
+        report = verify_target(target, dist, n, p, cov, reps, 7, statistic=stat, plugin=plugin)
+        assert json.loads(out)["report"] == report.to_dict()
+        assert code == (0 if report.passed else 1)
+
+    @pytest.mark.parametrize("target", ["thm1", "thm3", "sphere"])
+    def test_ignores_a_malformed_cov(self, capsys, target):
+        # only transport and oracle read --cov
+        code, out, err = run(
+            capsys, "mc-verify", "--target", target, "--p", "2", "--cov", "diag:oops",
+            "--reps", "10000", "--seed", "1", "--json",
+        )
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["config"]["cov"] == "diag:oops"
+
+    @pytest.mark.parametrize("target", ["transport", "oracle"])
+    def test_rejects_a_malformed_cov(self, capsys, target):
+        code, out, err = run(
+            capsys, "mc-verify", "--target", target, "--p", "2", "--cov", "diag:oops",
+            "--reps", "10000", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse --cov 'diag:oops'\n"
+
+    def test_sphere_never_parses_family(self, capsys):
+        code, out, _ = run(
+            capsys, "mc-verify", "--target", "sphere", "--dist", "t:3", "--p", "2",
+            "--reps", "10000", "--seed", "1", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["pass"] is True
+
 
 class TestEstimate:
     def test_round_trip(self, capsys, tmp_path):
@@ -405,6 +450,39 @@ class TestEstimate:
         payload = json.loads(out)
         assert payload["partial"] is True
         assert payload["error"]
+
+    def test_rank_one_dataset(self, capsys, tmp_path):
+        # the sphericity of a rank-one SCM is p, and comes out up to 2e-15
+        # above it in many of these datasets
+        from cescov.lin_core import save_complex_matrix
+
+        gen = np.random.default_rng(1)
+        data, above = tmp_path / "x.csv", 0
+        for _ in range(40):
+            n, p = gen.integers(4, 12), gen.integers(2, 7)
+            a = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+            v = gen.standard_normal(p) + 1j * gen.standard_normal(p)
+            save_complex_matrix(data, np.outer(a, v))
+            code, out, err = run(capsys, "estimate", "--in", str(data), "--json")
+            assert code == 0, err
+            payload = json.loads(out)
+            assert np.isfinite(payload["nmse"]) and 0.0 < payload["beta_o"] < 1.0
+            above += payload["gamma"] > p
+        assert above > 0
+
+    def test_dataset_with_a_scaled_identity_scm(self, capsys, tmp_path):
+        # rows +-s e_i give the SCM (2 s^2 / (2p - 1)) I, whose sphericity 1
+        # comes out just below 1 here
+        from cescov.lin_core import save_complex_matrix
+
+        data = tmp_path / "x.csv"
+        e = 0.1 * np.eye(3)
+        save_complex_matrix(data, np.vstack([e, -e]))
+        code, out, err = run(capsys, "estimate", "--in", str(data), "--json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["gamma"] < 1.0
+        assert np.isfinite(payload["nmse"]) and 0.0 < payload["beta_o"] < 1.0
 
     def test_malformed_input(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -5,13 +5,16 @@ from cescov.errors import NotHermitian, NotPositiveDefinite, ZeroTrace
 from cescov.lin_core import (
     centering_matrix,
     commutation_matrix,
+    covariance_preset,
     hermitian_sqrt,
     hermitize,
     kron,
     load_complex_matrix,
+    mean_preset,
     parse_complex_matrix,
     save_complex_matrix,
     scale_and_sphericity,
+    spiked_covariance,
     unvec,
     vec,
     vec_index,
@@ -258,3 +261,72 @@ class TestComplexCsv:
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             parse_complex_matrix(text.splitlines(True))
+
+
+class TestPresets:
+    """The values of ``--cov`` and ``--mu``."""
+
+    def test_identity(self):
+        m = covariance_preset("identity", 3)
+        assert m.dtype == np.complex128
+        np.testing.assert_array_equal(m, np.eye(3))
+
+    def test_diag(self):
+        np.testing.assert_array_equal(covariance_preset("diag:1,2.5,3", 3), np.diag([1.0, 2.5, 3.0]))
+
+    def test_spiked(self):
+        np.testing.assert_array_equal(covariance_preset("spiked:gamma=2", 10), spiked_covariance(10, 2.0))
+
+    def test_csv_file(self, tmp_path):
+        m = random_hpd(np.random.default_rng(5), 3)
+        path = tmp_path / "cov.csv"
+        save_complex_matrix(path, m)
+        np.testing.assert_array_equal(covariance_preset(str(path), 3), m)
+
+    @pytest.mark.parametrize("spec, p, message", [
+        ("diag:1,x", 2, "cannot parse --cov 'diag:1,x'"),
+        ("diag:1,2", 3, "conflicting flags: --cov diag has 2 entries but --p is 3"),
+        ("diag:1,0", 2, "--cov diag entries must be positive"),
+        ("spiked:gamma=x", 3, "cannot parse --cov 'spiked:gamma=x'"),
+        ("spiked:gamma=3", 3, "spiked preset needs 1 <= gamma < p = 3, got gamma = 3.0"),
+    ])
+    def test_cov_spec_errors(self, spec, p, message):
+        with pytest.raises(ValueError) as e:
+            covariance_preset(spec, p)
+        assert str(e.value) == message
+
+    def test_cov_file_errors(self, tmp_path):
+        missing, bad, square = tmp_path / "missing.csv", tmp_path / "bad.csv", tmp_path / "eye.csv"
+        bad.write_text("not,a,matrix\n")
+        save_complex_matrix(square, np.eye(2))
+        with pytest.raises(ValueError, match=r"^cannot read --cov file '.*missing\.csv': \[Errno 2\]"):
+            covariance_preset(str(missing), 2)
+        with pytest.raises(ValueError, match=r"^malformed --cov file '.*bad\.csv': first line must be"):
+            covariance_preset(str(bad), 2)
+        with pytest.raises(ValueError) as e:
+            covariance_preset(str(square), 3)
+        assert str(e.value) == "conflicting flags: --cov file is 2 x 2 but --p is 3"
+
+    def test_mean_zero(self):
+        mu = mean_preset("zero", 4)
+        assert mu.dtype == np.complex128
+        np.testing.assert_array_equal(mu, np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1)])
+    def test_mean_file(self, tmp_path, shape):
+        mu = np.array([1.0 + 2j, -0.5, 3j]).reshape(shape)
+        path = tmp_path / "mu.csv"
+        save_complex_matrix(path, mu)
+        np.testing.assert_array_equal(mean_preset(str(path), 3), mu.ravel())
+
+    def test_mean_file_errors(self, tmp_path):
+        missing, bad, wide = tmp_path / "missing.csv", tmp_path / "bad.csv", tmp_path / "mu.csv"
+        bad.write_text("not,a,matrix\n")
+        save_complex_matrix(wide, np.ones((1, 3)))
+        with pytest.raises(ValueError, match=r"^cannot read --mu file '.*missing\.csv': \[Errno 2\]"):
+            mean_preset(str(missing), 3)
+        with pytest.raises(ValueError, match=r"^malformed --mu file '.*bad\.csv': first line must be"):
+            mean_preset(str(bad), 3)
+        with pytest.raises(ValueError) as e:
+            mean_preset(str(wide), 2)
+        assert str(e.value) == "conflicting flags: --mu file has shape (1, 3) but --p is 2"

@@ -434,6 +434,25 @@ class TestWorkspaces:
             sys.setswitchinterval(interval)
 
 
+    def test_idle_list_keeps_at_most_the_cap(self, monkeypatch):
+        # four workspaces of a p = 24, n = 30 run hold 137.6 MB together
+        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        model = CESModel(np.zeros(24), spiked_covariance(24, 2.0), CompoundGaussianK(0.5))
+        empirical_moments(MCConfig(4 * CHUNK, 30, model, seed=69, workers=4))
+        idle = mc_verify._IDLE
+        assert idle and sum(ws.nbytes for ws in idle) <= mc_verify._IDLE_CAP
+        for ws in idle:
+            assert ws.nbytes == sum(buf.nbytes for buf in ws.buffers.values())
+
+    def test_workspace_counts_the_bytes_of_its_buffers(self):
+        ws = _Workspace()
+        ws.take("a", (4, 3))
+        ws.take("a", (2, 2))  # a prefix of the buffer: nothing grows
+        ws.take("b", (5,), np.complex128)
+        ws.take("a", (20,))  # replaces the 12-value buffer
+        assert ws.nbytes == 20 * 8 + 5 * 16 == sum(buf.nbytes for buf in ws.buffers.values())
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the minor page faults of Linux")
 def test_warm_oracle_call_takes_few_page_faults():
     # a warm run reuses the workspace of the first; with fresh per-chunk

@@ -2,8 +2,8 @@
 
 Runs ``empirical_moments`` on ``CHUNKS`` chunks of ``CHUNK`` replications
 for two ``mc-verify`` models at each requested p: ``thm3`` (gaussian,
-identity covariance) at every p and ``transport`` (k:0.5, spiked gamma=2)
-where p > 2.  The layers are timed inside that real chunk loop, which
+identity covariance) at every p and ``transport`` (k:0.5,
+``--cov spiked:gamma=2``) where p > 2.  The layers are timed inside that real chunk loop, which
 ``_reduce_chunks`` drives, by wrapping the functions the moment kernel calls:
 
 * draw: ``_draw_chunk``, the chunk's (m, n, p) data;
@@ -32,7 +32,7 @@ import numpy as np
 
 from cescov import mc_verify as mc
 from cescov.ces_sampler import CESModel, parse_family
-from cescov.lin_core import spiked_covariance
+from cescov.lin_core import covariance_preset
 
 COLUMNS = ("draw", "statistic", "accumulate", "merge", "faults")
 CHUNKS = 16  # chunks per timed run
@@ -40,7 +40,10 @@ CHUNKS = 16  # chunks per timed run
 # model name -> (the CESModel at dimension p, smallest p it exists at)
 MODELS = {
     "thm3": (lambda p: CESModel(np.zeros(p), np.eye(p), parse_family("gaussian")), 1),
-    "transport": (lambda p: CESModel(np.zeros(p), spiked_covariance(p, 2.0), parse_family("k:0.5")), 3),
+    "transport": (
+        lambda p: CESModel(np.zeros(p), covariance_preset("spiked:gamma=2", p), parse_family("k:0.5")),
+        3,
+    ),
 }
 
 

@@ -120,6 +120,10 @@ def kurtosis_lower_bound(p: int) -> float:
     return -1.0 / (p + 1)
 
 
+_VECTOR_CLEAR = np.zeros(64)  # read by RngStream.generator, never written
+_VECTOR_CLEAR.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Addressable deterministic random stream.
@@ -138,6 +142,15 @@ class RngStream:
                 raise ValueError(f"{name} must be an integer in [0, 2^64), got {v!r}")
 
     def generator(self) -> np.random.Generator:
+        # numpy's random code is compiled for the SSE baseline, and SSE code
+        # runs slowly while the upper halves of the vector registers are
+        # dirty, as OpenBLAS's complex GEMM can leave them: after `m @ m` on
+        # a 4 x 4 complex matrix a k:0.5 gamma draw of 5120 took 2.48 ms
+        # instead of 0.35 ms (AVX-512 Xeon).  A float64 add over >= 16
+        # doubles runs numpy's AVX loop, which clears that state; over 8 it
+        # does not, as numpy takes its scalar path for short arrays.  So
+        # every draw starts clean, whatever ran before it.
+        np.add(_VECTOR_CLEAR, _VECTOR_CLEAR)
         return np.random.default_rng(
             np.random.SeedSequence((int(self.seed), int(self.stream_id)))
         )
@@ -229,8 +242,9 @@ def sample_ces(model: CESModel, n: int, rng: RngStream) -> np.ndarray:
     and then a texture ``tau_i``: ``||z_i||^2 / 2`` is the chi-square factor of
     ``r_i^2`` and ``z_i / ||z_i||`` an independent sphere direction, so the row
     has the law of ``mu + r_i * sqrt_cov @ u_i``.  The product with an
-    identity ``sqrt_cov`` is skipped, and so then is the sum with a zero
-    ``mu``: for finite draws they change no bit.
+    identity ``sqrt_cov`` is skipped, and so is the sum with a zero ``mu``,
+    whatever the covariance: for finite draws the product changes no bit,
+    and adding +0.0 changes only an entry that is exactly -0.0.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -241,7 +255,8 @@ def _draw_ces(model: CESModel, rng: RngStream, y: np.ndarray, out: np.ndarray | 
     """:func:`sample_ces` of ``len(y)`` rows into caller buffers: the float64
     (n, 2p) ``y`` takes the normal draw, and the complex128 (n, p) ``out``
     (a new array if None) its product with ``sqrt_cov``.  Returns the data:
-    ``y`` viewed as complex when that product is skipped, else ``out``."""
+    ``y`` viewed as complex when that product is skipped, else ``out``.
+    ``mu`` is added in place, and only when it is not zero."""
     gen = rng.generator()
     gen.standard_normal(out=y)
     # a real multiply of the float view has the bits of z * (s + 0j) for finite z
@@ -250,11 +265,6 @@ def _draw_ces(model: CESModel, rng: RngStream, y: np.ndarray, out: np.ndarray | 
     if not model._identity_sqrt:
         # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
         x = np.matmul(x, model.sqrt_cov.T, out=out)
-        # The sum stays after the GEMM even for a zero mu.  OpenBLAS's complex
-        # GEMM can return with the upper halves of the vector registers dirty,
-        # which slows the SSE code that runs next (numpy's gamma draws ran 6x
-        # slower on an AVX-512 Xeon), and numpy's loop for the sum clears them.
-        x += model.mu
-    elif not model._zero_mean:
+    if not model._zero_mean:
         x += model.mu  # in place: a fresh (n, p) array costs more than the sum
     return x

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -260,12 +262,13 @@ class TestSampleCes:
         + [
             pytest.param(Gaussian(), np.eye(3), np.zeros(3), id="identity-zero-mu"),
             pytest.param(CompoundGaussianK(0.5), np.eye(3), DRAW_MU, id="identity-mu"),
+            pytest.param(CompoundGaussianK(0.5), None, np.zeros(3), id="cov-zero-mu"),
         ],
     )
     def test_compound_gaussian_draw(self, family, cov, mu):
         # stream contract 3: one complex normal row z, then one texture tau per row;
-        # the sampler skips the product with an identity C, and then the sum with a
-        # zero mu, and must still give the bits of the full expression
+        # the sampler skips the product with an identity C and the sum with a zero
+        # mu, and must still give the bits of the full expression
         if cov is None:
             cov = random_hpd(np.random.default_rng(40), 3)
         model = CESModel(mu, cov, family)
@@ -330,3 +333,21 @@ class TestRngStream:
         a = RngStream(5, 9).generator().standard_normal(8)
         b = RngStream(5, 9).generator().standard_normal(8)
         np.testing.assert_array_equal(a, b)
+
+    def test_draw_speed_does_not_depend_on_a_preceding_gemm(self):
+        # OpenBLAS's complex GEMM can leave the upper halves of the vector
+        # registers dirty, and numpy's SSE random code then ran 2-4x slower;
+        # generator() clears that state, so a draw right after `m @ m` takes
+        # as long as one after a plain float add
+        model = CESModel(np.zeros(4), np.eye(4), CompoundGaussianK(0.5))
+        m = random_hpd(np.random.default_rng(46), 4)
+        a = np.ones(64)
+        times = {"clean": [], "after_gemm": []}
+        for _ in range(15):  # interleaved, so that both see the same load
+            for name, before in (("clean", lambda: np.add(a, a)), ("after_gemm", lambda: m @ m)):
+                before()
+                t0 = time.perf_counter()
+                sample_ces(model, 5120, RngStream(47))
+                times[name].append(time.perf_counter() - t0)
+        clean, after_gemm = min(times["clean"]), min(times["after_gemm"])
+        assert after_gemm <= 1.5 * clean, (after_gemm, clean)

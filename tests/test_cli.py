@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cescov
 from cescov.cli import main
 from cescov.lin_core import load_complex_matrix, scale_and_sphericity, spiked_covariance
 from cescov.mc_verify import Tolerances, verify_target
@@ -494,3 +499,18 @@ class TestEstimate:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--in", str(tmp_path / "nope.csv"))
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("gamma, code", [("2", 0), ("0.5", 2)])
+    def test_python_dash_m(self, gamma, code):
+        # `python -m cescov` runs the CLI from a source tree, exit code included
+        env = {**os.environ, "PYTHONPATH": str(Path(cescov.__file__).parents[1])}
+        argv = ["theory", "--n", "10", "--p", "4", "--kappa", "0", "--gamma", gamma]
+        done = subprocess.run([sys.executable, "-m", "cescov", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert json.loads(done.stdout)["gamma"] == 2.0
+        else:
+            assert done.stderr.startswith("error: sphericity must lie in [1, p]")

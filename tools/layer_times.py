@@ -1,22 +1,27 @@
-"""Per-chunk layer times of the Monte Carlo moment engine.
+"""Per-chunk layer times of the Monte Carlo engine.
 
-Runs ``empirical_moments`` on ``CHUNKS`` chunks of ``CHUNK`` replications
-for two ``mc-verify`` models at each requested p: ``thm3`` (gaussian,
-identity covariance) at every p and ``transport`` (k:0.5,
-``--cov spiked:gamma=2``) where p > 2.  The layers are timed inside that real chunk loop, which
-``_reduce_chunks`` drives, by wrapping the functions the moment kernel calls:
+Runs three ``mc-verify`` targets through ``mc_verify.verify_target``, as
+``cescov mc-verify`` runs them, on ``CHUNKS`` chunks of ``CHUNK``
+replications at each requested p: ``thm3`` (gaussian, identity covariance)
+at every p, and ``transport`` and ``oracle --plugin`` (k:0.5,
+``--cov spiked:gamma=2``) where p > 2.  The layers are timed inside the real
+chunk loop, which ``_reduce_chunks`` drives, by wrapping the functions the
+kernels call:
 
 * draw: ``_draw_chunk``, the chunk's (m, n, p) data;
-* statistic: the stacked statistic on that data;
-* accumulate: the rest of the moment kernel (its partial sums), taken as
-  the kernel's time less the two above;
+* draw0: chunk 0's draw alone, the first random draw after the target's
+  set-up (a mean over the chunks would hide a slow first draw);
+* statistic: ``_scm_stack``, the stacked SCM of that data;
+* accumulate: the rest of the kernel (its partial sums, and the plug-in
+  coefficient of ``oracle``), taken as the kernel's time less the two above;
 * merge: the rest of ``_reduce_chunks``, mostly the compensated merge of
   the partial sums, taken as its time less the kernels';
-* faults: the minor page faults of the process (``ru_minflt``).
+* faults: the minor page faults of the process (``ru_minflt``) during
+  ``_reduce_chunks``.
 
-Each figure is per chunk, the median over ``--repeat`` runs after one
-warm-up run; times are in milliseconds.  Run it with BLAS single-threaded,
-from the repository root::
+Each figure is per chunk (draw0: of chunk 0), the median over ``--repeat``
+runs after one warm-up run; times are in milliseconds.  Run it with BLAS
+single-threaded, from the repository root::
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/layer_times.py --p 2 4 10
 """
@@ -28,23 +33,18 @@ import resource
 import statistics
 import time
 
-import numpy as np
-
 from cescov import mc_verify as mc
-from cescov.ces_sampler import CESModel, parse_family
-from cescov.lin_core import covariance_preset
 
-COLUMNS = ("draw", "statistic", "accumulate", "merge", "faults")
+COLUMNS = ("draw", "draw0", "statistic", "accumulate", "merge", "faults")
 CHUNKS = 16  # chunks per timed run
 
-# model name -> (the CESModel at dimension p, smallest p it exists at)
-MODELS = {
-    "thm3": (lambda p: CESModel(np.zeros(p), np.eye(p), parse_family("gaussian")), 1),
-    "transport": (
-        lambda p: CESModel(np.zeros(p), covariance_preset("spiked:gamma=2", p), parse_family("k:0.5")),
-        3,
-    ),
+# target -> (its other verify_target arguments, smallest p it runs at)
+ROWS = {
+    "thm3": (dict(dist="gaussian", cov="identity"), 1),
+    "transport": (dict(dist="k:0.5", cov="spiked:gamma=2"), 3),
+    "oracle": (dict(dist="k:0.5", cov="spiked:gamma=2", plugin=True), 3),
 }
+PATCHED = ("_draw_chunk", "_scm_stack", "_reduce_chunks")
 
 
 def timed(fn, layer: str, totals: dict):
@@ -60,31 +60,39 @@ def timed(fn, layer: str, totals: dict):
     return wrapper
 
 
-def layer_times(model: CESModel, n: int, repeat: int) -> dict:
-    cfg = mc.MCConfig(replications=CHUNKS * mc.CHUNK, n=n, model=model, seed=1)
-    totals = dict.fromkeys(("draw", "statistic", "kernel", "reduce"), 0.0)
-    names = ("_draw_chunk", "_statistic_fn", "_reduce_chunks")
-    originals = {name: getattr(mc, name) for name in names}
-    mc._draw_chunk = timed(originals["_draw_chunk"], "draw", totals)
-    mc._statistic_fn = lambda name: timed(originals["_statistic_fn"](name), "statistic", totals)
+def layer_times(target: str, p: int, n: int, repeat: int) -> dict:
+    kwargs, _ = ROWS[target]
+    totals = dict.fromkeys(("draw", "draw0", "statistic", "kernel", "reduce", "faults"), 0.0)
+    originals = {name: getattr(mc, name) for name in PATCHED}
+    draw, draw0 = (timed(originals["_draw_chunk"], layer, totals) for layer in ("draw", "draw0"))
     reduce_chunks = timed(originals["_reduce_chunks"], "reduce", totals)
-    mc._reduce_chunks = lambda kernel, *args: reduce_chunks(timed(kernel, "kernel", totals), *args)
+
+    def counted_reduce(kernel, *args):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            return reduce_chunks(timed(kernel, "kernel", totals), *args)
+        finally:
+            totals["faults"] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+    mc._draw_chunk = lambda cfg, c, *rest: (draw0 if c == 0 else draw)(cfg, c, *rest)
+    mc._scm_stack = timed(originals["_scm_stack"], "statistic", totals)
+    mc._reduce_chunks = counted_reduce
+    run = lambda: mc.verify_target(target, n=n, p=p, replications=CHUNKS * mc.CHUNK, seed=1, **kwargs)
     runs = []
     try:
-        mc.empirical_moments(cfg)  # warm-up
+        run()  # warm-up
         for _ in range(repeat):
             totals.update(dict.fromkeys(totals, 0.0))
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            mc.empirical_moments(cfg)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            draw, stat, kernel, whole = (totals[k] for k in ("draw", "statistic", "kernel", "reduce"))
-            ms = 1e3 / CHUNKS
+            run()
+            t, ms = totals, 1e3 / CHUNKS
+            draws = t["draw"] + t["draw0"]
             runs.append({
-                "draw": draw * ms,
-                "statistic": stat * ms,
-                "accumulate": (kernel - draw - stat) * ms,
-                "merge": (whole - kernel) * ms,
-                "faults": faults / CHUNKS,
+                "draw": draws * ms,
+                "draw0": t["draw0"] * 1e3,
+                "statistic": t["statistic"] * ms,
+                "accumulate": (t["kernel"] - draws - t["statistic"]) * ms,
+                "merge": (t["reduce"] - t["kernel"]) * ms,
+                "faults": t["faults"] / CHUNKS,
             })
     finally:
         for name, fn in originals.items():
@@ -99,14 +107,15 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args()
     print(f"{CHUNKS} chunks of {mc.CHUNK} replications, n={args.n}, median of {args.repeat} runs, "
-          "ms and minor page faults per chunk")
-    print(f"{'model':<10} {'p':>3} {'draw':>8} {'statistic':>10} {'accumulate':>11} {'merge':>8} {'faults':>8}")
-    for name, (model, p_min) in MODELS.items():
+          "ms and minor page faults per chunk (draw0: chunk 0's draw)")
+    print(f"{'model':<10} {'p':>3} {'draw':>8} {'draw0':>8} {'statistic':>10} {'accumulate':>11} "
+          f"{'merge':>8} {'faults':>8}")
+    for target, (_, p_min) in ROWS.items():
         for p in args.p:
             if p < p_min:
                 continue
-            t = layer_times(model(p), args.n, args.repeat)
-            print(f"{name:<10} {p:>3} {t['draw']:8.2f} {t['statistic']:10.2f} "
+            t = layer_times(target, p, args.n, args.repeat)
+            print(f"{target:<10} {p:>3} {t['draw']:8.2f} {t['draw0']:8.2f} {t['statistic']:10.2f} "
                   f"{t['accumulate']:11.2f} {t['merge']:8.2f} {t['faults']:8.1f}")
 
 

@@ -111,7 +111,7 @@ _WEIGHTS = {
 def _statistic_fn(name: str):
     """The named statistic on a stack: (m, n, p) data and a workspace to the
     Hermitian coordinates (m, p^2) of its m matrices, in a buffer of that
-    workspace.  Centres the data in place."""
+    workspace.  Overwrites the data."""
     if name == "scm":
         return lambda x, ws: _scm_stack(x, ws)[0]
     if name.startswith("wscm:"):
@@ -199,14 +199,17 @@ def _merge(parts) -> dict:
     """Compensated sums of partial dicts taken in order, with the keys,
     shapes and dtypes of the first.  Each partial is flattened into one
     float64 vector, a complex entry as its real and imaginary parts, so one
-    accumulator sums every real component."""
+    accumulator sums every real component; the vector is one buffer that
+    every partial of the run is copied into."""
     parts = iter(parts)
     first = next(parts)
     layout = [(key, np.shape(v), np.result_type(v, np.float64)) for key, v in first.items()]
+    sizes = [math.prod(shape) * (2 if dtype.kind == "c" else 1) for _, shape, dtype in layout]
+    buf = np.empty(sum(sizes))
 
     def flat(part):
         values = (np.asarray(part[key], dtype).ravel() for key, _, dtype in layout)
-        return np.concatenate([v.view(np.float64) for v in values])
+        return np.concatenate([v.view(np.float64) for v in values], out=buf)
 
     head = flat(first)
     acc = _Kahan(head)
@@ -214,8 +217,7 @@ def _merge(parts) -> dict:
     for part in parts:
         acc.add(flat(part))
     tot, out, lo = acc.total(), {}, 0
-    for key, shape, dtype in layout:
-        size = math.prod(shape) * (2 if dtype.kind == "c" else 1)
+    for (key, shape, dtype), size in zip(layout, sizes):
         value = tot[lo : lo + size].view(dtype).reshape(shape)
         out[key] = value[()] if value.ndim == 0 else value
         lo += size
@@ -580,13 +582,13 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
 # ---------------------------------------------------------------------------
 
 
-def _plugin_beta(dev: np.ndarray, h: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Per-replication plug-in shrinkage coefficients of an (m, n, p) stack
-    of centred datasets with SCM coordinates h, from its estimated
-    sphericity and kurtosis."""
-    n, p = dev.shape[-2:]
+def _plugin_beta(rows: np.ndarray, h: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Per-replication plug-in shrinkage coefficients of a stack of datasets
+    with centred observation-major rows (n, m, 2p) and SCM coordinates h,
+    from its estimated sphericity and kurtosis."""
+    n, p = rows.shape[0], rows.shape[2] // 2
     _, gamma = _scale_and_sphericity_stack(h)
-    return beta_opt(nmse_from_sphericity(n, p, gamma, _kurtosis_stack(dev, ws)))
+    return beta_opt(nmse_from_sphericity(n, p, gamma, _kurtosis_stack(rows, ws)))
 
 
 def _oracle_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray, beta: float, plugin: bool) -> dict:
@@ -595,15 +597,14 @@ def _oracle_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray, beta: float, 
     coordinates ref."""
     sq_norm = _hermitian_coords(cfg.model.dim).sq_norm
     with _borrowed_workspace() as ws:
-        x = _draw_chunk(cfg, c, m, ws)
-        h, _ = _scm_stack(x, ws)  # leaves x centred
+        h, _, rows = _scm_stack(_draw_chunk(cfg, c, m, ws), ws)  # rows: the centred data
         d = ws.take("err", h.shape)
         e1 = sq_norm(np.subtract(h, ref, out=d))
         np.multiply(beta, h, out=d)
         e2 = sq_norm(np.subtract(d, ref, out=d))
         part = {"e1": e1.sum(), "e2": e2.sum(), "e11": e1 @ e1, "e22": e2 @ e2, "e12": e1 @ e2}
         if plugin:
-            np.multiply(_plugin_beta(x, h, ws)[:, None], h, out=d)
+            np.multiply(_plugin_beta(rows, h, ws)[:, None], h, out=d)
             part["e3"] = sq_norm(np.subtract(d, ref, out=d)).sum()
         return part
 

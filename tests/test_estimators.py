@@ -12,6 +12,7 @@ from cescov.ces_sampler import (
 )
 from cescov.errors import DegenerateCoordinate, SingularSCM, TooFewObservations
 from cescov.estimators import (
+    _scm_stack,
     estimate_kurtosis,
     require_dataset,
     sample_mean,
@@ -19,7 +20,7 @@ from cescov.estimators import (
     scm,
     weighted_scm,
 )
-from cescov.lin_core import centering_matrix
+from cescov.lin_core import _hermitian_coords, _Workspace, centering_matrix
 
 from util import random_complex, random_hpd, random_unitary
 
@@ -35,13 +36,63 @@ from util import random_complex, random_hpd, random_unitary
     ids=["scm", "wscm:one", "wscm:fobi", "kurtosis"],
 )
 def test_estimators_leave_the_callers_data_unchanged(estimate):
-    # the stacked cores centre their input in place; a C-contiguous complex128
-    # dataset reaches them without a copy from require_dataset
+    # the stacked SCM overwrites its input; a C-contiguous complex128 dataset
+    # reaches the public functions without a copy from require_dataset
     x = random_complex(np.random.default_rng(57), 12, 3)
     assert require_dataset(x) is x
     before = x.tobytes()
     estimate(x)
     assert x.tobytes() == before
+
+
+class TestScmStack:
+    """The stacked SCM of an (m, n, p) stack against a direct complex
+    computation, one dataset at a time."""
+
+    N = 30  # above every p, so that weighted_scm is defined
+
+    @pytest.fixture(scope="class", params=[1, 2, 4, 10, 24], ids=lambda p: f"p{p}")
+    def p(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class", params=[1, 3, 512], ids=lambda m: f"m{m}")
+    def stack(self, request, p):
+        gen = np.random.default_rng(1000 * p + request.param)
+        x = random_complex(gen, request.param, self.N, p) + random_complex(gen, 1, 1, p)
+        ws = _Workspace()
+        h, xbar, rows = _scm_stack(x.copy(), ws)
+        return x, h.copy(), xbar.copy(), rows.copy()
+
+    def test_coordinates_match_the_complex_definition(self, stack):
+        x, h, _, _ = stack
+        m, n, p = x.shape
+        d = x - x.mean(axis=1, keepdims=True)
+        coords = _hermitian_coords(p)
+        for i in range(m):
+            ref = d[i].T @ d[i].conj() / (n - 1)  # sum_k d_k d_k^H / (n - 1)
+            got = coords.to_matrix(h[i])
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_matrices_are_exactly_hermitian(self, stack):
+        s = _hermitian_coords(stack[0].shape[-1]).to_matrix(stack[1])
+        np.testing.assert_array_equal(s, s.conj().swapaxes(-1, -2))
+
+    def test_means_keep_the_bits_of_numpy_mean(self, stack):
+        x, _, xbar, _ = stack
+        for i in range(len(x)):
+            np.testing.assert_array_equal(xbar[i], x[i].mean(axis=0))
+
+    def test_rows_are_the_deviations_observation_major(self, stack):
+        x, _, xbar, rows = stack
+        np.testing.assert_array_equal(rows.view(np.complex128).swapaxes(0, 1), x - xbar[:, None, :])
+
+    def test_public_estimators_leave_the_callers_data_unchanged(self, p):
+        x = random_complex(np.random.default_rng(p), self.N, p)
+        before = x.tobytes()
+        scm(x)
+        weighted_scm(x, lambda d: d)
+        estimate_kurtosis(x)
+        assert x.tobytes() == before
 
 
 class TestSampleMean:

@@ -20,7 +20,7 @@ from cescov.ces_sampler import (
     sample_ces,
 )
 from cescov.errors import InvalidFamily, SingularSCM
-from cescov.estimators import estimate_kurtosis, scm, weighted_scm
+from cescov.estimators import _scm_stack, estimate_kurtosis, scm, weighted_scm
 from cescov.lin_core import (
     _hermitian_coords,
     _vec_transpose_index,
@@ -261,8 +261,9 @@ class TestStackedKernels:
 
     def test_plugin_beta_matches_single_dataset(self, chunk):
         n, p = chunk.shape[1:]
-        dev, ws = chunk.copy(), _Workspace()  # the stacked SCM centres dev in place
-        stacked = _plugin_beta(dev, _statistic_fn("scm")(dev, ws), ws)
+        ws = _Workspace()
+        h, _, rows = _scm_stack(chunk.copy(), ws)  # rows: the centred data, observation-major
+        stacked = _plugin_beta(rows, h, ws)
         for i, x in enumerate(chunk):
             _, gamma = scale_and_sphericity(scm(x).s)
             kappa = estimate_kurtosis(x)

@@ -20,8 +20,10 @@ kernels call:
   ``_reduce_chunks``.
 
 Each figure is per chunk (draw0: of chunk 0), the median over ``--repeat``
-runs after one warm-up run; times are in milliseconds.  Run it with BLAS
-single-threaded, from the repository root::
+runs after one warm-up run; times are in milliseconds.  The header names
+numpy's version and its BLAS, whose small-matrix gemm path sets the
+statistic's speed.  Run it with BLAS single-threaded, from the repository
+root::
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/layer_times.py --p 2 4 10
 """
@@ -32,6 +34,8 @@ import argparse
 import resource
 import statistics
 import time
+
+import numpy as np
 
 from cescov import mc_verify as mc
 
@@ -58,6 +62,12 @@ def timed(fn, layer: str, totals: dict):
             totals[layer] += time.perf_counter() - t0
 
     return wrapper
+
+
+def versions() -> str:
+    """numpy's version and the name and version of its BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
 
 
 def layer_times(target: str, p: int, n: int, repeat: int) -> dict:
@@ -107,7 +117,7 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args()
     print(f"{CHUNKS} chunks of {mc.CHUNK} replications, n={args.n}, median of {args.repeat} runs, "
-          "ms and minor page faults per chunk (draw0: chunk 0's draw)")
+          f"ms and minor page faults per chunk (draw0: chunk 0's draw); {versions()}")
     print(f"{'model':<10} {'p':>3} {'draw':>8} {'draw0':>8} {'statistic':>10} {'accumulate':>11} "
           f"{'merge':>8} {'faults':>8}")
     for target, (_, p_min) in ROWS.items():

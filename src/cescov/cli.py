@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument(
         "--workers", type=int, default=1,
-        help="threads of this process that run the chunks; reports are bit-identical at any "
-        "count (with more than 1, set OPENBLAS_NUM_THREADS=1 / OMP_NUM_THREADS=1)",
+        help="threads of this process that run the chunks, kept idle between runs; reports are "
+        "bit-identical at any count (with more than 1, set OPENBLAS_NUM_THREADS=1 / OMP_NUM_THREADS=1)",
     )
     p_mc.add_argument("--stat", default="scm", choices=STATISTICS)
     p_mc.add_argument("--plugin", action="store_true", help="report plug-in shrinkage ratio")

@@ -9,11 +9,12 @@ draws for the sphere check), the last chunk holding the remainder.  Chunk
 ``c`` draws all of its data from the single random stream ``(seed, c)`` as
 one ``(m, n, p)`` tensor, computes the statistic for the whole stack at
 once and reduces it to partial sums.  The partial sums are merged in chunk
-order with compensated (Neumaier) summation as they arrive.  Results are
-therefore bit-identical for a fixed seed regardless of the worker count,
-and the second-moment accumulations keep enough digits over 1e5+
-replications to be compared against percent-level tolerances.  Contract 3
-draws each chunk's CES data in compound-Gaussian form (``sample_ces``).
+order as they arrive, each real component by a plain left-to-right sum that
+starts from chunk 0's partial.  Results are therefore bit-identical for a
+fixed seed regardless of the worker count.  A recursive sum of k partials is
+off by at most (k - 1) u sum |x_i| (u = 2^-53), far below the percent-level
+Monte Carlo standard errors it is compared against.  Contract 3 draws each
+chunk's CES data in compound-Gaussian form (``sample_ces``).
 
 The moments of a Hermitian p x p statistic accumulate on its p^2 real
 coordinates (``lin_core._hermitian_coords``): the diagonal and the real and
@@ -22,9 +23,6 @@ chunk.  A run rebuilds the complex p^2 x p^2 covariance and its standard
 errors from them once, by an exact index map.  Reports therefore differ from
 those of the complex accumulation by rounding only, under the same stream
 contract 3.
-
-A chunk's partial sums merge as one flat float64 vector, a complex entry as
-its real and imaginary parts, so the compensation works per real component.
 
 Each running chunk borrows a workspace (``lin_core._Workspace``) from the
 idle list ``_IDLE`` and gives it back when it ends, also when it raises.  The
@@ -44,20 +42,26 @@ the bits of numpy's ``mean``.
 
 ``workers > 1`` runs the chunks on that many threads of the calling process
 (numpy releases the GIL in the kernels that dominate a chunk), over the same
-chunk grid, so the worker count changes no bit of a result.  Chunk code
-should therefore use ufunc and BLAS calls, which release the GIL for their
-work: on two threads of a 2-CPU VM, centring a chunk with ``einsum`` ran
-1.0-1.5x as fast as on one, against 1.5-1.75x with the ufunc ``mean``.  Run
-BLAS single-threaded (``OPENBLAS_NUM_THREADS=1`` / ``OMP_NUM_THREADS=1``)
-with ``workers > 1`` so that the two levels of threads do not oversubscribe
-the CPUs.
+chunk grid, so the worker count changes no bit of a result.  The threads
+belong to one pool that lives as long as the process: it is started by the
+first run that asks for them, waits idle between runs, and is shared by
+concurrent runs with the same worker count.  A run that asks for another
+count replaces it, so at most one pool exists.  A child made by ``os.fork``
+starts without it and makes its own.  Chunk code should use ufunc and BLAS
+calls, which release the GIL for their work: on two threads of a 2-CPU VM,
+centring a chunk with ``einsum`` ran 1.0-1.5x as fast as on one, against
+1.5-1.75x with the ufunc ``mean``.  Run BLAS single-threaded
+(``OPENBLAS_NUM_THREADS=1`` / ``OMP_NUM_THREADS=1``) with ``workers > 1`` so
+that the two levels of threads do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -147,81 +151,67 @@ class MCConfig:
                                 "standard errors, eighth-order moments of the data, do not exist")
 
 
-class _Kahan:
-    """Neumaier-compensated elementwise accumulator of float64 values.
+# The worker threads of runs with workers > 1: one pool of exactly _POOL_SIZE
+# threads, made on first use and kept between runs.  _POOL_LOCK guards the
+# pair and the submission of a run's chunks.
+_POOL: ThreadPoolExecutor | None = None
+_POOL_SIZE = 0
+_POOL_LOCK = threading.Lock()
 
-    ``add`` works in buffers allocated once, so merging a chunk allocates
-    nothing; its bits are those of the textbook update
-    ``t = s + x; c += (s - t) + x if |s| >= |x| else (x - t) + s; s = t``.
-    """
 
-    def __init__(self, like):
-        self.s = np.zeros_like(like, dtype=np.float64)
-        self.c = np.zeros_like(self.s)
-        self._t, self._u, self._v = (np.empty_like(self.s) for _ in range(3))
-        self._big = np.empty(self.s.shape, dtype=bool)
-
-    def add(self, x):
-        s, t, u, v, big = self.s, self._t, self._u, self._v, self._big
-        np.greater_equal(np.abs(s, out=u), np.abs(x, out=v), out=big)
-        np.add(s, x, out=t)
-        np.subtract(s, t, out=u)
-        u += x  # (s - t) + x, taken where |s| >= |x|
-        np.subtract(x, t, out=v)
-        v += s  # (x - t) + s, taken elsewhere
-        np.copyto(v, u, where=big)
-        self.c += v
-        self.s, self._t = t, s
-
-    def total(self):
-        return self.s + self.c
+def _worker_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of exactly ``workers`` threads.  A pool of another
+    size is replaced, and shut down without waiting: the chunks already
+    queued on it still run.  Call with ``_POOL_LOCK`` held."""
+    global _POOL, _POOL_SIZE
+    if _POOL_SIZE != workers:
+        if _POOL is not None:
+            _POOL.shutdown(wait=False)
+        _POOL, _POOL_SIZE = ThreadPoolExecutor(workers, thread_name_prefix="cescov-mc"), workers
+    return _POOL
 
 
 def _reduce_chunks(kernel, total: int, chunk: int, workers: int) -> dict:
-    """Compensated sums of the partials ``kernel(c, m)`` over the fixed grid
-    of ``total`` items in chunks of ``chunk`` (chunk ``c`` holds ``m`` items).
+    """Sums of the partials ``kernel(c, m)`` over the fixed grid of ``total``
+    items in chunks of ``chunk`` (chunk ``c`` holds ``m`` items).
 
     Partials are dicts of arrays or scalars.  Each is merged in chunk order
     as soon as it arrives, so a run holds only the partials that finished
-    ahead of their turn, never the whole list.  With ``workers > 1`` the
-    kernels run on that many threads of this process over the same grid, so
-    the sums are bit-identical at any worker count; an exception in a kernel
-    cancels the chunks not yet started and is raised here.
+    ahead of their turn, never the whole list.  With ``workers > 1`` every
+    chunk is queued on the process's pool of that many threads, which caps
+    how many run at once, over the same grid, so the sums are bit-identical
+    at any worker count.  An exception in a kernel cancels the chunks not yet
+    started and is raised here once the running ones have ended.  Kernels
+    must not call ``_reduce_chunks``: a chunk that waits for chunks queued
+    behind it on the same pool can deadlock.
     """
     sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
     if workers == 1:
         return _merge(map(kernel, range(len(sizes)), sizes))
-    with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-        return _merge(pool.map(kernel, range(len(sizes)), sizes))
+    with _POOL_LOCK:
+        pool = _worker_pool(workers)
+        pending = deque(pool.submit(kernel, c, m) for c, m in enumerate(sizes))
+    try:
+        return _merge(pending.popleft().result() for _ in sizes)
+    except BaseException:
+        for future in pending:
+            future.cancel()
+        wait(pending)
+        raise
 
 
 def _merge(parts) -> dict:
-    """Compensated sums of partial dicts taken in order, with the keys,
-    shapes and dtypes of the first.  Each partial is flattened into one
-    float64 vector, a complex entry as its real and imaginary parts, so one
-    accumulator sums every real component; the vector is one buffer that
-    every partial of the run is copied into."""
+    """Sums of partial dicts taken in order, with the keys and shapes of the
+    first and its dtypes promoted to at least float64.  The sum starts from a
+    copy of the first partial and adds each later one in place, so every real
+    component (a complex entry's real and imaginary parts) is the plain
+    left-to-right sum of its values."""
     parts = iter(parts)
-    first = next(parts)
-    layout = [(key, np.shape(v), np.result_type(v, np.float64)) for key, v in first.items()]
-    sizes = [math.prod(shape) * (2 if dtype.kind == "c" else 1) for _, shape, dtype in layout]
-    buf = np.empty(sum(sizes))
-
-    def flat(part):
-        values = (np.asarray(part[key], dtype).ravel() for key, _, dtype in layout)
-        return np.concatenate([v.view(np.float64) for v in values], out=buf)
-
-    head = flat(first)
-    acc = _Kahan(head)
-    acc.add(head)
+    out = {key: np.array(v, np.result_type(v, np.float64)) for key, v in next(parts).items()}
     for part in parts:
-        acc.add(flat(part))
-    tot, out, lo = acc.total(), {}, 0
-    for (key, shape, dtype), size in zip(layout, sizes):
-        value = tot[lo : lo + size].view(dtype).reshape(shape)
-        out[key] = value[()] if value.ndim == 0 else value
-        lo += size
-    return out
+        for key, value in out.items():
+            value += part[key]
+    return {key: value[()] if value.ndim == 0 else value for key, value in out.items()}
 
 
 # Workspaces not lent to a running chunk.  No two running chunks share one,
@@ -245,6 +235,19 @@ def _borrowed_workspace():
         with _IDLE_LOCK:
             if ws.nbytes + sum(idle.nbytes for idle in _IDLE) <= _IDLE_CAP:
                 _IDLE.append(ws)
+
+
+def _forget_threads():
+    """In a child made by ``os.fork``: drop the parent's pool, whose threads
+    do not exist here, and renew the locks, which a thread of the parent may
+    have held at the fork."""
+    global _POOL, _POOL_SIZE, _POOL_LOCK, _IDLE_LOCK
+    _POOL, _POOL_SIZE = None, 0
+    _POOL_LOCK, _IDLE_LOCK = threading.Lock(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_threads)
 
 
 def _draw_chunk(cfg: MCConfig, c: int, m: int, ws: _Workspace) -> np.ndarray:

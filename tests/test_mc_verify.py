@@ -1,7 +1,12 @@
+import functools
+import operator
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -40,7 +45,6 @@ from cescov.mc_verify import (
     radial_estimate_from_moments,
     verify_oracle_efficiency,
     verify_sphere_moments,
-    _Kahan,
     _draw_chunk,
     _merge,
     _moment_kernel,
@@ -270,22 +274,12 @@ class TestStackedKernels:
             assert stacked[i] == beta_opt(nmse_from_sphericity(n, p, gamma, kappa))
 
 
-class TestKahan:
+class TestMerge:
     @staticmethod
-    def neumaier(values):
-        """The textbook Neumaier sum, one Python number at a time."""
-        s = c = 0.0
-        for x in values:
-            t = s + x
-            c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
-            s = t
-        return s + c
-
-    def test_cancels_exactly(self):
-        acc = _Kahan(0.0)
-        for x in (1e16, 1.0, -1e16):
-            acc.add(np.float64(x))
-        assert acc.total() == 1.0  # a plain sum gives 0.0
+    def in_order(values):
+        """The left-to-right sum, one Python number at a time, that starts
+        from the first value."""
+        return functools.reduce(operator.add, values)
 
     @staticmethod
     def columns():
@@ -295,36 +289,31 @@ class TestKahan:
         cols = [[1e16, 1.0, -1e16, 3.0], [1.0, 1e100, 1.0, -1e100], [-0.0, 0.0, -0.0, 5e-324]]
         return cols + (gen.standard_normal((5, 4)) * 10.0 ** gen.integers(-20, 20, (5, 4))).tolist()
 
-    def test_bits_match_the_textbook_update(self):
-        rows = np.array(self.columns()).T
-        acc = _Kahan(rows[0])
-        for row in rows:
-            acc.add(row)
-        want = np.array([self.neumaier(col) for col in rows.T])
-        np.testing.assert_array_equal(acc.total().view(np.uint64), want.view(np.uint64))
-
     def test_merge_sums_each_real_component(self):
-        # four partials of complex, matrix and 0-d scalar entries, merged as
-        # one flat vector: each real and each imaginary part is the textbook
-        # sum, and an integer entry is summed as float64
+        # four partials of complex, matrix and 0-d scalar entries: each real
+        # and each imaginary part is the in-order sum, an integer entry is
+        # summed as float64, and a -0.0 in every partial stays -0.0 (a sum
+        # that started from +0.0 would give +0.0)
         cols = np.array(self.columns())  # (8, 4): 8 components over 4 partials
         parts = [
             {
-                "vec": cols[:3, k] + 1j * cols[3:6, k],
+                "vec": np.array([complex(cols[i, k], cols[i + 3, k]) for i in range(3)]),
                 "mat": cols[:, k].reshape(2, 4),
                 "real": cols[6, k],
                 "cplx": complex(cols[7, k], cols[0, k]),
                 "int": k,
+                "negzero": -0.0,
             }
             for k in range(cols.shape[1])
         ]
         tot = _merge(parts)
         want = {
-            "vec": np.array([complex(self.neumaier(cols[i]), self.neumaier(cols[i + 3])) for i in range(3)]),
-            "mat": np.array([self.neumaier(col) for col in cols]).reshape(2, 4),
-            "real": np.float64(self.neumaier(cols[6])),
-            "cplx": np.complex128(complex(self.neumaier(cols[7]), self.neumaier(cols[0]))),
+            "vec": np.array([complex(self.in_order(cols[i]), self.in_order(cols[i + 3])) for i in range(3)]),
+            "mat": np.array([self.in_order(col) for col in cols]).reshape(2, 4),
+            "real": np.float64(self.in_order(cols[6])),
+            "cplx": np.complex128(complex(self.in_order(cols[7]), self.in_order(cols[0]))),
             "int": np.float64(6.0),
+            "negzero": np.float64(-0.0),
         }
         assert list(tot) == list(want)
         for key, value in want.items():
@@ -348,19 +337,128 @@ class TestReduceChunks:
         for key in serial:
             np.testing.assert_array_equal(serial[key], threaded[key])
 
-    def test_kernel_error_cancels_the_queued_chunks(self):
-        calls = []
+    def test_runs_reuse_the_pool_threads(self):
+        threads = set()
 
         def kernel(c, m):
-            calls.append(c)
-            if c == 0:
-                raise ValueError("chunk 0 failed")
-            time.sleep(0.01)
+            threads.add(threading.current_thread())  # the object: an ident can be reused
+            time.sleep(0.001)
             return {"n": float(m)}
+
+        _reduce_chunks(kernel, 64, 8, workers=2)  # the pool exists from here on
+        threads_before = threading.active_count()
+        for _ in range(20):
+            assert _reduce_chunks(kernel, 64, 8, workers=2)["n"] == 64.0
+        assert 1 <= len(threads) <= 2
+        assert threading.current_thread() not in threads
+        assert threading.active_count() <= threads_before
+        assert all(t.name.startswith("cescov-mc") and t.is_alive() for t in threads)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_caps_the_running_chunks(self, workers):
+        lock = threading.Lock()
+        running, peak = [0], [0]
+
+        def kernel(c, m):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.005)
+            with lock:
+                running[0] -= 1
+            return {"n": float(m)}
+
+        assert _reduce_chunks(kernel, 8 * 4 * workers, 8, workers)["n"] == 8 * 4 * workers
+        assert peak[0] == workers
+
+    def test_kernel_error_cancels_the_queued_chunks(self, monkeypatch):
+        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        calls, ended, lent = [], [], []
+
+        def kernel(c, m):
+            with mc_verify._borrowed_workspace() as ws:
+                ws.take("x", (m,))
+                calls.append(c)
+                lent.append(ws)
+                if c == 0:
+                    raise ValueError("chunk 0 failed")
+                time.sleep(0.01)
+                ended.append(c)
+                return {"n": float(m)}
 
         with pytest.raises(ValueError, match="chunk 0 failed"):
             _reduce_chunks(kernel, 64 * 8, 8, workers=2)
-        assert len(calls) < 64
+        ran = len(calls)
+        assert ran < 64
+        assert sorted(ended) == sorted(calls)[1:]  # every chunk that started has ended
+        time.sleep(0.05)
+        assert len(calls) == ran  # and no queued one starts later
+        # every workspace lent to a chunk came back
+        assert {id(ws) for ws in mc_verify._IDLE} == {id(ws) for ws in lent}
+
+    def test_concurrent_runs_share_or_replace_the_pool(self):
+        # callers with equal counts share the pool; a caller with another
+        # count replaces it while chunks of the others are still queued there
+        def kernel(c, m):
+            time.sleep(0.001)
+            return {"c": float(c), "n": float(m)}
+
+        want = _reduce_chunks(kernel, 8 * 12, 8, workers=1)
+        got, errors = [], []
+
+        def caller(workers):
+            try:
+                for _ in range(5):
+                    got.append(_reduce_chunks(kernel, 8 * 12, 8, workers))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        callers = [threading.Thread(target=caller, args=(w,)) for w in (2, 2, 3, 3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors
+        assert got == [want] * 20
+
+    def test_switching_worker_counts_changes_no_bit(self):
+        want = report_digests()
+        for workers in (2, 4, 2):
+            _reduce_chunks(lambda c, m: {"n": float(m)}, 64, 8, workers)
+            assert report_digests() == want
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_its_own_pool(self):
+        cfg = MCConfig(3 * CHUNK + 7, 10, spherical_model(3, CompoundGaussianK(0.5)), seed=71, workers=2)
+        want = empirical_moments(cfg).var_emp  # the parent's pool threads exist at the fork
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that forking a process with threads may deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: send the bits of the same run (1.3 kB, within a pipe buffer), then leave
+            try:
+                os.close(read)
+                with os.fdopen(write, "wb") as out:
+                    out.write(empirical_moments(cfg).var_emp.tobytes())
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as inp:
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                time.sleep(0.05)
+            else:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its workers=2 run in 60 s")
+            got = inp.read()
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == want.tobytes()
 
 
 class TestWorkspaces:

@@ -14,8 +14,9 @@ kernels call:
 * statistic: ``_scm_stack``, the stacked SCM of that data;
 * accumulate: the rest of the kernel (its partial sums, and the plug-in
   coefficient of ``oracle``), taken as the kernel's time less the two above;
-* merge: the rest of ``_reduce_chunks``, mostly the compensated merge of
-  the partial sums, taken as its time less the kernels';
+* merge: the rest of ``_reduce_chunks``, mostly the in-order merge of the
+  partial sums (a copy of chunk 0's, then one in-place add per chunk),
+  taken as its time less the kernels';
 * faults: the minor page faults of the process (``ru_minflt``) during
   ``_reduce_chunks``.
 

@@ -214,6 +214,8 @@ class CESModel:
         mu = np.asarray(self.mu, dtype=np.complex128)
         if mu.ndim != 1:
             raise ValueError(f"mu must be a 1-D vector, got shape {mu.shape}")
+        if mu.size == 0:
+            raise ValueError("p must be >= 1, got an empty mu")
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu contains non-finite entries")
         cov = hermitize(self.cov, name="cov")

@@ -11,16 +11,12 @@ The covariance cores return the p^2 real Hermitian coordinates of
 float view; the public functions assemble the matrix from them, which makes
 it exactly Hermitian.
 
-The cores write their temporaries, and their results, into the buffers of a
-``lin_core._Workspace``: the Monte Carlo harness lends each chunk one that
-persists across chunks, and the public functions pass a new one.  The
-centred data lives in the workspace buffer "rows", observation-major
-(n, m, 2p), a complex entry as its real and imaginary parts: the row means,
-the centring and the kurtosis moments are reduces and subtractions over its
-outer axis.  The covariance cores overwrite their input stack with a second
-copy of those rows, so that each Gram is a product of two buffers, which
-numpy sends to BLAS gemm (a product A^T A within one buffer goes to syrk,
-which has no small-matrix path); the public functions pass them a copy.
+The cores read their input stack only, and write their temporaries and
+their results into the buffers of a workspace that the caller borrows from
+``lin_core._borrowed_workspace``.  The centred data lives in the workspace
+buffer "rows", observation-major (n, m, 2p), a complex entry as its real and
+imaginary parts: the row means, the centring and the kurtosis moments are
+reduces and subtractions over its outer axis.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCoordinate, SingularSCM, TooFewObservations
-from .lin_core import PD_RTOL, _hermitian_coords, _Workspace
+from .lin_core import PD_RTOL, _borrowed_workspace, _hermitian_coords, _Workspace
 from .ces_sampler import kurtosis_lower_bound
 
 __all__ = [
@@ -102,19 +98,17 @@ def _centred_rows(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray
 def _scm_stack(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unbiased SCMs, as Hermitian coordinates (m, p^2), row means (m, p)
     and the centred observation-major rows (n, m, 2p) of
-    :func:`_centred_rows`, of a C-contiguous complex (m, n, p) stack of
-    datasets, all three in buffers of the workspace.
+    :func:`_centred_rows`, of a complex (m, n, p) stack of datasets, in
+    buffers of the workspace (the means at p >= 2).  Reads ``x`` only.
 
-    Overwrites ``x``: its memory takes a second copy of the centred rows, so
-    that the Gram's two operands lie in different buffers.  numpy sends a
-    product A^T A of one buffer to BLAS syrk, and a product of two to gemm,
-    whose small-matrix path builds the m small Grams 1.8-3.5x as fast
-    (OpenBLAS 0.3.31, n = 10, p = 2 to 24).  Callers that must keep their
-    data pass a copy.
+    The Gram's second operand is a copy of the centred rows in the workspace
+    buffer "twin".  numpy sends a product A^T A of one buffer to BLAS syrk,
+    and a product of two to gemm, whose small-matrix path builds the m small
+    Grams 1.8-3.5x as fast (OpenBLAS 0.3.31, n = 10, p = 2 to 24).
     """
     m, n, p = x.shape
     xbar, rows = _centred_rows(x, ws)
-    twin = x.view(np.float64).reshape(rows.shape)
+    twin = ws.take("twin", rows.shape)
     np.copyto(twin, rows)
     g = np.matmul(rows.transpose(1, 2, 0), twin.transpose(1, 0, 2), out=ws.take("gram", (m, 2 * p, 2 * p)))
     return _hermitian_coords(p).from_gram(g, 1.0 / (n - 1), ws), xbar, rows
@@ -132,8 +126,9 @@ def scm(x) -> SCMResult:
         If the dataset has fewer than two rows.
     """
     x = require_dataset(x, min_rows=2)
-    h, xbar, _ = _scm_stack(x[None].copy(), _Workspace())
-    return SCMResult(s=_hermitian_coords(x.shape[1]).to_matrix(h[0]), xbar=xbar[0], n=x.shape[0])
+    with _borrowed_workspace() as ws:
+        h, xbar, _ = _scm_stack(x[None], ws)
+        return SCMResult(s=_hermitian_coords(x.shape[1]).to_matrix(h[0]), xbar=xbar[0].copy(), n=x.shape[0])
 
 
 def sample_variance(x) -> float:
@@ -151,9 +146,8 @@ def _weighted_scm_stack(x: np.ndarray, weight_fn, ws: _Workspace) -> np.ndarray:
     """Weighted covariance matrices, as Hermitian coordinates (m, p^2) in a
     workspace buffer, of an (m, n, p) stack of datasets; see
     :func:`weighted_scm`.  ``weight_fn`` receives the squared distances of
-    all m * n rows as one flat array.  Overwrites ``x``, as
-    :func:`_scm_stack` does, and reads the deviations from its centred
-    rows."""
+    all m * n rows as one flat array.  Reads ``x`` only, and the deviations
+    from the centred rows of :func:`_scm_stack`."""
     m, n, p = x.shape
     coords = _hermitian_coords(p)
     h, _, rows = _scm_stack(x, ws)
@@ -192,8 +186,9 @@ def weighted_scm(x, weight_fn) -> np.ndarray:
         largest one (in particular whenever n <= p).
     """
     x = require_dataset(x, min_rows=2)
-    h = _weighted_scm_stack(x[None].copy(), weight_fn, _Workspace())
-    return _hermitian_coords(x.shape[1]).to_matrix(h[0])
+    with _borrowed_workspace() as ws:
+        h = _weighted_scm_stack(x[None], weight_fn, ws)
+        return _hermitian_coords(x.shape[1]).to_matrix(h[0])
 
 
 def _kurtosis_stack(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -240,6 +235,7 @@ def estimate_kurtosis(x) -> float:
     DegenerateCoordinate
         If some coordinate has zero sample variance.
     """
-    ws = _Workspace()
-    _, rows = _centred_rows(require_dataset(x, min_rows=4)[None], ws)
-    return float(_kurtosis_stack(rows, ws)[0])
+    x = require_dataset(x, min_rows=4)
+    with _borrowed_workspace() as ws:
+        _, rows = _centred_rows(x[None], ws)
+        return float(_kurtosis_stack(rows, ws)[0])

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 from numpy import kron  # dense Kronecker product, part of the public surface
@@ -103,6 +106,48 @@ class _Workspace:
             buf = self.buffers[key] = np.empty(size, dtype)
             self.nbytes += buf.nbytes
         return buf[:size].reshape(shape)
+
+
+# Workspaces not lent out.  No two borrowers share one, and the list never
+# holds more than the largest number of borrowers at once, nor more than
+# _IDLE_CAP bytes of buffers together.
+_IDLE: list[_Workspace] = []
+_IDLE_CAP = 64 * 2**20
+_IDLE_LOCK = threading.Lock()
+
+
+@contextmanager
+def _borrowed_workspace():
+    """An idle workspace, or a new one, lent for the body of the block.  It
+    goes back to the idle list if the list stays within _IDLE_CAP bytes, and
+    is dropped, its memory freed, otherwise.
+
+    Every caller of a stacked estimator core borrows here: the public
+    estimators for one call, each running Monte Carlo chunk for its draw,
+    statistic and temporaries.  A warm caller therefore allocates no buffer
+    and takes no page faults for them.  Workspaces outlive the call, each
+    sized for the largest stack it served, so results must not alias their
+    buffers.
+    """
+    with _IDLE_LOCK:
+        ws = _IDLE.pop() if _IDLE else _Workspace()
+    try:
+        yield ws
+    finally:
+        with _IDLE_LOCK:
+            if ws.nbytes + sum(idle.nbytes for idle in _IDLE) <= _IDLE_CAP:
+                _IDLE.append(ws)
+
+
+def _renew_idle_lock():
+    """In a child made by ``os.fork``: a thread of the parent may have held
+    the lock at the fork."""
+    global _IDLE_LOCK
+    _IDLE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_idle_lock)
 
 
 class _HermitianCoords:

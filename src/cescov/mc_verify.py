@@ -24,21 +24,11 @@ errors from them once, by an exact index map.  Reports therefore differ from
 those of the complex accumulation by rounding only, under the same stream
 contract 3.
 
-Each running chunk borrows a workspace (``lin_core._Workspace``) from the
-idle list ``_IDLE`` and gives it back when it ends, also when it raises.  The
-chunk draws its data into the workspace's buffers and keeps its statistic and
-temporaries there, so a warm run allocates no chunk-sized array and takes no
-page faults for them (a warm p = 4 oracle call took 830-900 minor faults
-with fresh arrays).  Workspaces outlive a run: the list keeps one per chunk
-that ever ran concurrently, each holding the buffers of the largest chunk it
-served, about 1.5-1.8 MB at p = 4 and 5.4 MB at p = 10 (n = 10).  A
-workspace handed back is dropped, and its memory freed, if keeping it would
-take the idle list above ``_IDLE_CAP`` (64 MiB) of buffers: one p = 24,
-n = 30 run at ``workers=4`` would otherwise leave four workspaces of 137.6 MB
-together.  Runs that large therefore allocate afresh in the chunks that get
-no idle workspace.  No result bit depends on them: every partial sum a
-kernel returns is a new array, and the row means taken in a workspace have
-the bits of numpy's ``mean``.
+Each running chunk borrows a workspace (``lin_core._borrowed_workspace``)
+for its draw, its statistic and its temporaries, and gives it back when it
+ends, also when it raises.  No result bit depends on the workspace: every
+partial sum a kernel returns is a new array, and the row means taken in a
+workspace have the bits of numpy's ``mean``.
 
 ``workers > 1`` runs the chunks on that many threads of the calling process
 (numpy releases the GIL in the kernels that dominate a chunk), over the same
@@ -62,7 +52,6 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -72,8 +61,8 @@ from .ces_sampler import (CESModel, RngStream, StudentT, _draw_ces, elliptical_k
                           sample_sphere)
 from .errors import InvalidFamily, TooFewObservations
 from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
-from .lin_core import (_hermitian_coords, _scale_and_sphericity_stack, _Workspace, covariance_preset, unvec,
-                       vec_index)
+from .lin_core import (_borrowed_workspace, _hermitian_coords, _scale_and_sphericity_stack, _Workspace,
+                       covariance_preset, unvec, vec_index)
 from .theory import (CovariancePair, RadialStructure, _var_times_commutation, affine_equivariant_var,
                      beta_opt, empirical_structure_pair, mse_scm, nmse_from_sphericity, scm_radial_structure)
 
@@ -115,7 +104,7 @@ _WEIGHTS = {
 def _statistic_fn(name: str):
     """The named statistic on a stack: (m, n, p) data and a workspace to the
     Hermitian coordinates (m, p^2) of its m matrices, in a buffer of that
-    workspace.  Overwrites the data."""
+    workspace.  Reads the data only."""
     if name == "scm":
         return lambda x, ws: _scm_stack(x, ws)[0]
     if name.startswith("wscm:"):
@@ -161,13 +150,16 @@ _POOL_LOCK = threading.Lock()
 
 def _worker_pool(workers: int) -> ThreadPoolExecutor:
     """The process's pool of exactly ``workers`` threads.  A pool of another
-    size is replaced, and shut down without waiting: the chunks already
-    queued on it still run.  Call with ``_POOL_LOCK`` held."""
+    size is replaced, and shut down without waiting once its successor
+    exists: the chunks already queued on it still run, and a count that
+    ``ThreadPoolExecutor`` rejects leaves the old pool in place.  Call with
+    ``_POOL_LOCK`` held."""
     global _POOL, _POOL_SIZE
     if _POOL_SIZE != workers:
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="cescov-mc")
         if _POOL is not None:
             _POOL.shutdown(wait=False)
-        _POOL, _POOL_SIZE = ThreadPoolExecutor(workers, thread_name_prefix="cescov-mc"), workers
+        _POOL, _POOL_SIZE = pool, workers
     return _POOL
 
 
@@ -214,36 +206,13 @@ def _merge(parts) -> dict:
     return {key: value[()] if value.ndim == 0 else value for key, value in out.items()}
 
 
-# Workspaces not lent to a running chunk.  No two running chunks share one,
-# and the list never holds more than the largest number of chunks that ran
-# at once, nor more than _IDLE_CAP bytes of buffers together.
-_IDLE: list[_Workspace] = []
-_IDLE_CAP = 64 * 2**20
-_IDLE_LOCK = threading.Lock()
-
-
-@contextmanager
-def _borrowed_workspace():
-    """An idle workspace, or a new one, lent for the body of the block.  It
-    goes back to the idle list if the list stays within _IDLE_CAP bytes, and
-    is dropped otherwise."""
-    with _IDLE_LOCK:
-        ws = _IDLE.pop() if _IDLE else _Workspace()
-    try:
-        yield ws
-    finally:
-        with _IDLE_LOCK:
-            if ws.nbytes + sum(idle.nbytes for idle in _IDLE) <= _IDLE_CAP:
-                _IDLE.append(ws)
-
-
 def _forget_threads():
     """In a child made by ``os.fork``: drop the parent's pool, whose threads
-    do not exist here, and renew the locks, which a thread of the parent may
+    do not exist here, and renew its lock, which a thread of the parent may
     have held at the fork."""
-    global _POOL, _POOL_SIZE, _POOL_LOCK, _IDLE_LOCK
+    global _POOL, _POOL_SIZE, _POOL_LOCK
     _POOL, _POOL_SIZE = None, 0
-    _POOL_LOCK, _IDLE_LOCK = threading.Lock(), threading.Lock()
+    _POOL_LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -399,9 +368,6 @@ class Tolerances:
         rel = 0.05 if elliptical_kurtosis(family) > 0 else 0.02
         return Tolerances(rel_tau=rel, rel_mse=rel)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
@@ -535,6 +501,8 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
         raise ValueError(f"sphere moment verification needs p >= 2, got {p}")
     if draws < 10_000:
         raise ValueError(f"need at least 10^4 draws, got {draws}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     kernel = partial(_sphere_kernel, p=p, seed=seed)
     n = float(draws)
     mom = {key: v / n for key, v in _reduce_chunks(kernel, draws, SPHERE_CHUNK, workers).items()}

@@ -52,6 +52,16 @@ class TestSample:
         assert code == 2
         assert "dof > 4" in err
 
+    def test_rejects_p0(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sample", "--dist", "gaussian", "--n", "3", "--p", "0",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert "p must be >= 1" in err
+        assert not out.exists()
+
     def test_rejects_diag_length_mismatch(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sample", "--dist", "gaussian", "--n", "5", "--p", "3",
@@ -284,6 +294,23 @@ class TestMcVerify:
         payload = json.loads(out)
         assert code == 0
         assert payload["report"]["details"]["ratio"] < 1.0
+
+    def test_sphere_rejects_zero_workers(self, capsys):
+        code, out, err = run(
+            capsys, "mc-verify", "--target", "sphere", "--p", "3",
+            "--reps", "10000", "--seed", "1", "--workers", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "workers must be >= 1, got 0" in err
+
+    def test_rejects_p0(self, capsys):
+        code, out, err = run(
+            capsys, "mc-verify", "--target", "thm3", "--p", "0", "--reps", "100", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "p must be >= 1" in err
 
     @pytest.mark.parametrize("n", ["2", "3"])
     def test_oracle_plugin_needs_four_observations(self, capsys, n):

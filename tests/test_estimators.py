@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from cescov import lin_core
 from cescov.ces_sampler import (
     CESModel,
     CompoundGaussianK,
@@ -13,6 +16,7 @@ from cescov.ces_sampler import (
 from cescov.errors import DegenerateCoordinate, SingularSCM, TooFewObservations
 from cescov.estimators import (
     _scm_stack,
+    _weighted_scm_stack,
     estimate_kurtosis,
     require_dataset,
     sample_mean,
@@ -36,8 +40,8 @@ from util import random_complex, random_hpd, random_unitary
     ids=["scm", "wscm:one", "wscm:fobi", "kurtosis"],
 )
 def test_estimators_leave_the_callers_data_unchanged(estimate):
-    # the stacked SCM overwrites its input; a C-contiguous complex128 dataset
-    # reaches the public functions without a copy from require_dataset
+    # a C-contiguous complex128 dataset reaches the stacked cores without a
+    # copy from require_dataset or from the public functions
     x = random_complex(np.random.default_rng(57), 12, 3)
     assert require_dataset(x) is x
     before = x.tobytes()
@@ -60,7 +64,7 @@ class TestScmStack:
         gen = np.random.default_rng(1000 * p + request.param)
         x = random_complex(gen, request.param, self.N, p) + random_complex(gen, 1, 1, p)
         ws = _Workspace()
-        h, xbar, rows = _scm_stack(x.copy(), ws)
+        h, xbar, rows = _scm_stack(x, ws)
         return x, h.copy(), xbar.copy(), rows.copy()
 
     def test_coordinates_match_the_complex_definition(self, stack):
@@ -93,6 +97,66 @@ class TestScmStack:
         weighted_scm(x, lambda d: d)
         estimate_kurtosis(x)
         assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 10])
+@pytest.mark.parametrize(
+    "core",
+    [lambda x, ws: _scm_stack(x, ws), lambda x, ws: _weighted_scm_stack(x, lambda d: d, ws)],
+    ids=["scm", "wscm:fobi"],
+)
+def test_stacked_cores_read_their_input_only(core, p):
+    x = random_complex(np.random.default_rng(70 + p), 5, 30, p)
+    before = x.tobytes()
+    core(x, _Workspace())
+    assert x.tobytes() == before
+
+
+class TestPooledWorkspaces:
+    """The public estimators borrow their workspace from the pool of
+    ``lin_core`` and return results that own their memory."""
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 8])
+    def test_results_survive_later_calls(self, monkeypatch, p):
+        monkeypatch.setattr(lin_core, "_IDLE", [])
+        gen = np.random.default_rng(80 + p)
+        x = random_complex(gen, 40, p) + 1.0
+        first = scm(x), weighted_scm(x, lambda d: d)
+        want = first[0].s.copy(), first[0].xbar.copy(), first[1].copy()
+        (ws,) = lin_core._IDLE  # one workspace served both calls
+        for a in (first[0].s, first[0].xbar, first[1]):
+            assert not any(np.shares_memory(a, buf) for buf in ws.buffers.values())
+        for _ in range(3):  # other data of the same shape fills the same buffers
+            y = random_complex(gen, 40, p) - 2.0
+            scm(y), weighted_scm(y, np.ones_like), estimate_kurtosis(y)
+        for got, ref in zip((first[0].s, first[0].xbar, first[1]), want):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 8])
+    def test_fortran_ordered_data_gives_the_same_bits(self, p):
+        x = random_complex(np.random.default_rng(90 + p), 50, p) + 0.5
+        f = np.asfortranarray(x)
+        assert p == 1 or not f.flags.c_contiguous
+        c, r = scm(x), scm(f)
+        np.testing.assert_array_equal(r.s, c.s)
+        np.testing.assert_array_equal(r.xbar, c.xbar)
+        for w in (np.ones_like, lambda d: d):
+            np.testing.assert_array_equal(weighted_scm(f, w), weighted_scm(x, w))
+        assert estimate_kurtosis(f) == estimate_kurtosis(x)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the minor page faults of Linux")
+    @pytest.mark.parametrize("estimate", [scm, estimate_kurtosis], ids=["scm", "kurtosis"])
+    def test_warm_call_takes_few_page_faults(self, monkeypatch, estimate):
+        # a warm call reuses a pooled workspace; with a fresh workspace per
+        # call each took 593 minor faults on Linux (10^4 x 8)
+        import resource
+
+        monkeypatch.setattr(lin_core, "_IDLE", [])
+        x = random_complex(np.random.default_rng(95), 10_000, 8)
+        estimate(x)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        estimate(x)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
 
 
 class TestSampleMean:

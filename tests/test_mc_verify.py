@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cescov
-from cescov import mc_verify
+from cescov import lin_core
 from cescov.ces_sampler import (
     CESModel,
     CompoundGaussianK,
@@ -258,7 +258,7 @@ class TestStackedKernels:
         ],
     )
     def test_statistic_matches_single_dataset(self, chunk, name, single):
-        stacked = _hermitian_coords(3).to_matrix(_statistic_fn(name)(chunk.copy(), _Workspace()))
+        stacked = _hermitian_coords(3).to_matrix(_statistic_fn(name)(chunk, _Workspace()))
         assert stacked.shape == (len(chunk), 3, 3)
         for i, x in enumerate(chunk):
             np.testing.assert_array_equal(stacked[i], single(x))
@@ -266,7 +266,7 @@ class TestStackedKernels:
     def test_plugin_beta_matches_single_dataset(self, chunk):
         n, p = chunk.shape[1:]
         ws = _Workspace()
-        h, _, rows = _scm_stack(chunk.copy(), ws)  # rows: the centred data, observation-major
+        h, _, rows = _scm_stack(chunk, ws)  # rows: the centred data, observation-major
         stacked = _plugin_beta(rows, h, ws)
         for i, x in enumerate(chunk):
             _, gamma = scale_and_sphericity(scm(x).s)
@@ -372,11 +372,11 @@ class TestReduceChunks:
         assert peak[0] == workers
 
     def test_kernel_error_cancels_the_queued_chunks(self, monkeypatch):
-        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        monkeypatch.setattr(lin_core, "_IDLE", [])
         calls, ended, lent = [], [], []
 
         def kernel(c, m):
-            with mc_verify._borrowed_workspace() as ws:
+            with lin_core._borrowed_workspace() as ws:
                 ws.take("x", (m,))
                 calls.append(c)
                 lent.append(ws)
@@ -394,7 +394,18 @@ class TestReduceChunks:
         time.sleep(0.05)
         assert len(calls) == ran  # and no queued one starts later
         # every workspace lent to a chunk came back
-        assert {id(ws) for ws in mc_verify._IDLE} == {id(ws) for ws in lent}
+        assert {id(ws) for ws in lin_core._IDLE} == {id(ws) for ws in lent}
+
+    def test_a_rejected_worker_count_keeps_the_pool(self):
+        # the replacement pool is made before the old one is shut down, so a
+        # count that ThreadPoolExecutor rejects leaves a working pool
+        def kernel(c, m):
+            return {"n": float(m)}
+
+        assert _reduce_chunks(kernel, 64, 8, workers=2)["n"] == 64
+        with pytest.raises(ValueError):
+            _reduce_chunks(kernel, 64, 8, workers=-1)
+        assert _reduce_chunks(kernel, 64, 8, workers=2)["n"] == 64
 
     def test_concurrent_runs_share_or_replace_the_pool(self):
         # callers with equal counts share the pool; a caller with another
@@ -462,7 +473,7 @@ class TestReduceChunks:
 
 
 class TestWorkspaces:
-    """Each running chunk borrows a workspace from ``mc_verify._IDLE`` and
+    """Each running chunk borrows a workspace from ``lin_core._IDLE`` and
     returns it when it ends; the workspaces, and the data they hold, outlive
     the run."""
 
@@ -485,7 +496,7 @@ class TestWorkspaces:
 
     @pytest.mark.parametrize("statistic", STATISTICS)
     def test_partials_share_no_memory_with_a_workspace(self, monkeypatch, statistic):
-        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        monkeypatch.setattr(lin_core, "_IDLE", [])
         model = CESModel(np.zeros(3), random_hpd(np.random.default_rng(64), 3), CompoundGaussianK(0.5))
         cfg = MCConfig(CHUNK, 10, model, statistic, seed=65)
         ref = _hermitian_coords(3).from_matrix(model.cov)
@@ -494,19 +505,19 @@ class TestWorkspaces:
             partial(_oracle_kernel, cfg=cfg, ref=ref, beta=0.5, plugin=True),
         ):
             part = kernel(0, CHUNK)
-            (ws,) = mc_verify._IDLE
+            (ws,) = lin_core._IDLE
             assert ws.buffers
             for key, value in part.items():
                 assert not any(np.shares_memory(value, buf) for buf in ws.buffers.values()), key
 
     def test_a_raising_kernel_gives_its_workspace_back(self, monkeypatch):
-        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        monkeypatch.setattr(lin_core, "_IDLE", [])
         good = MCConfig(3 * CHUNK + 7, 12, spherical_model(3), "wscm:fobi", seed=66)
         want = empirical_moments(good)
-        assert len(mc_verify._IDLE) == 1
+        assert len(lin_core._IDLE) == 1
         with pytest.raises(SingularSCM):
             empirical_moments(replace(good, n=3))  # n <= p: every weighted SCM is singular
-        assert len(mc_verify._IDLE) == 1
+        assert len(lin_core._IDLE) == 1
         for workers in (1, 2):
             got = empirical_moments(replace(good, workers=workers))
             for key, value in vars(want).items():
@@ -516,7 +527,7 @@ class TestWorkspaces:
         # more threads than CPUs, switching as often as the interpreter allows:
         # a workspace lent twice would change the sums, one lost or appended
         # twice would show in the list
-        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        monkeypatch.setattr(lin_core, "_IDLE", [])
         cfg = MCConfig(16 * CHUNK, 10, spherical_model(3, CompoundGaussianK(0.5)), seed=67)
         want = empirical_moments(cfg)
         interval = sys.getswitchinterval()
@@ -526,7 +537,7 @@ class TestWorkspaces:
                 got = empirical_moments(replace(cfg, workers=workers))
                 np.testing.assert_array_equal(got.var_emp, want.var_emp)
                 assert got.mse_emp == want.mse_emp
-                idle = mc_verify._IDLE
+                idle = lin_core._IDLE
                 assert 1 <= len(idle) <= workers
                 assert len({id(ws) for ws in idle}) == len(idle)
         finally:
@@ -535,11 +546,11 @@ class TestWorkspaces:
 
     def test_idle_list_keeps_at_most_the_cap(self, monkeypatch):
         # four workspaces of a p = 24, n = 30 run hold 137.6 MB together
-        monkeypatch.setattr(mc_verify, "_IDLE", [])
+        monkeypatch.setattr(lin_core, "_IDLE", [])
         model = CESModel(np.zeros(24), spiked_covariance(24, 2.0), CompoundGaussianK(0.5))
         empirical_moments(MCConfig(4 * CHUNK, 30, model, seed=69, workers=4))
-        idle = mc_verify._IDLE
-        assert idle and sum(ws.nbytes for ws in idle) <= mc_verify._IDLE_CAP
+        idle = lin_core._IDLE
+        assert idle and sum(ws.nbytes for ws in idle) <= lin_core._IDLE_CAP
         for ws in idle:
             assert ws.nbytes == sum(buf.nbytes for buf in ws.buffers.values())
 
@@ -650,6 +661,14 @@ class TestVerifySphereMoments:
     def test_rejects_too_few_draws(self):
         with pytest.raises(ValueError):
             verify_sphere_moments(4, 5000, seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        want = verify_sphere_moments(3, 10**4, seed=1, workers=2)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            verify_sphere_moments(3, 10**4, seed=1, workers=workers)
+        got = verify_sphere_moments(3, 10**4, seed=1, workers=2)  # the pool still takes work
+        assert got.to_dict() == want.to_dict()
 
 
 class TestVerifyOracleEfficiency:

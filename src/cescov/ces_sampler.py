@@ -175,9 +175,21 @@ def sample_sphere(p: int, rng: RngStream, size: int | None = None) -> np.ndarray
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    z = rng.generator().standard_normal((1 if size is None else int(size), 2 * p))
-    u = z.view(np.complex128) / np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.empty((1 if size is None else int(size), 2 * p))
+    u = _draw_sphere(rng, z, np.empty_like(z), np.empty(len(z)))
     return u[0] if size is None else u
+
+
+def _draw_sphere(rng: RngStream, z: np.ndarray, sq: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """:func:`sample_sphere` of ``len(z)`` draws into caller buffers: the
+    float64 (k, 2p) ``z`` takes the normal draw and then, viewed as complex,
+    the draws, which are returned; the float64 (k, 2p) ``sq`` and (k,)
+    ``norm`` are scratch.  The norms are numpy's ``linalg.norm(z, axis=1)``,
+    spelt out so that they land in ``norm``."""
+    rng.generator().standard_normal(out=z)
+    np.sqrt(np.add.reduce(np.multiply(z, z, out=sq), axis=1, out=norm), out=norm)
+    u = z.view(np.complex128)
+    return np.divide(u, norm[:, None], out=u)
 
 
 def sample_modular(family: Family, p: int, rng: RngStream, size: int | None = None):
@@ -253,20 +265,31 @@ def sample_ces(model: CESModel, n: int, rng: RngStream) -> np.ndarray:
     return _draw_ces(model, rng, np.empty((n, 2 * model.dim)), None)
 
 
-def _draw_ces(model: CESModel, rng: RngStream, y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """:func:`sample_ces` of ``len(y)`` rows into caller buffers: the float64
-    (n, 2p) ``y`` takes the normal draw, and the complex128 (n, p) ``out``
-    (a new array if None) its product with ``sqrt_cov``.  Returns the data:
-    ``y`` viewed as complex when that product is skipped, else ``out``.
-    ``mu`` is added in place, and only when it is not zero."""
+def _draw_ces(model: CESModel, rng: RngStream, y: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """:func:`sample_ces` of ``len(y)`` rows into caller buffers.  The
+    float64 (N, 2p) ``y`` takes the normal draw.  Without ``rows`` the data
+    are ``y`` viewed as complex when the product with ``sqrt_cov`` is
+    skipped, else a new array.  ``rows``, a complex128 (n, m, p) buffer with
+    n * m = N, takes the data of m datasets of n rows observation-major:
+    ``rows[i, j]`` is row ``j * n + i`` of the draw, and ``rows`` is
+    returned.  ``mu`` is added in place, and only when it is not zero."""
     gen = rng.generator()
     gen.standard_normal(out=y)
     # a real multiply of the float view has the bits of z * (s + 0j) for finite z
     y *= np.sqrt(0.5 * _texture(gen, model.family, len(y)))[..., None]
-    x = y.view(np.complex128)
+    x, out = y.view(np.complex128), rows
+    if rows is not None and rows.shape[1] > 1:
+        x = x.reshape(rows.shape[1], rows.shape[0], -1).swapaxes(0, 1)
+    elif rows is not None:
+        # one dataset's (n, 1, p) rows are its (n, p) rows: numpy would send
+        # each of n one-row products to gemv, whose bits differ from gemm's
+        out = rows.reshape(x.shape)
     if not model._identity_sqrt:
         # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
         x = np.matmul(x, model.sqrt_cov.T, out=out)
+    elif out is not None:
+        np.copyto(out, x)
+        x = out
     if not model._zero_mean:
         x += model.mu  # in place: a fresh (n, p) array costs more than the sum
-    return x
+    return x if rows is None else rows

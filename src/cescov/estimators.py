@@ -11,12 +11,18 @@ The covariance cores return the p^2 real Hermitian coordinates of
 float view; the public functions assemble the matrix from them, which makes
 it exactly Hermitian.
 
-The cores read their input stack only, and write their temporaries and
-their results into the buffers of a workspace that the caller borrows from
-``lin_core._borrowed_workspace``.  The centred data lives in the workspace
-buffer "rows", observation-major (n, m, 2p), a complex entry as its real and
-imaginary parts: the row means, the centring and the kurtosis moments are
-reduces and subtractions over its outer axis.
+The cores write their temporaries and their results into the buffers of a
+workspace that the caller borrows from ``lin_core._borrowed_workspace``.
+The centred data lives in the workspace buffer "rows", observation-major
+(n, m, 2p), a complex entry as its real and imaginary parts: the row means,
+the centring and the kurtosis moments are reduces and subtractions over its
+outer axis.  A core copies its input stack there and reads it only, unless
+the input already is the complex (m, n, p) view of that buffer, as the
+Monte Carlo draw leaves it: then the core centres it in place.  The buffer
+"draw", which holds the draw's normals and is free once the data sit in
+"rows", then takes the second operand of each Gram, and the |dev|^2 and
+|dev|^4 of the kurtosis.  The Grams themselves are built a block of
+replications at a time, in a buffer of at most ``_GRAM_BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ __all__ = [
 
 # margin above the kurtosis lower bound -1/(p+1) at which estimates are clipped
 KURTOSIS_CLIP_EPS = 1e-6
+
+# largest size of the buffer that holds a block of a stack's real Grams
+# (163 replications at p = 10)
+_GRAM_BLOCK_BYTES = 512 * 2**10
 
 
 def require_dataset(x, min_rows: int = 1) -> np.ndarray:
@@ -74,19 +84,25 @@ def _centred_rows(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray
     """Row means (m, p) of a complex (m, n, p) stack, with the bits of
     ``x.mean(axis=-2)``, and the deviations from them as an observation-major
     (n, m, 2p) float copy, a complex entry as its real and imaginary parts,
-    in the workspace buffer "rows".  Reads ``x`` only.
+    in the workspace buffer "rows".  Reads ``x`` only, unless ``x`` is the
+    (m, n, p) view of that buffer, which it centres in place (the copy of a
+    view onto itself does nothing).
 
     At p >= 2 numpy's mean adds the n rows one after another, many short
     loops over p; one reduce over the outer axis of the copy adds them in
     the same order, in loops over the whole (m, 2p) output, and the centring
     subtracts over rows of that length too.  At p = 1 numpy's mean sums
-    pairwise, so it is used there.
+    pairwise along its inner loop, so it is used there, on a C-ordered
+    (m, n, 1) copy in the workspace buffer "draw", where the n values of a
+    dataset are that loop.
     """
     m, n, p = x.shape
     rows = ws.take("rows", (n, m, 2 * p))
     np.copyto(rows.view(np.complex128), x.swapaxes(0, 1))
     if p == 1:
-        xbar = x.mean(axis=-2)
+        c = ws.take("draw", (m, n, 2)).view(np.complex128)
+        np.copyto(c, rows.view(np.complex128).swapaxes(0, 1))
+        xbar = c.mean(axis=-2)
     else:
         s = np.add.reduce(rows, axis=0, out=ws.take("xbar", (m, 2 * p)))
         s *= 1.0 / n  # numpy divides a complex sum by n + 0j, which multiplies by 1/n
@@ -95,23 +111,44 @@ def _centred_rows(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray
     return xbar, rows
 
 
+def _gram_coords(a: np.ndarray, b: np.ndarray, factor: float, ws: _Workspace) -> np.ndarray:
+    """Hermitian coordinates (m, p^2), in the workspace buffer "h", of the
+    real Grams factor * a_k b_k of the stacks a (m, 2p, n) and b (m, n, 2p);
+    see ``_HermitianCoords.from_gram``.  The Grams are built a block of
+    replications at a time in the buffer "gram", of at most
+    ``_GRAM_BLOCK_BYTES``; each replication's product is the same BLAS call
+    at any block size, so no bit depends on it."""
+    m, p2 = a.shape[0], a.shape[1]
+    coords = _hermitian_coords(p2 // 2)
+    block = max(1, _GRAM_BLOCK_BYTES // (8 * p2 * p2))
+    h = ws.take("h", (m, coords.p * coords.p))
+    g = ws.take("gram", (min(block, m), p2, p2))
+    for lo in range(0, m, block):
+        k = min(block, m - lo)
+        np.matmul(a[lo : lo + k], b[lo : lo + k], out=g[:k])
+        coords.from_gram(g[:k], factor, ws, out=h[lo : lo + k])
+    return h
+
+
 def _scm_stack(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unbiased SCMs, as Hermitian coordinates (m, p^2), row means (m, p)
     and the centred observation-major rows (n, m, 2p) of
     :func:`_centred_rows`, of a complex (m, n, p) stack of datasets, in
-    buffers of the workspace (the means at p >= 2).  Reads ``x`` only.
+    buffers of the workspace (the means at p >= 2).  Reads ``x`` only,
+    unless it is the view of the workspace's "rows", which it centres in
+    place.
 
     The Gram's second operand is a copy of the centred rows in the workspace
-    buffer "twin".  numpy sends a product A^T A of one buffer to BLAS syrk,
+    buffer "draw".  numpy sends a product A^T A of one buffer to BLAS syrk,
     and a product of two to gemm, whose small-matrix path builds the m small
     Grams 1.8-3.5x as fast (OpenBLAS 0.3.31, n = 10, p = 2 to 24).
     """
-    m, n, p = x.shape
+    n = x.shape[1]
     xbar, rows = _centred_rows(x, ws)
-    twin = ws.take("twin", rows.shape)
+    twin = ws.take("draw", rows.shape)
     np.copyto(twin, rows)
-    g = np.matmul(rows.transpose(1, 2, 0), twin.transpose(1, 0, 2), out=ws.take("gram", (m, 2 * p, 2 * p)))
-    return _hermitian_coords(p).from_gram(g, 1.0 / (n - 1), ws), xbar, rows
+    h = _gram_coords(rows.transpose(1, 2, 0), twin.transpose(1, 0, 2), 1.0 / (n - 1), ws)
+    return h, xbar, rows
 
 
 def scm(x) -> SCMResult:
@@ -146,8 +183,9 @@ def _weighted_scm_stack(x: np.ndarray, weight_fn, ws: _Workspace) -> np.ndarray:
     """Weighted covariance matrices, as Hermitian coordinates (m, p^2) in a
     workspace buffer, of an (m, n, p) stack of datasets; see
     :func:`weighted_scm`.  ``weight_fn`` receives the squared distances of
-    all m * n rows as one flat array.  Reads ``x`` only, and the deviations
-    from the centred rows of :func:`_scm_stack`."""
+    all m * n rows as one flat array.  Reads ``x`` only, unless it is the
+    view of the workspace's "rows", as :func:`_scm_stack` does; the
+    deviations are the centred rows of :func:`_scm_stack`."""
     m, n, p = x.shape
     coords = _hermitian_coords(p)
     h, _, rows = _scm_stack(x, ws)
@@ -166,9 +204,8 @@ def _weighted_scm_stack(x: np.ndarray, weight_fn, ws: _Workspace) -> np.ndarray:
     w = np.asarray(weight_fn(d.ravel()), dtype=float)
     if w.shape != (m * n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weight function must map d >= 0 to finite nonnegative weights")
-    wy = np.multiply(w.reshape(m, n, 1), y, out=ws.take("wy", y.shape))
-    g = np.matmul(wy.swapaxes(-1, -2), y, out=ws.take("gram", (m, 2 * p, 2 * p)))
-    return coords.from_gram(g, 1.0 / n, ws)
+    wy = np.multiply(w.reshape(m, n, 1), y, out=ws.take("draw", y.shape))  # the SCM's twin is spent
+    return _gram_coords(wy.swapaxes(-1, -2), y, 1.0 / n, ws)
 
 
 def weighted_scm(x, weight_fn) -> np.ndarray:
@@ -200,9 +237,9 @@ def _kurtosis_stack(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
     pairwise, it is used on a transposed copy)."""
     n, m, p = rows.shape[0], rows.shape[1], rows.shape[2] // 2
     re, im = rows[..., 0::2], rows[..., 1::2]
-    a2 = np.multiply(re, re, out=ws.take("abs2", re.shape))
-    a4 = np.multiply(im, im, out=ws.take("abs4", re.shape))
-    a2 += a4
+    a2, a4 = ws.take("draw", (2,) + re.shape)  # the two halves of the spent draw buffer
+    np.multiply(re, re, out=a2)
+    a2 += np.multiply(im, im, out=a4)
 
     def means(a, name):
         if p == 1:

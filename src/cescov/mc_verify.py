@@ -26,9 +26,13 @@ contract 3.
 
 Each running chunk borrows a workspace (``lin_core._borrowed_workspace``)
 for its draw, its statistic and its temporaries, and gives it back when it
-ends, also when it raises.  No result bit depends on the workspace: every
-partial sum a kernel returns is a new array, and the row means taken in a
-workspace have the bits of numpy's ``mean``.
+ends, also when it raises.  The draw leaves the chunk's data in the
+workspace's observation-major rows, where the statistic centres them in
+place, and its normals buffer then takes the second operand of the Grams,
+which are built a block of replications at a time (``estimators``).  No
+result bit depends on the workspace: every partial sum a kernel returns is
+a new array, and the row means taken in a workspace have the bits of
+numpy's ``mean``.
 
 ``workers > 1`` runs the chunks on that many threads of the calling process
 (numpy releases the GIL in the kernels that dominate a chunk), over the same
@@ -57,8 +61,7 @@ from functools import partial
 
 import numpy as np
 
-from .ces_sampler import (CESModel, RngStream, StudentT, _draw_ces, elliptical_kurtosis, parse_family,
-                          sample_sphere)
+from .ces_sampler import CESModel, RngStream, StudentT, _draw_ces, _draw_sphere, elliptical_kurtosis, parse_family
 from .errors import InvalidFamily, TooFewObservations
 from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
 from .lin_core import (_borrowed_workspace, _hermitian_coords, _scale_and_sphericity_stack, _Workspace,
@@ -104,7 +107,9 @@ _WEIGHTS = {
 def _statistic_fn(name: str):
     """The named statistic on a stack: (m, n, p) data and a workspace to the
     Hermitian coordinates (m, p^2) of its m matrices, in a buffer of that
-    workspace.  Reads the data only."""
+    workspace.  Centres the data in place when they are the view of the
+    workspace's "rows" that :func:`_draw_chunk` returns, and reads them
+    only otherwise."""
     if name == "scm":
         return lambda x, ws: _scm_stack(x, ws)[0]
     if name.startswith("wscm:"):
@@ -177,6 +182,8 @@ def _reduce_chunks(kernel, total: int, chunk: int, workers: int) -> dict:
     must not call ``_reduce_chunks``: a chunk that waits for chunks queued
     behind it on the same pool can deadlock.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
     if workers == 1:
         return _merge(map(kernel, range(len(sizes)), sizes))
@@ -220,11 +227,13 @@ if hasattr(os, "register_at_fork"):
 
 
 def _draw_chunk(cfg: MCConfig, c: int, m: int, ws: _Workspace) -> np.ndarray:
-    """The (m, n, p) data of chunk c, drawn from the single stream (seed, c)
-    into buffers of the workspace."""
-    rows, p = m * cfg.n, cfg.model.dim
-    y, out = ws.take("draw", (rows, 2 * p)), ws.take("draw_x", (rows, p), np.complex128)
-    return _draw_ces(cfg.model, RngStream(cfg.seed, c), y, out).reshape(m, cfg.n, p)
+    """The (m, n, p) data of chunk c, drawn from the single stream (seed, c):
+    the normals go to the workspace buffer "draw" and the data to "rows",
+    observation-major (n, m, 2p) floats, of which this is the complex
+    (m, n, p) view.  The stacked cores centre that view in place."""
+    n, p = cfg.n, cfg.model.dim
+    y, rows = ws.take("draw", (m * n, 2 * p)), ws.take("rows", (n, m, 2 * p))
+    return _draw_ces(cfg.model, RngStream(cfg.seed, c), y, rows.view(np.complex128)).swapaxes(0, 1)
 
 
 def _moment_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray) -> dict:
@@ -469,22 +478,32 @@ def compare_to_theory(
 
 
 def _sphere_kernel(c: int, m: int, p: int, seed: int) -> dict:
-    u = sample_sphere(p, RngStream(seed, c), size=m)
-    a2 = u.real**2 + u.imag**2
-    a4 = a2 * a2
-    return {
-        "m1": u.sum(axis=0),
-        "m2": a2.sum(axis=0),
-        "m4": a4.sum(axis=0),
-        "m6": (a4 * a2).sum(axis=0),
-        "m8": (a4 * a4).sum(axis=0),
-        "m22": a2.T @ a2,
-        "m44": a4.T @ a4,
-        "c2": u.T @ u.conj(),
-        "cp": u.T @ u,
-        "c4": (u * u).T @ (u * u).conj(),
-        "m3": (a2 * u).sum(axis=0),
-    }
+    """Partial moment sums of chunk c's m sphere draws.  The draws and their
+    products go to buffers of a borrowed workspace, each with the layout of
+    the fresh array it stands for, so every sum keeps its bits."""
+    with _borrowed_workspace() as ws:
+        sq = ws.take("sq", (m, 2 * p))
+        u = _draw_sphere(RngStream(seed, c), ws.take("draw", (m, 2 * p)), sq, ws.take("norm", (m,)))
+        a2, a4, t = (ws.take(name, (m, p)) for name in ("a2", "a4", "t"))
+        np.multiply(u.real, u.real, out=a2)
+        a2 += np.multiply(u.imag, u.imag, out=t)
+        np.multiply(a2, a2, out=a4)
+        uc, uu = sq.view(np.complex128), ws.take("uu", (m, p), np.complex128)  # sq is spent
+        part = {
+            "m1": u.sum(axis=0),
+            "m2": a2.sum(axis=0),
+            "m4": a4.sum(axis=0),
+            "m6": np.multiply(a4, a2, out=t).sum(axis=0),
+            "m8": np.multiply(a4, a4, out=t).sum(axis=0),
+            "m22": a2.T @ a2,
+            "m44": a4.T @ a4,
+            "c2": u.T @ np.conjugate(u, out=uc),
+            "cp": u.T @ u,
+        }
+        np.multiply(u, u, out=uu)
+        part["c4"] = uu.T @ np.conjugate(uu, out=uc)
+        part["m3"] = np.multiply(a2, u, out=uu).sum(axis=0)
+        return part
 
 
 def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> ComparisonReport:

@@ -298,9 +298,9 @@ class TestSampleCes:
         n = 257
         y, out = np.full(2 * n * 6, np.nan), np.full(2 * n * 3, np.nan, dtype=np.complex128)
         for stream in (5, 6):
-            prefix = y[: n * 6].reshape(n, 6), out[: n * 3].reshape(n, 3)
+            prefix = y[: n * 6].reshape(n, 6), out[: n * 3].reshape(n, 1, 3)  # one dataset, observation-major
             x = _draw_ces(model, RngStream(45, stream), *prefix)
-            np.testing.assert_array_equal(x, sample_ces(model, n, RngStream(45, stream)))
+            np.testing.assert_array_equal(x[:, 0], sample_ces(model, n, RngStream(45, stream)))
             assert np.isnan(y[n * 6 :]).all() and np.isnan(out[n * 3 :]).all()
 
     @pytest.mark.parametrize("family", [Gaussian(), StudentT(12.0), CompoundGaussianK(2.0)], ids=str)

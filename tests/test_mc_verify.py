@@ -25,7 +25,8 @@ from cescov.ces_sampler import (
     sample_ces,
 )
 from cescov.errors import InvalidFamily, SingularSCM
-from cescov.estimators import _scm_stack, estimate_kurtosis, scm, weighted_scm
+from cescov import mc_verify
+from cescov.estimators import _scm_stack, _weighted_scm_stack, estimate_kurtosis, scm, weighted_scm
 from cescov.lin_core import (
     _hermitian_coords,
     _vec_transpose_index,
@@ -45,6 +46,7 @@ from cescov.mc_verify import (
     radial_estimate_from_moments,
     verify_oracle_efficiency,
     verify_sphere_moments,
+    verify_target,
     _draw_chunk,
     _merge,
     _moment_kernel,
@@ -274,6 +276,45 @@ class TestStackedKernels:
             assert stacked[i] == beta_opt(nmse_from_sphericity(n, p, gamma, kappa))
 
 
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("root", ["identity", "general"])
+def test_chunk_rows_hold_the_bits_of_sample_ces(m, root):
+    # the chunk's data are written observation-major into the workspace's
+    # rows; a one-dataset chunk keeps numpy's 2-D product (gemm), whose bits
+    # its n one-row products (gemv) would not keep
+    p, n = 3, 10
+    cov = np.eye(p) if root == "identity" else random_hpd(np.random.default_rng(74), p)
+    for mu in (np.zeros(p), np.array([1.0, -0.5j, 2.0 + 1.0j])):
+        cfg = MCConfig(4 * CHUNK, n, CESModel(mu, cov, StudentT(10.0)), seed=75)
+        ws = _Workspace()
+        chunk = _draw_chunk(cfg, 3, m, ws)
+        assert np.shares_memory(chunk, ws.take("rows", (n, m, 2 * p)))
+        ref = sample_ces(cfg.model, m * n, RngStream(cfg.seed, 3))
+        np.testing.assert_array_equal(chunk, ref.reshape(m, n, p))
+
+
+@pytest.mark.parametrize("p", [1, 2, 10])
+@pytest.mark.parametrize("root", ["identity", "general"])
+def test_cores_centre_their_own_rows_with_the_bits_of_a_copy(p, root):
+    # a chunk drawn into the core's own workspace is centred in place; one
+    # drawn into another workspace is copied first: the results are the same
+    cov = np.eye(p) if root == "identity" else random_hpd(np.random.default_rng(76 + p), p)
+    cfg = MCConfig(2 * CHUNK, 12, CESModel(np.full(p, 0.5 - 1.0j), cov, CompoundGaussianK(0.5)), seed=77)
+    cores = {
+        "scm": _scm_stack,
+        "wscm:fobi": lambda x, ws: (_weighted_scm_stack(x, lambda d: d, ws),),
+    }
+    for name, core in cores.items():
+        ws = _Workspace()
+        own = [a.tobytes() for a in core(_draw_chunk(cfg, 1, 300, ws), ws)]
+        fresh = [a.tobytes() for a in core(_draw_chunk(cfg, 1, 300, _Workspace()), _Workspace())]
+        assert own == fresh, name
+    ws = _Workspace()
+    x = _draw_chunk(cfg, 1, 300, ws)
+    want = np.ascontiguousarray(x).mean(axis=1)  # numpy's mean of each dataset as sample_ces lays it out
+    np.testing.assert_array_equal(_scm_stack(x, ws)[1], want)
+
+
 class TestMerge:
     @staticmethod
     def in_order(values):
@@ -396,9 +437,25 @@ class TestReduceChunks:
         # every workspace lent to a chunk came back
         assert {id(ws) for ws in lin_core._IDLE} == {id(ws) for ws in lent}
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, monkeypatch, workers):
+        # as in a fresh process, where no pool exists and _POOL_SIZE is 0
+        monkeypatch.setattr(mc_verify, "_POOL", None)
+        monkeypatch.setattr(mc_verify, "_POOL_SIZE", 0)
+
+        def kernel(c, m):
+            return {"n": float(m)}
+
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            _reduce_chunks(kernel, 10, 5, workers)
+        try:
+            assert _reduce_chunks(kernel, 10, 5, 2)["n"] == 10
+        finally:
+            mc_verify._POOL.shutdown()
+
     def test_a_rejected_worker_count_keeps_the_pool(self):
-        # the replacement pool is made before the old one is shut down, so a
-        # count that ThreadPoolExecutor rejects leaves a working pool
+        # a count below 1 is refused before the pool is touched, so the
+        # pool keeps working
         def kernel(c, m):
             return {"n": float(m)}
 
@@ -544,8 +601,28 @@ class TestWorkspaces:
             sys.setswitchinterval(interval)
 
 
+    @pytest.mark.parametrize("p, mb", [(10, 3.4), (24, 10.0)])
+    def test_a_chunk_workspace_holds_one_copy_of_the_data_and_a_block_of_grams(self, monkeypatch, p, mb):
+        # 3.19 MB at p = 10 and 9.49 MB at p = 24 after one transport run at
+        # n = 10, against 6.23 and 24.58 MB with a separate draw, a separate
+        # twin of the rows and whole-chunk Grams
+        monkeypatch.setattr(lin_core, "_IDLE", [])
+        verify_target("transport", "k:0.5", 10, p, "spiked:gamma=2", CHUNK, 1)
+        (ws,) = lin_core._IDLE
+        assert ws.nbytes <= mb * 1e6
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_no_buffer_holds_a_whole_chunks_grams(self, monkeypatch, statistic):
+        monkeypatch.setattr(lin_core, "_IDLE", [])
+        p = 10
+        model = CESModel(np.zeros(p), spiked_covariance(p, 2.0), CompoundGaussianK(0.5))
+        empirical_moments(MCConfig(CHUNK, 12, model, statistic, seed=78))
+        (ws,) = lin_core._IDLE
+        assert max(buf.size for buf in ws.buffers.values()) < CHUNK * (2 * p) ** 2
+
     def test_idle_list_keeps_at_most_the_cap(self, monkeypatch):
-        # four workspaces of a p = 24, n = 30 run hold 137.6 MB together
+        # four workspaces of a p = 24, n = 30 run hold 69.4 MB together,
+        # above the 67.1 MB cap
         monkeypatch.setattr(lin_core, "_IDLE", [])
         model = CESModel(np.zeros(24), spiked_covariance(24, 2.0), CompoundGaussianK(0.5))
         empirical_moments(MCConfig(4 * CHUNK, 30, model, seed=69, workers=4))
@@ -561,6 +638,19 @@ class TestWorkspaces:
         ws.take("b", (5,), np.complex128)
         ws.take("a", (20,))  # replaces the 12-value buffer
         assert ws.nbytes == 20 * 8 + 5 * 16 == sum(buf.nbytes for buf in ws.buffers.values())
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the minor page faults of Linux")
+def test_warm_sphere_call_takes_few_page_faults(monkeypatch):
+    # a warm call reuses the workspace of the first; with fresh per-chunk
+    # arrays this call (4 chunks) took 14,784 minor faults on Linux
+    import resource
+
+    monkeypatch.setattr(lin_core, "_IDLE", [])
+    verify_sphere_moments(3, 200_000, seed=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    verify_sphere_moments(3, 200_000, seed=1)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 200
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the minor page faults of Linux")

@@ -8,7 +8,9 @@ at every p, and ``transport`` and ``oracle --plugin`` (k:0.5,
 chunk loop, which ``_reduce_chunks`` drives, by wrapping the functions the
 kernels call:
 
-* draw: ``_draw_chunk``, the chunk's (m, n, p) data;
+* draw: ``_draw_chunk``, the chunk's (m, n, p) data, written observation-major
+  into the workspace rows that the statistic centres in place (with an
+  identity covariance root, the draw's transposing copy into those rows);
 * draw0: chunk 0's draw alone, the first random draw after the target's
   set-up (a mean over the chunks would hide a slow first draw);
 * statistic: ``_scm_stack``, the stacked SCM of that data;
@@ -18,10 +20,13 @@ kernels call:
   partial sums (a copy of chunk 0's, then one in-place add per chunk),
   taken as its time less the kernels';
 * faults: the minor page faults of the process (``ru_minflt``) during
-  ``_reduce_chunks``.
+  ``_reduce_chunks``;
+* ws_mb: the largest idle workspace (``lin_core._IDLE``) after a run, in MB
+  (10^6 bytes); each row starts from an empty idle list.
 
-Each figure is per chunk (draw0: of chunk 0), the median over ``--repeat``
-runs after one warm-up run; times are in milliseconds.  The header names
+Each figure is per chunk (draw0: of chunk 0; ws_mb: per workspace), the
+median over ``--repeat`` runs after one warm-up run; times are in
+milliseconds.  The header names
 numpy's version and its BLAS, whose small-matrix gemm path sets the
 statistic's speed.  Run it with BLAS single-threaded, from the repository
 root::
@@ -38,9 +43,9 @@ import time
 
 import numpy as np
 
-from cescov import mc_verify as mc
+from cescov import lin_core, mc_verify as mc
 
-COLUMNS = ("draw", "draw0", "statistic", "accumulate", "merge", "faults")
+COLUMNS = ("draw", "draw0", "statistic", "accumulate", "merge", "faults", "ws_mb")
 CHUNKS = 16  # chunks per timed run
 
 # target -> (its other verify_target arguments, smallest p it runs at)
@@ -89,7 +94,8 @@ def layer_times(target: str, p: int, n: int, repeat: int) -> dict:
     mc._scm_stack = timed(originals["_scm_stack"], "statistic", totals)
     mc._reduce_chunks = counted_reduce
     run = lambda: mc.verify_target(target, n=n, p=p, replications=CHUNKS * mc.CHUNK, seed=1, **kwargs)
-    runs = []
+    runs, idle = [], lin_core._IDLE
+    lin_core._IDLE = []  # this row's workspaces only
     try:
         run()  # warm-up
         for _ in range(repeat):
@@ -104,10 +110,12 @@ def layer_times(target: str, p: int, n: int, repeat: int) -> dict:
                 "accumulate": (t["kernel"] - draws - t["statistic"]) * ms,
                 "merge": (t["reduce"] - t["kernel"]) * ms,
                 "faults": t["faults"] / CHUNKS,
+                "ws_mb": max(ws.nbytes for ws in lin_core._IDLE) / 1e6,
             })
     finally:
         for name, fn in originals.items():
             setattr(mc, name, fn)
+        lin_core._IDLE = idle
     return {col: statistics.median(run[col] for run in runs) for col in COLUMNS}
 
 
@@ -118,16 +126,16 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args()
     print(f"{CHUNKS} chunks of {mc.CHUNK} replications, n={args.n}, median of {args.repeat} runs, "
-          f"ms and minor page faults per chunk (draw0: chunk 0's draw); {versions()}")
+          f"ms and minor page faults per chunk (draw0: chunk 0's draw), largest workspace in MB; {versions()}")
     print(f"{'model':<10} {'p':>3} {'draw':>8} {'draw0':>8} {'statistic':>10} {'accumulate':>11} "
-          f"{'merge':>8} {'faults':>8}")
+          f"{'merge':>8} {'faults':>8} {'ws_mb':>8}")
     for target, (_, p_min) in ROWS.items():
         for p in args.p:
             if p < p_min:
                 continue
             t = layer_times(target, p, args.n, args.repeat)
             print(f"{target:<10} {p:>3} {t['draw']:8.2f} {t['draw0']:8.2f} {t['statistic']:10.2f} "
-                  f"{t['accumulate']:11.2f} {t['merge']:8.2f} {t['faults']:8.1f}")
+                  f"{t['accumulate']:11.2f} {t['merge']:8.2f} {t['faults']:8.1f} {t['ws_mb']:8.2f}")
 
 
 if __name__ == "__main__":

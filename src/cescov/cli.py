@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -102,6 +103,9 @@ def cmd_theory(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    for flag, value in (("--kappa-min", args.kappa_min), ("--kappa-max", args.kappa_max)):
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value}")
     kappa_min = args.kappa_min if args.kappa_min is not None else kurtosis_lower_bound(args.p)
     if args.steps < 1:
         raise CliError(f"--steps must be >= 1, got {args.steps}")

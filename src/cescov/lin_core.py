@@ -231,11 +231,24 @@ class _HermitianCoords:
     def vec_cov(self, a: np.ndarray) -> np.ndarray:
         """U a U^H (p^2 x p^2, complex): the covariance of vec(T) from the
         covariance a of its coordinates.  Each entry is a signed sum of two
-        entries of a, so a symmetric a gives an exactly Hermitian result."""
+        entries of a, so a symmetric a gives an exactly Hermitian result.
+        Besides the result, one real p^2 x p^2 temporary is alive at a time.
+        Multiplying by the signs one factor at a time is exact, so the real
+        and imaginary parts have the bits of ``a[re, re] + outer(s, s) *
+        a[im, im]`` and ``s[:, None] * a[im, re] - s * a[re, im]``."""
         re, im, s = self.re, self.im, self.sign
         out = np.empty(a.shape, dtype=np.complex128)
-        out.real = a[np.ix_(re, re)] + np.outer(s, s) * a[np.ix_(im, im)]
-        out.imag = s[:, None] * a[np.ix_(im, re)] - s * a[np.ix_(re, im)]
+        out.real = a[np.ix_(re, re)]
+        out.imag = a[np.ix_(im, re)]
+        out.imag *= s[:, None]
+        t = a[np.ix_(im, im)]
+        t *= s[:, None]
+        t *= s
+        out.real += t
+        del t
+        t = a[np.ix_(re, im)]
+        t *= s
+        out.imag -= t
         return out
 
 

@@ -3,7 +3,7 @@ comparisons against the closed-form second-order theory.  ``verify_target``
 is the check that ``cescov mc-verify`` runs for each of its ``TARGETS``: it
 picks the model, the closed form, the MSE and the tolerances of the target.
 
-Stream contract 3 (``STREAM_CONTRACT``): the replications of a run are cut
+Stream contract 4 (``STREAM_CONTRACT``): the replications of a run are cut
 into a fixed grid of chunks of ``CHUNK`` replications (``SPHERE_CHUNK``
 draws for the sphere check), the last chunk holding the remainder.  Chunk
 ``c`` draws all of its data from the single random stream ``(seed, c)`` as
@@ -13,8 +13,11 @@ order as they arrive, each real component by a plain left-to-right sum that
 starts from chunk 0's partial.  Results are therefore bit-identical for a
 fixed seed regardless of the worker count.  A recursive sum of k partials is
 off by at most (k - 1) u sum |x_i| (u = 2^-53), far below the percent-level
-Monte Carlo standard errors it is compared against.  Contract 3 draws each
-chunk's CES data in compound-Gaussian form (``sample_ces``).
+Monte Carlo standard errors it is compared against.  Contract 4 draws each
+chunk's CES data in compound-Gaussian form (``sample_ces``) from an SFC64
+stream, a K texture of shape below 1 by Marsaglia & Tsang's boost; contract
+3 drew the same form from PCG64 streams with numpy's gamma at every shape,
+so reports of the two differ by sampling error only.
 
 The moments of a Hermitian p x p statistic accumulate on its p^2 real
 coordinates (``lin_core._hermitian_coords``): the diagonal and the real and
@@ -22,7 +25,7 @@ imaginary parts of the upper triangle, taken from one real Gram of the
 chunk.  A run rebuilds the complex p^2 x p^2 covariance and its standard
 errors from them once, by an exact index map.  Reports therefore differ from
 those of the complex accumulation by rounding only, under the same stream
-contract 3.
+contract.
 
 Each running chunk borrows a workspace (``lin_core._borrowed_workspace``)
 for its draw, its statistic and its temporaries, and gives it back when it
@@ -88,7 +91,7 @@ __all__ = [
 ]
 
 # Version of the mapping from (seed, replication) to random streams and data.
-STREAM_CONTRACT = 3
+STREAM_CONTRACT = 4
 
 # Fixed chunk sizes: the chunk grid (and with it every random stream and
 # every accumulation order) must not depend on the worker count.  CHUNK
@@ -295,20 +298,34 @@ def empirical_moments(cfg: MCConfig) -> EmpiricalMoments:
     The covariance and pseudo-covariance are centered at the empirical mean
     with divisor R - 1.  Deterministic for a fixed seed at any worker count.
     """
-    p = cfg.model.dim
-    coords = _hermitian_coords(p)
-    ref = coords.from_matrix(cfg.model.cov)
+    ref = _hermitian_coords(cfg.model.dim).from_matrix(cfg.model.cov)
     kernel = partial(_moment_kernel, cfg=cfg, ref=ref)
     tot = _reduce_chunks(kernel, cfg.replications, CHUNK, cfg.workers)
+    return _moments_from_sums(tot, cfg.replications, cfg.model.dim, ref)
 
-    r = cfg.replications
+
+def _moments_from_sums(tot: dict, r: int, p: int, ref: np.ndarray) -> EmpiricalMoments:
+    """The moments of r replications from the merged partial sums ``tot`` of
+    ``_moment_kernel`` at the shift ref; overwrites ``tot["s2"]``.  The
+    p^2 x p^2 arrays are built in place, one operation at a time in the
+    order of the plain expressions, so besides ``tot`` and the results no
+    more than two real p^2 x p^2 temporaries are alive at once."""
+    coords = _hermitian_coords(p)
     mean_h = tot["s1"] / r
-    var = coords.vec_cov((tot["s2"] - r * np.outer(mean_h, mean_h)) / (r - 1))
+    cov_h = tot["s2"]
+    cov_h -= r * np.outer(mean_h, mean_h)
+    cov_h /= r - 1
+    var = coords.vec_cov(cov_h)
     mean_mat = coords.to_matrix(ref + mean_h)
 
     uniq = coords.re  # vec entry -> unique entry
-    g2 = tot["f2"][np.ix_(uniq, uniq)] / r  # E |w_a w_b|^2, per entry
-    se_var = np.sqrt(np.maximum(g2 - np.abs(var) ** 2, 0.0) / r)
+    se_var = tot["f2"][np.ix_(uniq, uniq)]
+    se_var /= r  # E |w_a w_b|^2, per entry
+    abs2 = np.square(np.abs(var, out=cov_h), out=cov_h)  # cov_h is spent
+    se_var -= abs2
+    np.maximum(se_var, 0.0, out=se_var)
+    se_var /= r
+    np.sqrt(se_var, out=se_var)
     se_mean = unvec(np.sqrt(np.maximum(np.diag(var).real, 0.0) / r), p)
 
     mse_emp = float(tot["sq1"]) / r

@@ -29,8 +29,10 @@ from util import mc_se, random_hpd, random_unitary
 # ---------------------------------------------------------------------------
 
 
-def _texture_by_hand(gen, family, n):
-    """Unit-mean texture tau of r^2 = tau * chi^2_{2p} / 2, as an (n,) array."""
+def _oracle_texture(gen, family, n):
+    """Unit-mean texture tau of r^2 = tau * chi^2_{2p} / 2, as an (n,) array,
+    from numpy's generators alone (the K texture by numpy's gamma at every
+    shape), so that the oracle does not share the sampler's algorithm."""
     if isinstance(family, Gaussian):
         return np.ones(n)
     if isinstance(family, StudentT):
@@ -39,7 +41,7 @@ def _texture_by_hand(gen, family, n):
 
 
 def _oracle_r2(gen, family, p, n):
-    return 0.5 * gen.chisquare(2 * p, size=n) * _texture_by_hand(gen, family, n)
+    return 0.5 * gen.chisquare(2 * p, size=n) * _oracle_texture(gen, family, n)
 
 
 def oracle_kurtosis(family, p, n=10**6, seed=1234):
@@ -47,6 +49,15 @@ def oracle_kurtosis(family, p, n=10**6, seed=1234):
     gen = np.random.default_rng(seed)
     terms = _oracle_r2(gen, family, p, n) ** 2 / (p * (p + 1))
     return terms.mean() - 1.0, mc_se(terms)
+
+
+def _texture_by_hand(gen, family, n):
+    """The texture as stream contract 4 draws it: below shape 1 a K texture
+    is Gamma(a + 1) * U^(1/a) / a, with the uniforms drawn after the gammas."""
+    if isinstance(family, CompoundGaussianK) and family.shape < 1.0:
+        a = family.shape
+        return gen.standard_gamma(a + 1.0, size=n) * gen.random(n) ** (1.0 / a) * (1.0 / a)
+    return _oracle_texture(gen, family, n)
 
 
 FAMILIES = [Gaussian(), StudentT(6.0), StudentT(12.0), CompoundGaussianK(0.5)]
@@ -68,6 +79,11 @@ class TestFamilies:
         assert str(Gaussian()) == "gaussian"
         assert str(StudentT(8)) == "t:8"
         assert str(CompoundGaussianK(0.5)) == "k:0.5"
+
+    @pytest.mark.parametrize("text", ["t:inf", "k:inf"])
+    def test_infinite_parameter_names_the_gaussian_limit(self, text):
+        with pytest.raises(InvalidFamily, match="finite.*gaussian"):
+            parse_family(text)
 
     def test_t_needs_finite_fourth_moments(self):
         with pytest.raises(InvalidFamily):
@@ -266,7 +282,7 @@ class TestSampleCes:
         ],
     )
     def test_compound_gaussian_draw(self, family, cov, mu):
-        # stream contract 3: one complex normal row z, then one texture tau per row;
+        # stream contract 4: one complex normal row z, then one texture tau per row;
         # the sampler skips the product with an identity C and the sum with a zero
         # mu, and must still give the bits of the full expression
         if cov is None:
@@ -303,10 +319,15 @@ class TestSampleCes:
             np.testing.assert_array_equal(x[:, 0], sample_ces(model, n, RngStream(45, stream)))
             assert np.isnan(y[n * 6 :]).all() and np.isnan(out[n * 3 :]).all()
 
-    @pytest.mark.parametrize("family", [Gaussian(), StudentT(12.0), CompoundGaussianK(2.0)], ids=str)
+    @pytest.mark.parametrize(
+        "family",
+        [Gaussian(), StudentT(12.0), CompoundGaussianK(2.0), CompoundGaussianK(0.5), CompoundGaussianK(0.3)],
+        ids=str,
+    )
     def test_law_at_general_covariance(self, family):
         # whitened rows w = C^{-1}(x - mu) = r u: E r^2 = p, E r^4 = p(p+1)(1 + kappa),
-        # and u uniform on the sphere, E|u_q|^4 = 2/(p(p+1)); t:12 keeps E r^8 finite
+        # and u uniform on the sphere, E|u_q|^4 = 2/(p(p+1)); t:12 keeps E r^8 finite,
+        # and k:0.5 and k:0.3 take the boosted gamma texture
         p, n = 3, 4 * 10**5
         cov = random_hpd(np.random.default_rng(42), p)
         mu = np.array([2.0, -1j, 0.5 + 0.5j])
@@ -333,6 +354,15 @@ class TestRngStream:
         a = RngStream(5, 9).generator().standard_normal(8)
         b = RngStream(5, 9).generator().standard_normal(8)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (5, 9), (2**64 - 1, 3)])
+    def test_is_sfc64_seeded_by_the_pair(self, seed, stream_id):
+        # stream contract 4: SFC64 seeded by SeedSequence((seed, stream_id))
+        gen = RngStream(seed, stream_id).generator()
+        ref = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, stream_id))))
+        assert isinstance(gen.bit_generator, np.random.SFC64)
+        np.testing.assert_array_equal(gen.standard_normal(16), ref.standard_normal(16))
+        np.testing.assert_array_equal(gen.random(16), ref.random(16))
 
     def test_draw_speed_does_not_depend_on_a_preceding_gemm(self):
         # OpenBLAS's complex GEMM can leave the upper halves of the vector

@@ -52,6 +52,18 @@ class TestSample:
         assert code == 2
         assert "dof > 4" in err
 
+    @pytest.mark.parametrize("dist", ["t:inf", "k:inf"])
+    def test_rejects_infinite_family_parameter(self, capsys, tmp_path, dist):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys, "sample", "--dist", dist, "--n", "10", "--p", "2",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert len(err.splitlines()) == 1  # the message only, no numpy warning
+        assert "finite" in err and "gaussian" in err
+
     def test_rejects_p0(self, capsys, tmp_path):
         out = tmp_path / "x.csv"
         code, _, err = run(
@@ -237,6 +249,14 @@ class TestCurve:
         assert len(err.splitlines()) == 1
         assert "kappa = -0.2 " in err
 
+    @pytest.mark.parametrize("flag", ["--kappa-min", "--kappa-max"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_rejects_non_finite_kappa(self, capsys, flag, value):
+        code, out, err = run(capsys, "curve", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be finite, got {value}\n"
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
         code, _, _ = run(capsys, "curve", "--steps", "4", "--out", str(path))
@@ -294,6 +314,16 @@ class TestMcVerify:
         payload = json.loads(out)
         assert code == 0
         assert payload["report"]["details"]["ratio"] < 1.0
+
+    @pytest.mark.parametrize("dist", ["t:inf", "k:inf"])
+    def test_rejects_infinite_family_parameter(self, capsys, dist):
+        code, out, err = run(
+            capsys, "mc-verify", "--target", "thm3", "--dist", dist,
+            "--p", "2", "--reps", "2048", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err and "gaussian" in err
 
     def test_sphere_rejects_zero_workers(self, capsys):
         code, out, err = run(

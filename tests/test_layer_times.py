@@ -25,3 +25,9 @@ def test_every_row_is_finite_and_restores_mc_verify(target):
     assert t["draw"] > 0 and t["draw0"] > 0 and t["statistic"] > 0
     assert t["ws_mb"] > 0
     assert {name: getattr(mc_verify, name) for name in layer_times.PATCHED} == originals
+
+
+def test_header_names_the_bit_generator_and_stream_contract():
+    header = layer_times.versions()
+    assert "SFC64 streams" in header
+    assert f"stream contract {mc_verify.STREAM_CONTRACT}" in header

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -50,6 +51,7 @@ from cescov.mc_verify import (
     _draw_chunk,
     _merge,
     _moment_kernel,
+    _moments_from_sums,
     _oracle_kernel,
     _plugin_beta,
     _reduce_chunks,
@@ -232,6 +234,57 @@ class TestEmpiricalMoments:
         assert est.tau1 > 0
 
 
+def _spiked_sums(p, r):
+    """Merged partial moment sums of r transport replications (k:0.5,
+    spiked gamma = 2, n = 10) at dimension p, and the shift they are taken at."""
+    cov = spiked_covariance(p, 2.0)
+    cfg = MCConfig(replications=r, n=10, model=CESModel(np.zeros(p), cov, CompoundGaussianK(0.5)), seed=61)
+    ref = _hermitian_coords(p).from_matrix(cov)
+    return _reduce_chunks(partial(_moment_kernel, cfg=cfg, ref=ref), r, CHUNK, 1), ref
+
+
+class TestMomentsFromSums:
+    """The step after the chunk reduce, which builds the p^2 x p^2 results."""
+
+    @pytest.mark.parametrize("p", [10, 16])
+    def test_bits_of_the_plain_expressions(self, p):
+        r = CHUNK + 7
+        tot, ref = _spiked_sums(p, r)
+        coords = _hermitian_coords(p)
+        # the expressions as written before the results were built in place
+        mean_h = tot["s1"] / r
+        a = (tot["s2"] - r * np.outer(mean_h, mean_h)) / (r - 1)
+        re, im, s = coords.re, coords.im, coords.sign
+        var = np.empty(a.shape, dtype=np.complex128)
+        var.real = a[np.ix_(re, re)] + np.outer(s, s) * a[np.ix_(im, im)]
+        var.imag = s[:, None] * a[np.ix_(im, re)] - s * a[np.ix_(re, im)]
+        g2 = tot["f2"][np.ix_(re, re)] / r
+        se_var = np.sqrt(np.maximum(g2 - np.abs(var) ** 2, 0.0) / r)
+
+        emp = _moments_from_sums({k: np.copy(v) for k, v in tot.items()}, r, p, ref)
+        bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+        np.testing.assert_array_equal(bits(emp.var_emp), bits(var))
+        np.testing.assert_array_equal(bits(emp.se_var), bits(se_var))
+        assert emp.se_scale == float(se_var.max())
+
+    def test_peak_memory_in_p4_units(self):
+        # var_emp (complex) and se_var are the only p^2 x p^2 results; besides
+        # them at most one real p^2 x p^2 temporary is alive at a time, so the
+        # peak stays near three real p^4 arrays (it was above six)
+        p, r = 16, CHUNK
+        tot, ref = _spiked_sums(p, r)
+        _moments_from_sums({k: np.copy(v) for k, v in tot.items()}, r, p, ref)  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            emp = _moments_from_sums(tot, r, p, ref)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert emp.var_emp.shape == (p * p, p * p)
+        assert peak <= 4 * 8 * p**4, peak / (8 * p**4)
+
+
 class TestStackedKernels:
     """A chunk's statistics, computed on the whole (m, n, p) stack, equal
     the single-dataset estimators applied to each of its datasets."""
@@ -247,7 +300,7 @@ class TestStackedKernels:
         return _draw_chunk(cfg, 2, 200, _Workspace())
 
     def test_chunk_draws_from_one_stream(self, cfg, chunk):
-        # stream contract 3: chunk c draws its m * n rows from the stream (seed, c)
+        # stream contract 4: chunk c draws its m * n rows from the stream (seed, c)
         ref = sample_ces(cfg.model, 200 * cfg.n, RngStream(cfg.seed, 2))
         np.testing.assert_array_equal(chunk, ref.reshape(chunk.shape))
 

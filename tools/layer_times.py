@@ -26,10 +26,10 @@ kernels call:
 
 Each figure is per chunk (draw0: of chunk 0; ws_mb: per workspace), the
 median over ``--repeat`` runs after one warm-up run; times are in
-milliseconds.  The header names
-numpy's version and its BLAS, whose small-matrix gemm path sets the
-statistic's speed.  Run it with BLAS single-threaded, from the repository
-root::
+milliseconds.  The header names numpy's version and its BLAS, whose
+small-matrix gemm path sets the statistic's speed, and the bit generator of
+the random streams and the stream contract, which set the draw's.  Run it
+with BLAS single-threaded, from the repository root::
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/layer_times.py --p 2 4 10
 """
@@ -44,6 +44,7 @@ import time
 import numpy as np
 
 from cescov import lin_core, mc_verify as mc
+from cescov.ces_sampler import RngStream
 
 COLUMNS = ("draw", "draw0", "statistic", "accumulate", "merge", "faults", "ws_mb")
 CHUNKS = 16  # chunks per timed run
@@ -71,9 +72,12 @@ def timed(fn, layer: str, totals: dict):
 
 
 def versions() -> str:
-    """numpy's version and the name and version of its BLAS."""
+    """numpy's version, the name and version of its BLAS, and the bit
+    generator and stream contract that the draws come from."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+    bit_generator = type(RngStream(0).generator().bit_generator).__name__
+    return (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
+            f"{bit_generator} streams, stream contract {mc.STREAM_CONTRACT}")
 
 
 def layer_times(target: str, p: int, n: int, repeat: int) -> dict:

@@ -15,7 +15,8 @@ unit-mean texture ``tau``; its elliptical kurtosis is ``kappa = E[r^4] / (p (p +
 * ``CompoundGaussianK(shape)`` -- ``tau ~ Gamma(shape, 1/shape)``; kappa = 1 / shape.
   Below shape 1 the draw is ``Gamma(shape + 1) * U^(1/shape) / shape`` for an
   independent uniform ``U`` (Marsaglia & Tsang's boost); from shape 1 on it is
-  numpy's ``gamma(shape, 1/shape)``.
+  numpy's ``gamma(shape, 1/shape)``.  Requires ``shape >= 53/1075``, about
+  0.049: below that ``U^(1/shape)`` underflows to 0 with probability above 2^-53.
 
 A parameter must be finite: ``t:inf`` and ``k:inf`` are the Gaussian limit,
 spelt ``gaussian``.
@@ -26,7 +27,10 @@ N(0, 1) real and imaginary parts, ``||z||^2 / 2`` has the law of ``q`` and
 ``r u`` has the law of ``sqrt(tau / 2) z``.
 
 Reproducibility: all samplers take an :class:`RngStream` value, and a
-fixed ``(seed, stream_id)`` always yields the same output.
+fixed ``(seed, stream_id)`` always yields the same output.  The Monte Carlo
+harness (``mc_verify``, stream contract 5) draws a chunk of m datasets of n
+rows as one ``sample_ces`` draw of m * n rows, read observation-major: row
+``i * m + j`` is observation i of dataset j.
 """
 
 from __future__ import annotations
@@ -81,15 +85,24 @@ class StudentT:
         return f"t:{self.dof:g}"
 
 
+# Smallest K shape a: the boosted texture's factor U^(1/a) rounds to 0, below
+# 2^-1075, with probability 2^(-1075 a), which exceeds 2^-53 below this bound.
+_K_SHAPE_MIN = 53 / 1075
+
+
 @dataclass(frozen=True)
 class CompoundGaussianK:
-    """Compound-Gaussian (K-distributed) tails with gamma texture ``shape > 0``."""
+    """Compound-Gaussian (K-distributed) tails with gamma texture
+    ``shape >= 53/1075`` (about 0.049)."""
 
     shape: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0):
-            raise InvalidFamily(f"K family needs shape > 0, got {self.shape}")
+        if not (self.shape >= _K_SHAPE_MIN):
+            raise InvalidFamily(
+                f"K family needs shape >= 53/1075 (about {_K_SHAPE_MIN:.4f}), got {self.shape}: below it "
+                "the texture draw underflows to 0 with probability above 2^-53"
+            )
         if math.isinf(self.shape):
             raise InvalidFamily(f"K family needs a finite shape, got {self.shape}; its limit is gaussian")
 
@@ -286,31 +299,21 @@ def sample_ces(model: CESModel, n: int, rng: RngStream) -> np.ndarray:
     return _draw_ces(model, rng, np.empty((n, 2 * model.dim)), None)
 
 
-def _draw_ces(model: CESModel, rng: RngStream, y: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+def _draw_ces(model: CESModel, rng: RngStream, y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """:func:`sample_ces` of ``len(y)`` rows into caller buffers.  The
-    float64 (N, 2p) ``y`` takes the normal draw.  Without ``rows`` the data
-    are ``y`` viewed as complex when the product with ``sqrt_cov`` is
-    skipped, else a new array.  ``rows``, a complex128 (n, m, p) buffer with
-    n * m = N, takes the data of m datasets of n rows observation-major:
-    ``rows[i, j]`` is row ``j * n + i`` of the draw, and ``rows`` is
-    returned.  ``mu`` is added in place, and only when it is not zero."""
+    float64 (N, 2p) ``y`` takes the normal draw, scaled in place by the
+    texture; when the product with ``sqrt_cov`` is skipped, the data are
+    ``y`` viewed as complex.  Otherwise the product goes to ``out``, a
+    complex128 (N, p) buffer, or to a new array without it.  ``mu`` is
+    added in place, and only when it is not zero."""
     gen = rng.generator()
     gen.standard_normal(out=y)
     # a real multiply of the float view has the bits of z * (s + 0j) for finite z
     y *= np.sqrt(0.5 * _texture(gen, model.family, len(y)))[..., None]
-    x, out = y.view(np.complex128), rows
-    if rows is not None and rows.shape[1] > 1:
-        x = x.reshape(rows.shape[1], rows.shape[0], -1).swapaxes(0, 1)
-    elif rows is not None:
-        # one dataset's (n, 1, p) rows are its (n, p) rows: numpy would send
-        # each of n one-row products to gemv, whose bits differ from gemm's
-        out = rows.reshape(x.shape)
+    x = y.view(np.complex128)
     if not model._identity_sqrt:
         # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
         x = np.matmul(x, model.sqrt_cov.T, out=out)
-    elif out is not None:
-        np.copyto(out, x)
-        x = out
     if not model._zero_mean:
-        x += model.mu  # in place: a fresh (n, p) array costs more than the sum
-    return x if rows is None else rows
+        x += model.mu  # in place: a fresh (N, p) array costs more than the sum
+    return x

@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_sample = sub.add_parser("sample", help="draw a dataset from a CES model")
-    p_sample.add_argument("--dist", required=True, help="gaussian, t:NU (NU > 4) or k:ALPHA")
+    p_sample.add_argument("--dist", required=True, help="gaussian, t:NU (NU > 4) or k:ALPHA (ALPHA >= 53/1075)")
     p_sample.add_argument("--n", type=int, required=True, help="number of observations")
     p_sample.add_argument("--p", type=int, required=True, help="dimension")
     p_sample.add_argument("--mu", default="zero", help="'zero' or a complex CSV vector file")

@@ -19,9 +19,9 @@ the centring and the kurtosis moments are reduces and subtractions over its
 outer axis.  A core copies its input stack there and reads it only, unless
 the input already is the complex (m, n, p) view of that buffer, as the
 Monte Carlo draw leaves it: then the core centres it in place.  The buffer
-"draw", which holds the draw's normals and is free once the data sit in
-"rows", then takes the second operand of each Gram, and the |dev|^2 and
-|dev|^4 of the kurtosis.  The Grams themselves are built a block of
+"draw", which holds the draw's normals when a covariance root multiplies
+them and is free once the data sit in "rows", then takes the second
+operand of each Gram, and the |dev|^2 and |dev|^4 of the kurtosis.  The Grams themselves are built a block of
 replications at a time, in a buffer of at most ``_GRAM_BLOCK_BYTES``.
 """
 

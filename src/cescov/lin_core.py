@@ -83,6 +83,18 @@ def _vec_transpose_index(p: int) -> np.ndarray:
     return j * p + i
 
 
+# most values in one block of rows of a p^2 x p^2 array that is built or read
+# a block at a time (64 KiB of complex values)
+_ROW_BLOCK_VALUES = 2**12
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Slices that cut ``rows`` rows of ``cols`` values into blocks of at most
+    ``_ROW_BLOCK_VALUES`` values, and of at least one row."""
+    step = max(1, _ROW_BLOCK_VALUES // cols)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 class _Workspace:
     """Named scratch buffers, reused from one call to the next.
 

@@ -3,21 +3,27 @@ comparisons against the closed-form second-order theory.  ``verify_target``
 is the check that ``cescov mc-verify`` runs for each of its ``TARGETS``: it
 picks the model, the closed form, the MSE and the tolerances of the target.
 
-Stream contract 4 (``STREAM_CONTRACT``): the replications of a run are cut
-into a fixed grid of chunks of ``CHUNK`` replications (``SPHERE_CHUNK``
-draws for the sphere check), the last chunk holding the remainder.  Chunk
-``c`` draws all of its data from the single random stream ``(seed, c)`` as
-one ``(m, n, p)`` tensor, computes the statistic for the whole stack at
-once and reduces it to partial sums.  The partial sums are merged in chunk
-order as they arrive, each real component by a plain left-to-right sum that
-starts from chunk 0's partial.  Results are therefore bit-identical for a
-fixed seed regardless of the worker count.  A recursive sum of k partials is
-off by at most (k - 1) u sum |x_i| (u = 2^-53), far below the percent-level
-Monte Carlo standard errors it is compared against.  Contract 4 draws each
-chunk's CES data in compound-Gaussian form (``sample_ces``) from an SFC64
-stream, a K texture of shape below 1 by Marsaglia & Tsang's boost; contract
-3 drew the same form from PCG64 streams with numpy's gamma at every shape,
-so reports of the two differ by sampling error only.
+Stream contract 5 (``STREAM_CONTRACT``): the replications of a run are cut
+into a fixed grid of chunks, the last chunk holding the remainder.  A chunk
+holds ``_chunk_size(n, p)`` replications: at least ``CHUNK``, and about as
+many values as a chunk of ``CHUNK`` datasets of n = p = 10 holds, so the
+fixed cost of a chunk is spread over a similar volume of data at any p
+(2560 at n = 10, p = 2; 1280 at p = 4; ``CHUNK`` from n p = 100 on).  The
+sphere check draws ``SPHERE_CHUNK`` directions per chunk.  Chunk ``c`` of m
+replications draws all of its data from the single random stream
+``(seed, c)`` as one ``sample_ces`` draw of m * n rows, read
+observation-major: row ``i * m + j`` is observation i of replication j.  It
+computes the statistic for the whole (m, n, p) stack at once and reduces it
+to partial sums.  The partial sums are merged in chunk order as they
+arrive, each real component by a plain left-to-right sum that starts from
+chunk 0's partial.  Results are therefore bit-identical for a fixed seed
+regardless of the worker count.  A recursive sum of k partials is off by at
+most (k - 1) u sum |x_i| (u = 2^-53), far below the percent-level Monte
+Carlo standard errors it is compared against.  Contract 4 read each chunk's
+draw replication-major, row ``j * n + i``, in chunks of ``CHUNK`` at every
+p; contract 3 drew the same compound-Gaussian form from PCG64 streams with
+numpy's gamma at every shape.  Reports of contracts 3, 4 and 5 differ by
+sampling error only.
 
 The moments of a Hermitian p x p statistic accumulate on its p^2 real
 coordinates (``lin_core._hermitian_coords``): the diagonal and the real and
@@ -31,8 +37,10 @@ Each running chunk borrows a workspace (``lin_core._borrowed_workspace``)
 for its draw, its statistic and its temporaries, and gives it back when it
 ends, also when it raises.  The draw leaves the chunk's data in the
 workspace's observation-major rows, where the statistic centres them in
-place, and its normals buffer then takes the second operand of the Grams,
-which are built a block of replications at a time (``estimators``).  No
+place: with an identity covariance root the normals are drawn and scaled
+there, and otherwise they go to the buffer "draw" and their product with
+the root to the rows.  The statistic's Grams take "draw" for their second
+operand and are built a block of replications at a time (``estimators``).  No
 result bit depends on the workspace: every partial sum a kernel returns is
 a new array, and the row means taken in a workspace have the bits of
 numpy's ``mean``.
@@ -67,8 +75,8 @@ import numpy as np
 from .ces_sampler import CESModel, RngStream, StudentT, _draw_ces, _draw_sphere, elliptical_kurtosis, parse_family
 from .errors import InvalidFamily, TooFewObservations
 from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
-from .lin_core import (_borrowed_workspace, _hermitian_coords, _scale_and_sphericity_stack, _Workspace,
-                       covariance_preset, unvec, vec_index)
+from .lin_core import (_borrowed_workspace, _hermitian_coords, _row_blocks, _scale_and_sphericity_stack,
+                       _Workspace, covariance_preset, unvec, vec_index)
 from .theory import (CovariancePair, RadialStructure, _var_times_commutation, affine_equivariant_var,
                      beta_opt, empirical_structure_pair, mse_scm, nmse_from_sphericity, scm_radial_structure)
 
@@ -91,12 +99,15 @@ __all__ = [
 ]
 
 # Version of the mapping from (seed, replication) to random streams and data.
-STREAM_CONTRACT = 4
+STREAM_CONTRACT = 5
 
-# Fixed chunk sizes: the chunk grid (and with it every random stream and
-# every accumulation order) must not depend on the worker count.  CHUNK
-# bounds the per-chunk tensors, and with them the peak memory of a run.
+# Chunk sizes: the chunk grid (and with it every random stream and every
+# accumulation order) depends on (n, p) only, never on the worker count.  A
+# chunk holds at least CHUNK replications and about _CHUNK_VALUES data
+# values, as many as CHUNK datasets of n = p = 10; from n p = 100 on its
+# data grow with n p.  The chunk tensors set the peak memory of a run.
 CHUNK = 512
+_CHUNK_VALUES = CHUNK * 100
 SPHERE_CHUNK = 65536
 
 STATISTICS = ("scm", "wscm:one", "wscm:fobi")
@@ -171,6 +182,12 @@ def _worker_pool(workers: int) -> ThreadPoolExecutor:
     return _POOL
 
 
+def _chunk_size(n: int, p: int) -> int:
+    """Replications per chunk of datasets of n observations in dimension p:
+    as many as ``_CHUNK_VALUES`` values hold, and at least ``CHUNK``."""
+    return max(CHUNK, _CHUNK_VALUES // (n * p))
+
+
 def _reduce_chunks(kernel, total: int, chunk: int, workers: int) -> dict:
     """Sums of the partials ``kernel(c, m)`` over the fixed grid of ``total``
     items in chunks of ``chunk`` (chunk ``c`` holds ``m`` items).
@@ -183,12 +200,13 @@ def _reduce_chunks(kernel, total: int, chunk: int, workers: int) -> dict:
     at any worker count.  An exception in a kernel cancels the chunks not yet
     started and is raised here once the running ones have ended.  Kernels
     must not call ``_reduce_chunks``: a chunk that waits for chunks queued
-    behind it on the same pool can deadlock.
+    behind it on the same pool can deadlock.  A grid of one chunk runs on
+    the calling thread at any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
-    if workers == 1:
+    if workers == 1 or len(sizes) == 1:
         return _merge(map(kernel, range(len(sizes)), sizes))
     with _POOL_LOCK:
         pool = _worker_pool(workers)
@@ -230,13 +248,17 @@ if hasattr(os, "register_at_fork"):
 
 
 def _draw_chunk(cfg: MCConfig, c: int, m: int, ws: _Workspace) -> np.ndarray:
-    """The (m, n, p) data of chunk c, drawn from the single stream (seed, c):
-    the normals go to the workspace buffer "draw" and the data to "rows",
-    observation-major (n, m, 2p) floats, of which this is the complex
-    (m, n, p) view.  The stacked cores centre that view in place."""
+    """The (m, n, p) data of chunk c: ``sample_ces`` of m * n rows from the
+    single stream (seed, c), read observation-major.  The rows land in the
+    workspace buffer "rows", observation-major (n, m, 2p) floats, of which
+    this is the complex (m, n, p) view; with an identity covariance root the
+    normals are drawn there, else into the buffer "draw".  The stacked cores
+    centre that view in place."""
     n, p = cfg.n, cfg.model.dim
-    y, rows = ws.take("draw", (m * n, 2 * p)), ws.take("rows", (n, m, 2 * p))
-    return _draw_ces(cfg.model, RngStream(cfg.seed, c), y, rows.view(np.complex128)).swapaxes(0, 1)
+    rows = ws.take("rows", (n * m, 2 * p))
+    y = rows if cfg.model._identity_sqrt else ws.take("draw", (n * m, 2 * p))
+    x = _draw_ces(cfg.model, RngStream(cfg.seed, c), y, rows.view(np.complex128))
+    return x.reshape(n, m, p).swapaxes(0, 1)
 
 
 def _moment_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray) -> dict:
@@ -300,7 +322,7 @@ def empirical_moments(cfg: MCConfig) -> EmpiricalMoments:
     """
     ref = _hermitian_coords(cfg.model.dim).from_matrix(cfg.model.cov)
     kernel = partial(_moment_kernel, cfg=cfg, ref=ref)
-    tot = _reduce_chunks(kernel, cfg.replications, CHUNK, cfg.workers)
+    tot = _reduce_chunks(kernel, cfg.replications, _chunk_size(cfg.n, cfg.model.dim), cfg.workers)
     return _moments_from_sums(tot, cfg.replications, cfg.model.dim, ref)
 
 
@@ -449,7 +471,11 @@ def compare_to_theory(
     checks: list[bool] = []
     details: dict = {"se_scale": emp.se_scale}
 
-    dev_var = float((np.abs(emp.var_emp - theo.var) / np.maximum(emp.se_var, 1e-300)).max())
+    # a block of rows at a time, with the bits of the whole-array expression
+    dev_var = float(np.max([
+        (np.abs(emp.var_emp[rows] - theo.var[rows]) / np.maximum(emp.se_var[rows], 1e-300)).max()
+        for rows in _row_blocks(*emp.var_emp.shape)
+    ]))
     checks.append(dev_var <= tol.se_mult)
 
     rel_t1 = rel_t2 = rel_mse = None
@@ -639,7 +665,7 @@ def verify_oracle_efficiency(
 
     ref = _hermitian_coords(model.dim).from_matrix(model.cov)
     kernel = partial(_oracle_kernel, cfg=cfg, ref=ref, beta=b, plugin=include_plugin)
-    tot = _reduce_chunks(kernel, cfg.replications, CHUNK, cfg.workers)
+    tot = _reduce_chunks(kernel, cfg.replications, _chunk_size(cfg.n, model.dim), cfg.workers)
 
     r = cfg.replications
     mean1 = float(tot["e1"]) / r

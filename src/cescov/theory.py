@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ces_sampler import kurtosis_lower_bound
-from .lin_core import _vec_transpose_index, hermitian_sqrt, hermitize, kron, scale_and_sphericity, vec
+from .lin_core import _row_blocks, _vec_transpose_index, hermitian_sqrt, hermitize, scale_and_sphericity, vec
 
 __all__ = [
     "RadialStructure",
@@ -129,8 +129,19 @@ def affine_equivariant_var(m, s: RadialStructure) -> CovariancePair:
     p = m.shape[0]
     if s.dim != p:
         raise ValueError(f"structure is for dim {s.dim}, matrix is {p} x {p}")
-    vm = vec(m)
-    var = s.tau1 * kron(m.conj(), m) + s.tau2 * np.outer(vm, vm.conj())
+    # tau1 kron(M*, M) + tau2 vec(M) vec(M)^H, with the bits of that
+    # expression, built in place for a block of M*'s rows at a time
+    mc, vm = m.conj(), vec(m)
+    vc = vm.conj()
+    var = np.empty((p * p, p * p), dtype=np.complex128)
+    for a in _row_blocks(p, p**3):
+        rows = slice(a.start * p, a.stop * p)
+        block = var[rows]
+        np.multiply(mc[a, None, :, None], m[None, :, None, :], out=block.reshape(-1, p, p, p))  # kron's rows
+        block *= s.tau1
+        t = np.outer(vm[rows], vc)
+        t *= s.tau2
+        block += t
     return CovariancePair(var=var)
 
 

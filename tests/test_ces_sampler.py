@@ -85,6 +85,16 @@ class TestFamilies:
         with pytest.raises(InvalidFamily, match="finite.*gaussian"):
             parse_family(text)
 
+    @pytest.mark.parametrize("text", ["k:1e-300", "k:0.04"])
+    def test_k_shape_whose_texture_underflows_is_refused(self, text):
+        # U^(1/a) rounds to 0 with probability 2^(-1075 a), above 2^-53 for a < 53/1075
+        with pytest.raises(InvalidFamily, match="53/1075"):
+            parse_family(text)
+
+    def test_k_shape_from_the_underflow_bound_is_accepted(self):
+        assert parse_family("k:0.05") == CompoundGaussianK(0.05)
+        CompoundGaussianK(53 / 1075)  # boundary is closed
+
     def test_t_needs_finite_fourth_moments(self):
         with pytest.raises(InvalidFamily):
             StudentT(4.0)
@@ -306,17 +316,19 @@ class TestSampleCes:
     )
     def test_draw_into_reused_buffers(self, family, cov, mu):
         # the Monte Carlo chunks draw into prefixes of workspace buffers that
-        # hold NaN or an earlier draw: the bits are those of sample_ces, and
-        # nothing past the prefix is written
+        # hold NaN or an earlier draw: the bits are those of sample_ces, the
+        # data are the normals' buffer with an identity root and the product
+        # buffer otherwise, and nothing past the prefix is written
         if cov is None:
             cov = random_hpd(np.random.default_rng(44), 3)
         model = CESModel(mu, cov, family)
         n = 257
         y, out = np.full(2 * n * 6, np.nan), np.full(2 * n * 3, np.nan, dtype=np.complex128)
         for stream in (5, 6):
-            prefix = y[: n * 6].reshape(n, 6), out[: n * 3].reshape(n, 1, 3)  # one dataset, observation-major
+            prefix = y[: n * 6].reshape(n, 6), out[: n * 3].reshape(n, 3)
             x = _draw_ces(model, RngStream(45, stream), *prefix)
-            np.testing.assert_array_equal(x[:, 0], sample_ces(model, n, RngStream(45, stream)))
+            np.testing.assert_array_equal(x, sample_ces(model, n, RngStream(45, stream)))
+            assert np.shares_memory(x, prefix[0] if model._identity_sqrt else prefix[1])
             assert np.isnan(y[n * 6 :]).all() and np.isnan(out[n * 3 :]).all()
 
     @pytest.mark.parametrize(

@@ -64,6 +64,28 @@ class TestSample:
         assert len(err.splitlines()) == 1  # the message only, no numpy warning
         assert "finite" in err and "gaussian" in err
 
+    @pytest.mark.parametrize("dist", ["k:1e-300", "k:0.04"])
+    def test_rejects_k_shape_whose_texture_underflows(self, capsys, tmp_path, dist):
+        # k:1e-300 wrote rows of zeros: the texture's U^(1/a) underflowed
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys, "sample", "--dist", dist, "--n", "10", "--p", "2",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert "53/1075" in err
+
+    def test_accepts_k_shape_above_the_underflow_bound(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, _ = run(
+            capsys, "sample", "--dist", "k:0.05", "--n", "1000", "--p", "2",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 0
+        assert np.all(np.abs(load_complex_matrix(out)).sum(axis=1) > 0)
+
     def test_rejects_p0(self, capsys, tmp_path):
         out = tmp_path / "x.csv"
         code, _, err = run(
@@ -324,6 +346,18 @@ class TestMcVerify:
         assert code == 2
         assert out == ""
         assert "finite" in err and "gaussian" in err
+
+    @pytest.mark.parametrize("dist", ["k:1e-300", "k:0.04"])
+    def test_rejects_k_shape_whose_texture_underflows(self, capsys, dist):
+        # k:1e-300 gave an overflow warning and an infinite deviation
+        code, out, err = run(
+            capsys, "mc-verify", "--target", "thm3", "--dist", dist,
+            "--p", "2", "--reps", "512", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "53/1075" in err
 
     def test_sphere_rejects_zero_workers(self, capsys):
         code, out, err = run(

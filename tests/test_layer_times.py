@@ -24,6 +24,7 @@ def test_every_row_is_finite_and_restores_mc_verify(target):
     assert all(math.isfinite(v) for v in t.values()), t
     assert t["draw"] > 0 and t["draw0"] > 0 and t["statistic"] > 0
     assert t["ws_mb"] > 0
+    assert t["m"] == mc_verify._chunk_size(10, p)  # the row's own chunk size
     assert {name: getattr(mc_verify, name) for name in layer_times.PATCHED} == originals
 
 

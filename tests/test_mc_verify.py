@@ -40,6 +40,7 @@ from cescov.mc_verify import (
     CHUNK,
     STREAM_CONTRACT,
     STATISTICS,
+    EmpiricalMoments,
     MCConfig,
     Tolerances,
     compare_to_theory,
@@ -48,6 +49,7 @@ from cescov.mc_verify import (
     verify_oracle_efficiency,
     verify_sphere_moments,
     verify_target,
+    _chunk_size,
     _draw_chunk,
     _merge,
     _moment_kernel,
@@ -58,6 +60,7 @@ from cescov.mc_verify import (
     _statistic_fn,
 )
 from cescov.theory import (
+    CovariancePair,
     affine_equivariant_var,
     beta_opt,
     nmse_from_sphericity,
@@ -145,11 +148,11 @@ class TestEmpiricalMoments:
         # sum_r w_r w_r^T / (R - 1) of the centred vec(T_r), built here from
         # the same chunks; a row permutation K var would give its conjugate
         cfg, emp = gaussian_run
-        r = cfg.replications
+        r, chunk = cfg.replications, _chunk_size(cfg.n, cfg.model.dim)
         stat = _statistic_fn(cfg.statistic)
         t = _hermitian_coords(cfg.model.dim).to_matrix(np.concatenate(
-            [stat(_draw_chunk(cfg, c, min(CHUNK, r - lo), _Workspace()), _Workspace())
-             for c, lo in enumerate(range(0, r, CHUNK))]
+            [stat(_draw_chunk(cfg, c, min(chunk, r - lo), _Workspace()), _Workspace())
+             for c, lo in enumerate(range(0, r, chunk))]
         ))
         w = t.swapaxes(-1, -2).reshape(r, -1)  # row r is vec(T_r)
         w = w - w.mean(axis=0)
@@ -159,9 +162,10 @@ class TestEmpiricalMoments:
     @pytest.mark.parametrize("statistic", ["scm", "wscm:one", "wscm:fobi"])
     def test_matches_direct_complex_accumulation(self, statistic, p):
         # moments accumulated on the real coordinates equal those of the
-        # complex vec(T_r) summed directly; 3 * CHUNK + 7 replications end
+        # complex vec(T_r) summed directly; a chunk and 7 replications end
         # in a ragged chunk, and p = 1 has no off-diagonal coordinate
-        r = 3 * CHUNK + 7
+        chunk = _chunk_size(8, p)
+        r = chunk + 7
         cov = random_hpd(np.random.default_rng(40 + p), p)
         model = CESModel(np.zeros(p), cov, CompoundGaussianK(0.5))
         cfg = MCConfig(replications=r, n=8, model=model, statistic=statistic, seed=41)
@@ -173,8 +177,8 @@ class TestEmpiricalMoments:
         }[statistic]
         t = np.stack([
             single(x)
-            for c, lo in enumerate(range(0, r, CHUNK))
-            for x in _draw_chunk(cfg, c, min(CHUNK, r - lo), _Workspace())
+            for c, lo in enumerate(range(0, r, chunk))
+            for x in _draw_chunk(cfg, c, min(chunk, r - lo), _Workspace())
         ])
         w = t.swapaxes(-1, -2).reshape(r, -1) - vec(cov)  # row r is vec(T_r - M)
         mean_w = w.mean(axis=0)
@@ -192,8 +196,8 @@ class TestEmpiricalMoments:
         np.testing.assert_array_equal(emp.var_emp[t_idx][:, t_idx], emp.var_emp.conj())
 
     def test_determinism_across_workers(self):
-        # 3 * CHUNK + 7 replications end in a ragged chunk
-        for replications, workers_list in ((5000, (4, 16)), (3 * CHUNK + 7, (2,))):
+        # two chunks and 7 replications end in a ragged chunk
+        for replications, workers_list in ((5000, (4, 16)), (2 * _chunk_size(8, 2) + 7, (2,))):
             cfg = MCConfig(replications=replications, n=8, model=spherical_model(2), seed=7)
             base = empirical_moments(cfg)
             for workers in workers_list:
@@ -240,7 +244,7 @@ def _spiked_sums(p, r):
     cov = spiked_covariance(p, 2.0)
     cfg = MCConfig(replications=r, n=10, model=CESModel(np.zeros(p), cov, CompoundGaussianK(0.5)), seed=61)
     ref = _hermitian_coords(p).from_matrix(cov)
-    return _reduce_chunks(partial(_moment_kernel, cfg=cfg, ref=ref), r, CHUNK, 1), ref
+    return _reduce_chunks(partial(_moment_kernel, cfg=cfg, ref=ref), r, _chunk_size(10, p), 1), ref
 
 
 class TestMomentsFromSums:
@@ -300,9 +304,10 @@ class TestStackedKernels:
         return _draw_chunk(cfg, 2, 200, _Workspace())
 
     def test_chunk_draws_from_one_stream(self, cfg, chunk):
-        # stream contract 4: chunk c draws its m * n rows from the stream (seed, c)
+        # stream contract 5: chunk c draws its m * n rows from the stream
+        # (seed, c), observation-major
         ref = sample_ces(cfg.model, 200 * cfg.n, RngStream(cfg.seed, 2))
-        np.testing.assert_array_equal(chunk, ref.reshape(chunk.shape))
+        np.testing.assert_array_equal(chunk, ref.reshape(cfg.n, 200, 3).swapaxes(0, 1))
 
     @pytest.mark.parametrize(
         "name, single",
@@ -332,18 +337,36 @@ class TestStackedKernels:
 @pytest.mark.parametrize("m", [1, 2, 7])
 @pytest.mark.parametrize("root", ["identity", "general"])
 def test_chunk_rows_hold_the_bits_of_sample_ces(m, root):
-    # the chunk's data are written observation-major into the workspace's
-    # rows; a one-dataset chunk keeps numpy's 2-D product (gemm), whose bits
-    # its n one-row products (gemv) would not keep
+    # stream contract 5: the chunk's data are sample_ces of m * n rows read
+    # observation-major, row i * m + j being observation i of dataset j, in
+    # the workspace's rows; with an identity root the normals are drawn
+    # there, else their product with the root (one (m n, p) @ (p, p) gemm)
     p, n = 3, 10
     cov = np.eye(p) if root == "identity" else random_hpd(np.random.default_rng(74), p)
     for mu in (np.zeros(p), np.array([1.0, -0.5j, 2.0 + 1.0j])):
         cfg = MCConfig(4 * CHUNK, n, CESModel(mu, cov, StudentT(10.0)), seed=75)
         ws = _Workspace()
         chunk = _draw_chunk(cfg, 3, m, ws)
+        assert chunk.shape == (m, n, p)
         assert np.shares_memory(chunk, ws.take("rows", (n, m, 2 * p)))
         ref = sample_ces(cfg.model, m * n, RngStream(cfg.seed, 3))
-        np.testing.assert_array_equal(chunk, ref.reshape(m, n, p))
+        np.testing.assert_array_equal(chunk, ref.reshape(n, m, p).swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("n, p, m", [(10, 2, 2560), (10, 4, 1280), (10, 10, 512), (10, 24, 512)])
+def test_chunk_size_follows_the_data_volume(n, p, m):
+    # at least CHUNK replications, and as many values as CHUNK datasets of n = p = 10
+    assert _chunk_size(n, p) == m
+
+
+def test_small_p_grid_is_bit_identical_across_workers():
+    # p = 2, n = 10: two chunks of 2560 replications and a ragged one of 7
+    cfg = MCConfig(2 * 2560 + 7, 10, spherical_model(2, CompoundGaussianK(0.5)), seed=79)
+    want = empirical_moments(cfg)
+    for workers in (2, 4):
+        got = empirical_moments(replace(cfg, workers=workers))
+        for key, value in vars(want).items():
+            np.testing.assert_array_equal(getattr(got, key), value, err_msg=key)
 
 
 @pytest.mark.parametrize("p", [1, 2, 10])
@@ -430,6 +453,24 @@ class TestReduceChunks:
         assert serial.keys() == threaded.keys()
         for key in serial:
             np.testing.assert_array_equal(serial[key], threaded[key])
+
+    def test_a_one_chunk_run_hands_no_chunk_to_the_pool(self, monkeypatch):
+        # thm3 at p = 2, R = 2048 is one chunk: it runs on the calling thread
+        # at any worker count, with the bits of workers = 1
+        cfg = MCConfig(2048, 10, spherical_model(2), seed=82)
+        want = empirical_moments(cfg)
+
+        def no_pool(workers):
+            raise AssertionError("a one-chunk run asked for the pool")
+
+        monkeypatch.setattr(mc_verify, "_worker_pool", no_pool)
+        got = empirical_moments(replace(cfg, workers=2))
+        for key, value in vars(want).items():
+            np.testing.assert_array_equal(getattr(got, key), value, err_msg=key)
+        threads = []
+        kernel = lambda c, m: threads.append(threading.current_thread()) or {"n": float(m)}
+        assert _reduce_chunks(kernel, 7, 8, workers=4)["n"] == 7.0
+        assert threads == [threading.current_thread()]
 
     def test_runs_reuse_the_pool_threads(self):
         threads = set()
@@ -778,6 +819,42 @@ class TestCompareToTheory:
         assert report.passed
         # pvar = var K_p on both sides: one deviation, reported twice
         assert report.max_abs_dev_pvar == report.max_abs_dev_var
+
+    @staticmethod
+    def random_moments(p, seed):
+        """Moments with random complex var_emp and se_var (some zero), and a
+        theory pair near them."""
+        gen, q = np.random.default_rng(seed), p * p
+        var = gen.standard_normal((q, q)) + 1j * gen.standard_normal((q, q))
+        se = np.abs(gen.standard_normal((q, q)))
+        se[gen.random((q, q)) < 0.01] = 0.0
+        emp = EmpiricalMoments(np.eye(p), var, np.eye(p), se, 1.0, 1.0, 1.0, 100)
+        return emp, CovariancePair(var=var + 1e-3 * gen.standard_normal((q, q)))
+
+    @pytest.mark.parametrize("p", [10, 16])
+    def test_deviation_has_the_bits_of_the_plain_expression(self, p):
+        # taken a block of rows at a time; a NaN still makes the deviation NaN
+        emp, theo = self.random_moments(p, 81 + p)
+        want = float((np.abs(emp.var_emp - theo.var) / np.maximum(emp.se_var, 1e-300)).max())
+        got = compare_to_theory(emp, theo).max_abs_dev_var
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        emp.var_emp[-1, 3] = np.nan
+        assert np.isnan(compare_to_theory(emp, theo).max_abs_dev_var)
+
+    def test_deviation_peak_memory_in_p4_units(self):
+        # the whole-array expression held a complex and two real p^2 x p^2
+        # arrays (3.0 units at p = 16); by blocks of rows it holds 0.19
+        p = 16
+        emp, theo = self.random_moments(p, 97)
+        compare_to_theory(emp, theo)  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            compare_to_theory(emp, theo)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * p**4, peak / (8 * p**4)
 
     def test_tolerances_per_family(self):
         assert Tolerances.for_family(Gaussian()).rel_tau == 0.02

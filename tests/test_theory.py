@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cescov.lin_core import commutation_matrix, hermitian_sqrt, kron
+from cescov.lin_core import commutation_matrix, hermitian_sqrt, hermitize, kron, vec
 from cescov.errors import ZeroTrace
 from cescov.theory import (
     CovariancePair,
@@ -113,6 +115,38 @@ class TestAffineEquivariantVar:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             affine_equivariant_var(np.eye(3), RadialStructure(1.0, 1.0, 0.0, dim=2))
+
+    @pytest.mark.parametrize("p", [10, 16])
+    @pytest.mark.parametrize("tau2", [0.2, 0.0, -0.011])
+    def test_bits_of_the_plain_expression(self, p, tau2):
+        # built in place a block of rows at a time, with the bits of the
+        # whole-array expression
+        m = random_hpd(np.random.default_rng(80 + p), p)
+        s = RadialStructure(1.0, 0.37, tau2, dim=p)
+        mh = hermitize(m)
+        vm = vec(mh)
+        want = s.tau1 * kron(mh.conj(), mh) + s.tau2 * np.outer(vm, vm.conj())
+        got = affine_equivariant_var(m, s).var
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_peak_memory_in_p4_units(self):
+        # the complex result is two real p^2 x p^2 units; besides it only a
+        # block of rows and numpy's ufunc buffers are alive (2.54 units at
+        # p = 16; the whole-array expression peaked at 4.53)
+        p = 16
+        m = random_hpd(np.random.default_rng(96), p)
+        s = RadialStructure(1.0, 0.37, -0.011, dim=p)
+        affine_equivariant_var(m, s)  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pair = affine_equivariant_var(m, s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pair.var.shape == (p * p, p * p)
+        assert peak <= 3 * 8 * p**4, peak / (8 * p**4)
 
 
 class TestScmRadialStructure:

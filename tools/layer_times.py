@@ -1,8 +1,9 @@
 """Per-chunk layer times of the Monte Carlo engine.
 
 Runs three ``mc-verify`` targets through ``mc_verify.verify_target``, as
-``cescov mc-verify`` runs them, on ``CHUNKS`` chunks of ``CHUNK``
-replications at each requested p: ``thm3`` (gaussian, identity covariance)
+``cescov mc-verify`` runs them, on ``CHUNKS`` chunks at each requested p,
+each of the m replications that ``mc_verify`` puts in a chunk at that n
+and p (column m): ``thm3`` (gaussian, identity covariance)
 at every p, and ``transport`` and ``oracle --plugin`` (k:0.5,
 ``--cov spiked:gamma=2``) where p > 2.  The layers are timed inside the real
 chunk loop, which ``_reduce_chunks`` drives, by wrapping the functions the
@@ -10,7 +11,7 @@ kernels call:
 
 * draw: ``_draw_chunk``, the chunk's (m, n, p) data, written observation-major
   into the workspace rows that the statistic centres in place (with an
-  identity covariance root, the draw's transposing copy into those rows);
+  identity covariance root, the normals are drawn there directly);
 * draw0: chunk 0's draw alone, the first random draw after the target's
   set-up (a mean over the chunks would hide a slow first draw);
 * statistic: ``_scm_stack``, the stacked SCM of that data;
@@ -46,7 +47,7 @@ import numpy as np
 from cescov import lin_core, mc_verify as mc
 from cescov.ces_sampler import RngStream
 
-COLUMNS = ("draw", "draw0", "statistic", "accumulate", "merge", "faults", "ws_mb")
+COLUMNS = ("m", "draw", "draw0", "statistic", "accumulate", "merge", "faults", "ws_mb")
 CHUNKS = 16  # chunks per timed run
 
 # target -> (its other verify_target arguments, smallest p it runs at)
@@ -97,7 +98,8 @@ def layer_times(target: str, p: int, n: int, repeat: int) -> dict:
     mc._draw_chunk = lambda cfg, c, *rest: (draw0 if c == 0 else draw)(cfg, c, *rest)
     mc._scm_stack = timed(originals["_scm_stack"], "statistic", totals)
     mc._reduce_chunks = counted_reduce
-    run = lambda: mc.verify_target(target, n=n, p=p, replications=CHUNKS * mc.CHUNK, seed=1, **kwargs)
+    m = mc._chunk_size(n, p)
+    run = lambda: mc.verify_target(target, n=n, p=p, replications=CHUNKS * m, seed=1, **kwargs)
     runs, idle = [], lin_core._IDLE
     lin_core._IDLE = []  # this row's workspaces only
     try:
@@ -108,6 +110,7 @@ def layer_times(target: str, p: int, n: int, repeat: int) -> dict:
             t, ms = totals, 1e3 / CHUNKS
             draws = t["draw"] + t["draw0"]
             runs.append({
+                "m": m,
                 "draw": draws * ms,
                 "draw0": t["draw0"] * 1e3,
                 "statistic": t["statistic"] * ms,
@@ -129,16 +132,16 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=10)
     ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args()
-    print(f"{CHUNKS} chunks of {mc.CHUNK} replications, n={args.n}, median of {args.repeat} runs, "
+    print(f"{CHUNKS} chunks of m replications, n={args.n}, median of {args.repeat} runs, "
           f"ms and minor page faults per chunk (draw0: chunk 0's draw), largest workspace in MB; {versions()}")
-    print(f"{'model':<10} {'p':>3} {'draw':>8} {'draw0':>8} {'statistic':>10} {'accumulate':>11} "
+    print(f"{'model':<10} {'p':>3} {'m':>5} {'draw':>8} {'draw0':>8} {'statistic':>10} {'accumulate':>11} "
           f"{'merge':>8} {'faults':>8} {'ws_mb':>8}")
     for target, (_, p_min) in ROWS.items():
         for p in args.p:
             if p < p_min:
                 continue
             t = layer_times(target, p, args.n, args.repeat)
-            print(f"{target:<10} {p:>3} {t['draw']:8.2f} {t['draw0']:8.2f} {t['statistic']:10.2f} "
+            print(f"{target:<10} {p:>3} {t['m']:>5} {t['draw']:8.2f} {t['draw0']:8.2f} {t['statistic']:10.2f} "
                   f"{t['accumulate']:11.2f} {t['merge']:8.2f} {t['faults']:8.1f} {t['ws_mb']:8.2f}")
 
 

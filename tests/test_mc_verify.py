@@ -196,8 +196,10 @@ class TestEmpiricalMoments:
         np.testing.assert_array_equal(emp.var_emp[t_idx][:, t_idx], emp.var_emp.conj())
 
     def test_determinism_across_workers(self):
-        # two chunks and 7 replications end in a ragged chunk
-        for replications, workers_list in ((5000, (4, 16)), (2 * _chunk_size(8, 2) + 7, (2,))):
+        # ten chunks, more than the workers, and two chunks; 7 replications
+        # end each grid in a ragged chunk
+        chunk = _chunk_size(8, 2)
+        for replications, workers_list in ((9 * chunk + 7, (4, 16)), (2 * chunk + 7, (2,))):
             cfg = MCConfig(replications=replications, n=8, model=spherical_model(2), seed=7)
             base = empirical_moments(cfg)
             for workers in workers_list:
@@ -592,7 +594,9 @@ class TestReduceChunks:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_runs_its_own_pool(self):
-        cfg = MCConfig(3 * CHUNK + 7, 10, spherical_model(3, CompoundGaussianK(0.5)), seed=71, workers=2)
+        # three chunks, so both runs go through the pool
+        model = spherical_model(3, CompoundGaussianK(0.5))
+        cfg = MCConfig(2 * _chunk_size(10, 3) + 7, 10, model, seed=71, workers=2)
         want = empirical_moments(cfg).var_emp  # the parent's pool threads exist at the fork
         read, write = os.pipe()
         with warnings.catch_warnings():
@@ -634,8 +638,11 @@ class TestWorkspaces:
         transport = CESModel(np.zeros(10), spiked_covariance(10, 2.0), CompoundGaussianK(0.5))
         empirical_moments(MCConfig(4 * CHUNK, 10, transport, seed=61, workers=2))
         oracle = CESModel(np.zeros(4), spiked_covariance(4, 2.0), CompoundGaussianK(0.5))
-        verify_oracle_efficiency(MCConfig(4 * CHUNK, 10, oracle, seed=62, workers=2), include_plugin=True)
-        empirical_moments(MCConfig(2 * CHUNK, 12, spherical_model(3), "wscm:fobi", seed=63, workers=2))
+        verify_oracle_efficiency(
+            MCConfig(4 * _chunk_size(10, 4), 10, oracle, seed=62, workers=2), include_plugin=True
+        )
+        fobi = MCConfig(2 * _chunk_size(12, 3), 12, spherical_model(3), "wscm:fobi", seed=63, workers=2)
+        empirical_moments(fobi)
         warm = report_digests()
         paths = [str(Path(cescov.__file__).parents[1]), str(Path(__file__).parent)]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
@@ -663,7 +670,7 @@ class TestWorkspaces:
 
     def test_a_raising_kernel_gives_its_workspace_back(self, monkeypatch):
         monkeypatch.setattr(lin_core, "_IDLE", [])
-        good = MCConfig(3 * CHUNK + 7, 12, spherical_model(3), "wscm:fobi", seed=66)
+        good = MCConfig(3 * _chunk_size(12, 3) + 7, 12, spherical_model(3), "wscm:fobi", seed=66)
         want = empirical_moments(good)
         assert len(lin_core._IDLE) == 1
         with pytest.raises(SingularSCM):
@@ -679,7 +686,7 @@ class TestWorkspaces:
         # a workspace lent twice would change the sums, one lost or appended
         # twice would show in the list
         monkeypatch.setattr(lin_core, "_IDLE", [])
-        cfg = MCConfig(16 * CHUNK, 10, spherical_model(3, CompoundGaussianK(0.5)), seed=67)
+        cfg = MCConfig(16 * _chunk_size(10, 3), 10, spherical_model(3, CompoundGaussianK(0.5)), seed=67)
         want = empirical_moments(cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, CescovError, ValueError) as e:
+    except (CliError, CescovError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ Conventions fixed project-wide:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -428,17 +429,24 @@ def _load_preset(flag: str, path: str) -> np.ndarray:
 # Then one line per matrix row with interleaved (re, im) pairs, i.e. the
 # entries traversed in row-major order.  Values are written with Python's
 # shortest round-trip float representation, so load(save(A)) == A exactly.
+# Rows are written and parsed _CSV_BLOCK at a time, by str.format and by
+# numpy's text reader; the reader never allocates from the declared shape.
 # ---------------------------------------------------------------------------
+
+_CSV_BLOCK = 512
 
 
 def dump_complex_matrix(f, a) -> None:
-    """Write a complex matrix to an open text stream in the shared format."""
+    """Write a complex matrix to an open text stream in the shared format:
+    per block of rows, one ``str.format`` of ``{!r}`` fields over the floats."""
     a = as_complex_matrix(a)
     rows, cols = a.shape
     f.write(f"# {rows} {cols}\n")
     f.write(",".join(f"re_{j + 1},im_{j + 1}" for j in range(cols)) + "\n")
-    for row in np.ascontiguousarray(a).view(np.float64):
-        f.write(",".join(map(repr, row.tolist())) + "\n")
+    x, line = np.ascontiguousarray(a).view(np.float64), ",".join(["{!r}"] * (2 * cols)) + "\n"
+    for start in range(0, rows, _CSV_BLOCK):
+        block = x[start:start + _CSV_BLOCK]
+        f.write((line * len(block)).format(*block.ravel().tolist()))
 
 
 def save_complex_matrix(path, a) -> None:
@@ -448,7 +456,8 @@ def save_complex_matrix(path, a) -> None:
 
 
 def parse_complex_matrix(lines) -> np.ndarray:
-    """Parse the shared complex CSV format from an iterable of lines."""
+    """Parse the shared complex CSV format from an iterable of lines, a block
+    of rows at a time.  A bad row raises ValueError naming its 1-based number."""
     it = iter(lines)
     try:
         shape_line = next(it).strip()
@@ -472,22 +481,31 @@ def parse_complex_matrix(lines) -> np.ndarray:
         )
     # interleaved (re, im) floats, viewed as complex at the end: every bit
     # of both parts (signed zeros included) survives the round trip
-    out = np.empty((rows, 2 * cols))
-    for i in range(rows):
+    parts, done, floats = [], 0, functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
+    while done < rows and (block := list(itertools.islice(it, min(_CSV_BLOCK, rows - done)))):
+        for i, line in enumerate(block, done + 1):  # a blank line too: loadtxt would skip it
+            if line.count(",") + 1 != 2 * cols:
+                raise ValueError(f"row {i} has {line.count(',') + 1} fields, expected {2 * cols}")
         try:
-            line = next(it)
-        except StopIteration:
-            raise ValueError(f"expected {rows} data rows, found {i}") from None
-        vals = line.strip().split(",")
-        if len(vals) != 2 * cols:
-            raise ValueError(f"row {i + 1} has {len(vals)} fields, expected {2 * cols}")
-        out[i] = list(map(float, vals))
+            part = floats(block)
+        except ValueError:  # name the first row that fails on its own
+            for i, line in enumerate(block, done + 1):
+                try:
+                    floats([line])
+                except ValueError:
+                    raise ValueError(f"row {i} holds a field that is not a number: {line.strip()!r}") from None
+            raise
+        finite = np.isfinite(part).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"row {done + 1 + int(finite.argmin())} contains non-finite entries")
+        parts.append(part)
+        done += len(block)
+    if done < rows:
+        raise ValueError(f"expected {rows} data rows, found {done}")
     for extra in it:
         if extra.strip():
-            raise ValueError("trailing non-empty lines after the declared rows")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matrix contains non-finite entries")
-    return out.view(np.complex128)
+            raise ValueError(f"trailing non-empty lines after the {rows} declared rows")
+    return np.concatenate(parts).view(np.complex128)
 
 
 def load_complex_matrix(path) -> np.ndarray:

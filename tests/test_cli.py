@@ -96,6 +96,17 @@ class TestSample:
         assert "p must be >= 1" in err
         assert not out.exists()
 
+    def test_refused_allocation_exits_2(self, capsys, tmp_path):
+        # 10^13 x 2 complex values need 291 TiB: numpy refuses at once, touching no memory
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "sample", "--dist", "gaussian", "--n", str(10**13), "--p", "2",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
     def test_rejects_diag_length_mismatch(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sample", "--dist", "gaussian", "--n", "5", "--p", "3",
@@ -586,6 +597,14 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--in", str(bad))
         assert code == 2
         assert "malformed" in err
+
+    def test_huge_declared_row_count(self, capsys, tmp_path):
+        # the reader grows its result as rows arrive, never from the header
+        data = tmp_path / "big.csv"
+        data.write_text("# 100000000000 1\nre_1,im_1\n1,0\n")
+        code, _, err = run(capsys, "estimate", "--in", str(data))
+        assert code == 2
+        assert "expected 100000000000 data rows, found 1" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--in", str(tmp_path / "nope.csv"))

@@ -32,3 +32,10 @@ def test_header_names_the_bit_generator_and_stream_contract():
     header = layer_times.versions()
     assert "SFC64 streams" in header
     assert f"stream contract {mc_verify.STREAM_CONTRACT}" in header
+
+
+def test_csv_line_times_a_bit_exact_round_trip():
+    t = layer_times.csv_times(600, repeat=2)  # two blocks of rows
+    assert t["dump"] > 0 and t["parse"] > 0
+    assert math.isfinite(t["dump"]) and math.isfinite(t["parse"])
+    assert t["exact"] is True

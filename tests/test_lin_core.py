@@ -1,11 +1,16 @@
+import io
+import re
+
 import numpy as np
 import pytest
 
 from cescov.errors import NotHermitian, NotPositiveDefinite, ZeroTrace
 from cescov.lin_core import (
+    _CSV_BLOCK,
     centering_matrix,
     commutation_matrix,
     covariance_preset,
+    dump_complex_matrix,
     hermitian_sqrt,
     hermitize,
     kron,
@@ -261,6 +266,65 @@ class TestComplexCsv:
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             parse_complex_matrix(text.splitlines(True))
+
+    def test_huge_declared_row_count(self):
+        # nothing is allocated from the header's row count
+        with pytest.raises(ValueError, match=r"^expected 100000000000 data rows, found 1$"):
+            parse_complex_matrix(["# 100000000000 1\n", "re_1,im_1\n", "1,0\n"])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1,0,5\n", f"row {_CSV_BLOCK + 2} has 3 fields, expected 2"),
+            ("\n", f"row {_CSV_BLOCK + 2} has 1 fields, expected 2"),
+            ("#1,0\n", f"row {_CSV_BLOCK + 2} holds a field that is not a number: '#1,0'"),
+            ("1,\n", f"row {_CSV_BLOCK + 2} holds a field that is not a number: '1,'"),
+            ("nan,0\n", f"row {_CSV_BLOCK + 2} contains non-finite entries"),
+            # float() accepts digit separators; numpy's reader, and so the format, does not
+            ("1_0,0\n", f"row {_CSV_BLOCK + 2} holds a field that is not a number: '1_0,0'"),
+        ],
+    )
+    def test_bad_row_in_a_later_block_is_named(self, line, message):
+        rows = ["2.5,-1\n"] * (_CSV_BLOCK + 3)
+        rows[_CSV_BLOCK + 1] = line
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_complex_matrix([f"# {len(rows)} 1\n", "re_1,im_1\n", *rows])
+
+    @pytest.mark.parametrize(
+        "declared, lines, message",
+        [
+            (_CSV_BLOCK + 2, _CSV_BLOCK + 1, f"expected {_CSV_BLOCK + 2} data rows, found {_CSV_BLOCK + 1}"),
+            (_CSV_BLOCK + 1, _CSV_BLOCK + 2, f"trailing non-empty lines after the {_CSV_BLOCK + 1} declared rows"),
+        ],
+    )
+    def test_row_count_checked_past_the_first_block(self, declared, lines, message):
+        text = [f"# {declared} 1\n", "re_1,im_1\n", *["2.5,-1\n"] * lines]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_complex_matrix(text)
+
+    def test_crlf_and_spaces_around_fields(self):
+        text = "# 2 2\r\nre_1,im_1,re_2,im_2\r\n 1.5 ,-0.0, 2,3 \r\n4 , 5,6,  -7e-3\r\n"
+        back = parse_complex_matrix(text.splitlines(True))
+        expected = np.array([[complex(1.5, -0.0), 2 + 3j], [4 + 5j, 6 - 7e-3j]])
+        np.testing.assert_array_equal(back.view(np.uint64), expected.view(np.uint64))
+
+    def test_dump_bytes_are_the_per_row_repr_lines(self):
+        gen = np.random.default_rng(5)
+        big = 1.7976931348623157e308
+        m = random_complex(gen, 2 * _CSV_BLOCK + 7, 3) * 10.0 ** gen.integers(-300, 300, (2 * _CSV_BLOCK + 7, 3))
+        m[:4] = [[complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)],
+                 [5e-324, complex(0.0, -5e-324), complex(big, -big)],
+                 [-big, complex(1.0, big), 2.5],
+                 [1e16, 1e-5, complex(1 / 3, 123456789.123)]]
+        for a in (m, np.asfortranarray(m), m[::-1]):  # the last two are not C-contiguous
+            f = io.StringIO()
+            dump_complex_matrix(f, a)
+            rows = np.ascontiguousarray(a).view(np.float64)
+            expected = [f"# {a.shape[0]} 3", "re_1,im_1,re_2,im_2,re_3,im_3"]
+            expected += [",".join(map(repr, row.tolist())) for row in rows]
+            assert f.getvalue() == "\n".join(expected) + "\n"
+            back = parse_complex_matrix(io.StringIO(f.getvalue()))
+            np.testing.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
 
 
 class TestPresets:

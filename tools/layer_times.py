@@ -27,7 +27,12 @@ kernels call:
 
 Each figure is per chunk (draw0: of chunk 0; ws_mb: per workspace), the
 median over ``--repeat`` runs after one warm-up run; times are in
-milliseconds.  The header names numpy's version and its BLAS, whose
+milliseconds.  A last line times the shared CSV format on the dataset of
+the benchmark's CSV workload (``cescov sample --dist t:10 --n 10000 --p 8
+--cov spiked:gamma=2``): ``save_complex_matrix`` (dump) and
+``load_complex_matrix`` (parse) of that file in a temporary directory, the
+median over ``--repeat`` round trips after a warm-up, and whether the file
+read back bit for bit.  The header names numpy's version and its BLAS, whose
 small-matrix gemm path sets the statistic's speed, and the bit generator of
 the random streams and the stream contract, which set the draw's.  Run it
 with BLAS single-threaded, from the repository root::
@@ -38,14 +43,16 @@ with BLAS single-threaded, from the repository root::
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import statistics
+import tempfile
 import time
 
 import numpy as np
 
 from cescov import lin_core, mc_verify as mc
-from cescov.ces_sampler import RngStream
+from cescov.ces_sampler import CESModel, RngStream, parse_family, sample_ces
 
 COLUMNS = ("m", "draw", "draw0", "statistic", "accumulate", "merge", "faults", "ws_mb")
 CHUNKS = 16  # chunks per timed run
@@ -126,6 +133,28 @@ def layer_times(target: str, p: int, n: int, repeat: int) -> dict:
     return {col: statistics.median(run[col] for run in runs) for col in COLUMNS}
 
 
+def csv_times(n: int, repeat: int) -> dict:
+    """ms to dump and to parse the CSV workload's dataset at n rows (median
+    of ``repeat``), and whether every parse returned it bit for bit."""
+    p = 8
+    model = CESModel(np.zeros(p, dtype=np.complex128), lin_core.spiked_covariance(p, 2.0), parse_family("t:10"))
+    x = sample_ces(model, n, RngStream(1))
+    dump, parse, exact = [], [], True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dataset.csv")
+        for i in range(repeat + 1):  # round 0 warms up
+            t0 = time.perf_counter()
+            lin_core.save_complex_matrix(path, x)
+            t1 = time.perf_counter()
+            back = lin_core.load_complex_matrix(path)
+            t2 = time.perf_counter()
+            exact &= np.array_equal(back.view(np.uint64), x.view(np.uint64))
+            if i:
+                dump.append((t1 - t0) * 1e3)
+                parse.append((t2 - t1) * 1e3)
+    return {"dump": statistics.median(dump), "parse": statistics.median(parse), "exact": exact}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--p", type=int, nargs="+", default=[2, 4, 10])
@@ -143,6 +172,9 @@ def main() -> None:
             t = layer_times(target, p, args.n, args.repeat)
             print(f"{target:<10} {p:>3} {t['m']:>5} {t['draw']:8.2f} {t['draw0']:8.2f} {t['statistic']:10.2f} "
                   f"{t['accumulate']:11.2f} {t['merge']:8.2f} {t['faults']:8.1f} {t['ws_mb']:8.2f}")
+    c = csv_times(10_000, args.repeat)
+    print(f"csv t:10 10000 x 8 spiked gamma=2: dump {c['dump']:.1f} ms, parse {c['parse']:.1f} ms, "
+          f"round trip {'bit-exact' if c['exact'] else 'NOT bit-exact'}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ and ``--mu`` are ``lin_core.covariance_preset`` and ``mean_preset``, and
 All commands emit JSON (indented by default, compact with ``--json``) except
 ``sample`` and ``curve``, whose primary output is CSV.  Exit codes: 0 on
 success / verification pass, 1 on verification failure, 2 on configuration
-or input errors.  With the environment variable ``CES_SCM_CI=1`` every
-randomized command requires an explicit ``--seed``.
+or input errors and on an output file that cannot be written.  With the
+environment variable ``CES_SCM_CI=1`` every randomized command requires an
+explicit ``--seed``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .lin_core import (covariance_preset, dump_complex_matrix, load_complex_matr
 from .mc_verify import STATISTICS, TARGETS, verify_target
 from .theory import beta_opt, nmse_from_sphericity, scm_radial_structure, shrinkage_curve, shrinkage_report
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CI_ENV = "CES_SCM_CI"
 
 
@@ -271,7 +272,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, CescovError, ValueError, MemoryError) as e:
+    # an unreadable input raises ValueError; an OSError is an output file that cannot be written
+    except (CliError, CescovError, ValueError, MemoryError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,9 @@
 comparisons against the closed-form second-order theory.  ``verify_target``
 is the check that ``cescov mc-verify`` runs for each of its ``TARGETS``: it
 picks the model, the closed form, the MSE and the tolerances of the target.
+Each verification returns a :class:`ComparisonReport` of named checks,
+each a value and its limit, which passes iff every value lies below its
+limit.
 
 Stream contract 5 (``STREAM_CONTRACT``): the replications of a run are cut
 into a fixed grid of chunks, the last chunk holding the remainder.  A chunk
@@ -19,11 +22,7 @@ arrive, each real component by a plain left-to-right sum that starts from
 chunk 0's partial.  Results are therefore bit-identical for a fixed seed
 regardless of the worker count.  A recursive sum of k partials is off by at
 most (k - 1) u sum |x_i| (u = 2^-53), far below the percent-level Monte
-Carlo standard errors it is compared against.  Contract 4 read each chunk's
-draw replication-major, row ``j * n + i``, in chunks of ``CHUNK`` at every
-p; contract 3 drew the same compound-Gaussian form from PCG64 streams with
-numpy's gamma at every shape.  Reports of contracts 3, 4 and 5 differ by
-sampling error only.
+Carlo standard errors it is compared against.
 
 The moments of a Hermitian p x p statistic accumulate on its p^2 real
 coordinates (``lin_core._hermitian_coords``): the diagonal and the real and
@@ -89,6 +88,7 @@ __all__ = [
     "EmpiricalMoments",
     "RadialEstimate",
     "Tolerances",
+    "Check",
     "ComparisonReport",
     "empirical_moments",
     "radial_estimate_from_moments",
@@ -403,8 +403,9 @@ def radial_estimate_from_moments(emp: EmpiricalMoments) -> RadialEstimate:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Pass/fail thresholds: entrywise deviations in SE units, relative
-    errors for the radial constants and the MSE."""
+    """The limits of the checks of :func:`compare_to_theory`: entrywise
+    deviations in SE units, relative errors for the radial constants and
+    the MSE."""
 
     se_mult: float = 4.0
     rel_tau: float = 0.02
@@ -417,28 +418,33 @@ class Tolerances:
         return Tolerances(rel_tau=rel, rel_mse=rel)
 
 
+@dataclass(frozen=True)
+class Check:
+    """One named check of a report: it passes iff ``value < limit``."""
+
+    value: float
+    limit: float
+
+
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Outcome of one empirical-vs-theory comparison.
+    """Outcome of one empirical-vs-theory comparison: named ``checks`` and
+    informational ``details``.
 
-    ``max_abs_dev_var`` / ``max_abs_dev_pvar`` are entrywise deviations in
-    per-entry SE units.  ``passed`` is True iff every deviation that was
-    computed lies within its stated tolerance.  (Serialized under the JSON
-    key "pass".)
+    ``passed`` holds iff every check's value lies strictly below its limit,
+    so a NaN value fails.  ``to_dict`` serializes it under the JSON key
+    "pass", beside ``checks`` (each ``{value, limit}``) and ``details``.
     """
 
-    passed: bool
-    tolerances: Tolerances
-    max_abs_dev_var: float | None = None
-    max_abs_dev_pvar: float | None = None
-    rel_err_tau1: float | None = None
-    rel_err_tau2: float | None = None
-    rel_err_mse: float | None = None
+    checks: dict[str, Check]
     details: dict = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return all(c.value < c.limit for c in self.checks.values())
+
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return {"pass": d.pop("passed"), **d}
+        return {"pass": self.passed, **asdict(self)}
 
 
 _ZERO_REF = 1e-12
@@ -455,20 +461,22 @@ def compare_to_theory(
 ) -> ComparisonReport:
     """Compare empirical moments against a theoretical covariance pair.
 
-    Entrywise deviations are normalized by the per-entry MC standard error.
-    The pseudo-covariance is a column permutation of the covariance on both
-    sides (pvar = var K_p), so its deviation equals the covariance's and is
-    reported under both ``max_abs_dev_var`` and ``max_abs_dev_pvar``.
-    If a theoretical radial structure (with its estimate) or an MSE value is
-    supplied, relative errors for tau1/tau2/MSE are checked as well; a tau
-    reference of zero is checked in SE units instead of relatively.
+    The check ``var_dev_se`` is the largest entrywise deviation of the
+    covariance in per-entry MC standard errors, against
+    ``tolerances.se_mult``.  The pseudo-covariance is a column permutation
+    of the covariance on both sides (pvar = var K_p), so its deviation is
+    the same one and is not checked apart.  With a theoretical radial
+    structure and its estimate, ``tau1_rel_err`` and ``tau2_rel_err`` check
+    the relative errors of the radial constants against ``rel_tau``; a tau
+    reference of zero is checked in SE units instead, as ``tau2_dev_se``
+    against ``se_mult``.  With an MSE value, ``mse_rel_err`` checks its
+    relative error against ``rel_mse``.
     """
     if emp.var_emp.shape != theo.var.shape:
         raise ValueError(
             f"shape mismatch: empirical {emp.var_emp.shape} vs theory {theo.var.shape}"
         )
     tol = tolerances or Tolerances()
-    checks: list[bool] = []
     details: dict = {"se_scale": emp.se_scale}
 
     # a block of rows at a time, with the bits of the whole-array expression
@@ -476,9 +484,8 @@ def compare_to_theory(
         (np.abs(emp.var_emp[rows] - theo.var[rows]) / np.maximum(emp.se_var[rows], 1e-300)).max()
         for rows in _row_blocks(*emp.var_emp.shape)
     ]))
-    checks.append(dev_var <= tol.se_mult)
+    checks = {"var_dev_se": Check(dev_var, tol.se_mult)}
 
-    rel_t1 = rel_t2 = rel_mse = None
     if radial_theory is not None and radial_estimate is not None:
         for name, ref, est, se in (
             ("tau1", radial_theory.tau1, radial_estimate.tau1, radial_estimate.se_tau1),
@@ -487,32 +494,15 @@ def compare_to_theory(
             details[f"{name}_theory"] = ref
             details[f"{name}_est"] = est
             if abs(ref) > _ZERO_REF:
-                rel = abs(est - ref) / abs(ref)
-                checks.append(rel <= tol.rel_tau)
-                if name == "tau1":
-                    rel_t1 = rel
-                else:
-                    rel_t2 = rel
+                checks[f"{name}_rel_err"] = Check(abs(est - ref) / abs(ref), tol.rel_tau)
             else:
-                dev_se = abs(est) / max(se, 1e-300)
-                details[f"{name}_dev_se"] = dev_se
-                checks.append(dev_se <= tol.se_mult)
+                checks[f"{name}_dev_se"] = Check(abs(est) / max(se, 1e-300), tol.se_mult)
     if mse_theory is not None:
         details["mse_theory"] = mse_theory
         details["mse_emp"] = emp.mse_emp
-        rel_mse = abs(emp.mse_emp - mse_theory) / abs(mse_theory)
-        checks.append(rel_mse <= tol.rel_mse)
+        checks["mse_rel_err"] = Check(abs(emp.mse_emp - mse_theory) / abs(mse_theory), tol.rel_mse)
 
-    return ComparisonReport(
-        passed=all(checks),
-        tolerances=tol,
-        max_abs_dev_var=dev_var,
-        max_abs_dev_pvar=dev_var,
-        rel_err_tau1=rel_t1,
-        rel_err_tau2=rel_t2,
-        rel_err_mse=rel_mse,
-        details=details,
-    )
+    return ComparisonReport(checks, details)
 
 
 # ---------------------------------------------------------------------------
@@ -555,16 +545,14 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
     Targets: E|u_q|^2 = 1/p, E|u_q|^4 = 2/(p(p+1)), E|u_q|^2 |u_r|^2 =
     1/(p(p+1)) for q != r, and a panel of moments that must vanish
     (E[u_q], E[u_q u_r], E[u_q u_r*] for q != r, E[u_q^2 u_r*^2] for q != r,
-    E[|u_q|^2 u_q]).  The nonzero-target deviations are reported in
-    ``max_abs_dev_var`` and the vanishing panel in ``max_abs_dev_pvar``,
-    both in per-entry SE units and each checked against 4 SE.
+    E[|u_q|^2 u_q]).  The checks ``nonzero_dev_se`` and ``vanishing_dev_se``
+    are the largest deviations of the two panels in per-entry SE units,
+    each against 4 SE.
     """
     if p < 2:
         raise ValueError(f"sphere moment verification needs p >= 2, got {p}")
     if draws < 10_000:
         raise ValueError(f"need at least 10^4 draws, got {draws}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     kernel = partial(_sphere_kernel, p=p, seed=seed)
     n = float(draws)
     mom = {key: v / n for key, v in _reduce_chunks(kernel, draws, SPHERE_CHUNK, workers).items()}
@@ -592,20 +580,16 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
     devs_zero.append((np.abs(c4) / se4)[off].max())
     devs_zero.append((np.abs(m3) / np.sqrt(np.maximum(m6, 1e-300) / n)).max())
 
-    dev_var = float(max(devs_target))
-    dev_pvar = float(max(devs_zero))
-    tol = Tolerances()
     return ComparisonReport(
-        passed=dev_var <= tol.se_mult and dev_pvar <= tol.se_mult,
-        tolerances=tol,
-        max_abs_dev_var=dev_var,
-        max_abs_dev_pvar=dev_pvar,
-        details={
+        {
+            "nonzero_dev_se": Check(float(max(devs_target)), 4.0),
+            "vanishing_dev_se": Check(float(max(devs_zero)), 4.0),
+        },
+        {
             "draws": draws,
             "abs2_max_dev_se": float(dev_m2.max()),
             "abs4_max_dev_se": float(dev_m4.max()),
             "cross22_max_dev_se": float(dev_m22.max()),
-            "vanishing_max_dev_se": dev_pvar,
         },
     )
 
@@ -649,8 +633,9 @@ def verify_oracle_efficiency(
     by exactly that coefficient.
 
     Estimates E||S - M||_F^2 and E||beta S - M||_F^2 over the configured
-    replications and tests that their ratio matches the oracle coefficient
-    within 3 delta-method standard errors, with strict improvement.
+    replications.  The check ``ratio_dev_se`` tests that their ratio matches
+    the oracle coefficient within 3 delta-method standard errors, and the
+    check ``ratio`` that it lies below 1 (a strict improvement).
     ``beta`` overrides the oracle value (useful as a control); with
     ``include_plugin`` the ratio for a per-replication plug-in coefficient
     (from estimated sphericity and kurtosis) is reported as well, without
@@ -685,20 +670,12 @@ def verify_oracle_efficiency(
         "ratio_dev_se": dev_se,
         "mse_emp": mean1,
         "mse_theory": mse_t,
-        "improved": mean2 < mean1,
+        "mse_rel_err": abs(mean1 - mse_t) / mse_t,
     }
     if include_plugin:
         details["plugin_ratio"] = float(tot["e3"]) / r / mean1
-
-    tol = Tolerances(se_mult=3.0)
-    passed = dev_se <= tol.se_mult and ratio < 1.0 and mean2 < mean1
-    return ComparisonReport(
-        passed=passed,
-        tolerances=tol,
-        max_abs_dev_var=dev_se,
-        rel_err_mse=abs(mean1 - mse_t) / mse_t,
-        details=details,
-    )
+    # mean1 > 0, so ratio < 1 iff mean2 < mean1
+    return ComparisonReport({"ratio_dev_se": Check(dev_se, 3.0), "ratio": Check(ratio, 1.0)}, details)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +696,13 @@ def verify_target(target: str, dist: str, n: int, p: int, cov: str, replications
     panel in dimension p (``dist`` and n unused); oracle the shrinkage MSE
     ratio at ``cov``, with the plug-in ratio if ``plugin``.  Only transport
     and oracle read ``cov``, and only thm1 ``statistic``.
+
+    The report's checks are ``var_dev_se`` for thm1; ``var_dev_se``,
+    ``tau1_rel_err``, ``tau2_rel_err`` (``tau2_dev_se`` where tau2 is zero,
+    as at the Gaussian) and ``mse_rel_err`` for thm3; ``var_dev_se`` and
+    ``mse_rel_err`` for transport; ``nonzero_dev_se`` and
+    ``vanishing_dev_se`` for sphere; ``ratio_dev_se`` and ``ratio`` for
+    oracle.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")

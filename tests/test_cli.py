@@ -194,7 +194,7 @@ class TestTheory:
         assert code == 0
         payload = json.loads(out)
         assert payload["beta_o"] == pytest.approx(0.6428571428571428, abs=1e-12)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert {"eta", "gamma", "kappa", "n", "p", "mse", "nmse", "beta_o",
                 "oracle_mse", "tau1", "tau2"} <= set(payload)
 
@@ -481,8 +481,14 @@ class TestMcVerify:
                 "--cov", cov, "--reps", str(reps), "--seed", "7", "--stat", stat, "--json"]
         code, out, _ = run(capsys, *argv, *(["--plugin"] if plugin else []))
         report = verify_target(target, dist, n, p, cov, reps, 7, statistic=stat, plugin=plugin)
-        assert json.loads(out)["report"] == report.to_dict()
+        payload = json.loads(out)["report"]
+        assert payload == report.to_dict()
         assert code == (0 if report.passed else 1)
+        checks = payload["checks"]
+        assert payload["pass"] == all(c["value"] < c["limit"] for c in checks.values())
+        for check in checks.values():
+            assert set(check) == {"value", "limit"}
+            assert isinstance(check["value"], float) and isinstance(check["limit"], float)
 
     @pytest.mark.parametrize("target", ["thm1", "thm3", "sphere"])
     def test_ignores_a_malformed_cov(self, capsys, target):
@@ -609,6 +615,19 @@ class TestEstimate:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--in", str(tmp_path / "nope.csv"))
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--dist", "gaussian", "--n", "10", "--p", "2", "--seed", "1", "--out"],
+    ["curve", "--out"],
+    ["estimate", "--in", "x.csv", "--scm-out"],
+])
+def test_missing_output_directory_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("# 2 1\nre_1,im_1\n1,0\n2,0\n")
+    code, out, err = run(capsys, *argv, "missing/out.csv")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing/out.csv" in err
 
 
 class TestModuleEntryPoint:

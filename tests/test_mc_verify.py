@@ -1,6 +1,7 @@
 import functools
 import operator
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -40,6 +41,7 @@ from cescov.mc_verify import (
     CHUNK,
     STREAM_CONTRACT,
     STATISTICS,
+    TARGETS,
     EmpiricalMoments,
     MCConfig,
     Tolerances,
@@ -108,6 +110,21 @@ def test_readme_names_the_stream_contract():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Determinism", 1)[1].split("\n## ", 1)[0]
     assert f"stream contract {STREAM_CONTRACT}" in " ".join(section.split())
+
+
+def test_readme_lists_the_checks_of_each_target():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## JSON schemas", 1)[1].split("\n## ", 1)[0]
+    listed = {target: re.findall(r"`(\w+)`", names)
+              for target, names in re.findall(r"^ +\* `(\w+)`: (.*)$", section, re.M)}
+    assert set(listed) == set(TARGETS)
+    # thm3 at k:0.5, where tau2 != 0; at the Gaussian, tau2_dev_se stands in for tau2_rel_err
+    dists = {"thm3": "k:0.5", "oracle": "k:0.5"}
+    for target in TARGETS:
+        report = verify_target(target, dists.get(target, "gaussian"), 10, 2, "diag:1,3", 10**4, 1)
+        assert list(report.to_dict()["checks"]) == listed[target], target
+    gaussian = verify_target("thm3", "gaussian", 10, 2, "identity", 10**4, 1)
+    assert list(gaussian.checks) == [name.replace("tau2_rel_err", "tau2_dev_se") for name in listed["thm3"]]
 
 
 class TestEmpiricalMoments:
@@ -797,10 +814,11 @@ class TestCompareToTheory:
             mse_theory=4 / 9,
         )
         assert report.passed
-        assert report.max_abs_dev_var <= 4.0
-        assert report.rel_err_tau1 <= 0.02
-        assert report.rel_err_tau2 is None  # zero reference checked in SE units
-        assert report.rel_err_mse <= 0.02
+        assert list(report.checks) == ["var_dev_se", "tau1_rel_err", "tau2_dev_se", "mse_rel_err"]
+        assert report.checks["var_dev_se"].value <= 4.0
+        assert report.checks["tau1_rel_err"].value <= 0.02
+        assert report.checks["tau2_dev_se"].limit == 4.0  # zero reference checked in SE units
+        assert report.checks["mse_rel_err"].value <= 0.02
 
     def test_negative_control_fails(self, gaussian_run):
         cfg, emp = gaussian_run
@@ -808,7 +826,7 @@ class TestCompareToTheory:
         wrong = radial_var_structure(2 * struct.tau1, struct.tau2, 2)
         report = compare_to_theory(emp, wrong, Tolerances())
         assert not report.passed
-        assert report.max_abs_dev_var > 4.0
+        assert report.checks["var_dev_se"].value > 4.0
 
     def test_shape_mismatch(self, gaussian_run):
         _, emp = gaussian_run
@@ -824,8 +842,9 @@ class TestCompareToTheory:
         pair = affine_equivariant_var(m, scm_radial_structure(10, 0.0, 2))
         report = compare_to_theory(emp, pair, Tolerances())
         assert report.passed
-        # pvar = var K_p on both sides: one deviation, reported twice
-        assert report.max_abs_dev_pvar == report.max_abs_dev_var
+        # pvar = var K_p on both sides: one deviation, checked once
+        dev_pvar = (np.abs(emp.pvar_emp - pair.pvar) / np.maximum(emp.se_pvar, 1e-300)).max()
+        assert dev_pvar == report.checks["var_dev_se"].value
 
     @staticmethod
     def random_moments(p, seed):
@@ -843,10 +862,12 @@ class TestCompareToTheory:
         # taken a block of rows at a time; a NaN still makes the deviation NaN
         emp, theo = self.random_moments(p, 81 + p)
         want = float((np.abs(emp.var_emp - theo.var) / np.maximum(emp.se_var, 1e-300)).max())
-        got = compare_to_theory(emp, theo).max_abs_dev_var
+        got = compare_to_theory(emp, theo).checks["var_dev_se"].value
         assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
         emp.var_emp[-1, 3] = np.nan
-        assert np.isnan(compare_to_theory(emp, theo).max_abs_dev_var)
+        report = compare_to_theory(emp, theo)
+        assert np.isnan(report.checks["var_dev_se"].value)
+        assert report.passed is False
 
     def test_deviation_peak_memory_in_p4_units(self):
         # the whole-array expression held a complex and two real p^2 x p^2
@@ -872,14 +893,14 @@ class TestVerifySphereMoments:
     def test_passes_moderate_draws(self):
         report = verify_sphere_moments(4, 10**5, seed=18)
         assert report.passed
-        assert report.max_abs_dev_var <= 4.0
-        assert report.max_abs_dev_pvar <= 4.0
+        assert report.checks["nonzero_dev_se"].value <= 4.0
+        assert report.checks["vanishing_dev_se"].value <= 4.0
 
     def test_deterministic_across_workers(self):
         r1 = verify_sphere_moments(3, 2 * 10**5, seed=19, workers=1)
         r4 = verify_sphere_moments(3, 2 * 10**5, seed=19, workers=4)
-        assert r1.max_abs_dev_var == r4.max_abs_dev_var
-        assert r1.max_abs_dev_pvar == r4.max_abs_dev_pvar
+        assert r1.checks["nonzero_dev_se"] == r4.checks["nonzero_dev_se"]
+        assert r1.checks["vanishing_dev_se"] == r4.checks["vanishing_dev_se"]
 
     def test_rejects_p1(self):
         with pytest.raises(ValueError):
@@ -933,5 +954,6 @@ class TestReportSerialization:
     def test_to_dict_round_trip_keys(self):
         report = verify_sphere_moments(2, 10**4, seed=25)
         d = report.to_dict()
-        assert {"pass", "tolerances", "max_abs_dev_var", "max_abs_dev_pvar", "details"} <= set(d)
+        assert set(d) == {"pass", "checks", "details"}
+        assert set(d["checks"]) == {"nonzero_dev_se", "vanishing_dev_se"}
         assert isinstance(d["pass"], bool)

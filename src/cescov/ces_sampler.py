@@ -283,6 +283,11 @@ class CESModel:
         return self.cov.shape[0]
 
 
+# bytes of the block of rows that _draw_ces multiplies by a covariance root
+# at a time (16384 rows at p = 1, 1638 at p = 10)
+_ROOT_BLOCK_BYTES = 256 * 2**10
+
+
 def sample_ces(model: CESModel, n: int, rng: RngStream) -> np.ndarray:
     """Draw an (n, p) dataset with rows i.i.d. from the model.
 
@@ -296,24 +301,35 @@ def sample_ces(model: CESModel, n: int, rng: RngStream) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _draw_ces(model, rng, np.empty((n, 2 * model.dim)), None)
+    return _draw_ces(model, rng, np.empty((n, 2 * model.dim)))
 
 
-def _draw_ces(model: CESModel, rng: RngStream, y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """:func:`sample_ces` of ``len(y)`` rows into caller buffers.  The
-    float64 (N, 2p) ``y`` takes the normal draw, scaled in place by the
-    texture; when the product with ``sqrt_cov`` is skipped, the data are
-    ``y`` viewed as complex.  Otherwise the product goes to ``out``, a
-    complex128 (N, p) buffer, or to a new array without it.  ``mu`` is
-    added in place, and only when it is not zero."""
+def _draw_ces(model: CESModel, rng: RngStream, y: np.ndarray) -> np.ndarray:
+    """:func:`sample_ces` of ``len(y)`` rows into the caller's float64
+    (N, 2p) buffer ``y``, and returned as its complex view: ``y`` takes the
+    normal draw, scaled in place by the texture, then the product with
+    ``sqrt_cov`` and the sum with ``mu``, each in place.
+
+    The product goes through a buffer of its own, a block of
+    ``_ROOT_BLOCK_BYTES`` of rows at a time.  Every block but a lone row is a BLAS
+    gemm, which gives each row the bits of one gemm over all N rows; one row
+    goes to gemv, which rounds differently, so a block that would leave a
+    single row behind takes it along."""
     gen = rng.generator()
     gen.standard_normal(out=y)
     # a real multiply of the float view has the bits of z * (s + 0j) for finite z
     y *= np.sqrt(0.5 * _texture(gen, model.family, len(y)))[..., None]
     x = y.view(np.complex128)
     if not model._identity_sqrt:
-        # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
-        x = np.matmul(x, model.sqrt_cov.T, out=out)
+        n, p = len(x), model.dim
+        block = max(2, _ROOT_BLOCK_BYTES // (16 * p))
+        buf = np.empty((min(n, block + 1), p), np.complex128)
+        root_t = model.sqrt_cov.T  # rows of C w are w^T C^T, and C^T = C* as C is Hermitian
+        lo = 0
+        while lo < n:
+            hi = n if n - lo <= block + 1 else lo + block
+            x[lo:hi] = np.matmul(x[lo:hi], root_t, out=buf[: hi - lo])
+            lo = hi
     if not model._zero_mean:
         x += model.mu  # in place: a fresh (N, p) array costs more than the sum
     return x

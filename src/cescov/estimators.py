@@ -12,17 +12,28 @@ float view; the public functions assemble the matrix from them, which makes
 it exactly Hermitian.
 
 The cores write their temporaries and their results into the buffers of a
-workspace that the caller borrows from ``lin_core._borrowed_workspace``.
-The centred data lives in the workspace buffer "rows", observation-major
-(n, m, 2p), a complex entry as its real and imaginary parts: the row means,
-the centring and the kurtosis moments are reduces and subtractions over its
-outer axis.  A core copies its input stack there and reads it only, unless
-the input already is the complex (m, n, p) view of that buffer, as the
-Monte Carlo draw leaves it: then the core centres it in place.  The buffer
-"draw", which holds the draw's normals when a covariance root multiplies
-them and is free once the data sit in "rows", then takes the second
-operand of each Gram, and the |dev|^2 and |dev|^4 of the kurtosis.  The Grams themselves are built a block of
-replications at a time, in a buffer of at most ``_GRAM_BLOCK_BYTES``.
+workspace that the caller borrows from ``lin_core._borrowed_workspace``,
+each buffer in one role:
+
+* "rows": the centred data, observation-major (n, m, 2p), a complex entry
+  as its real and imaginary parts.  The row means, the centring and the
+  kurtosis moments are reduces and subtractions over its outer axis.  A
+  core copies its input stack there and reads it only, unless the input
+  already is the complex (m, n, p) view of that buffer, as the Monte Carlo
+  draw leaves it: then the core centres it in place.  The kurtosis core
+  squares the spent rows in place for its moments;
+* "xbar": the row means, from p = 2 on;
+* "twin" and "gram": for a block of replications, a copy of their rows
+  (the weighted rows, for the weighted SCM) as one operand of their real
+  Grams, and those Grams; the two take at most ``_GRAM_BLOCK_BYTES``;
+* "h" and "h_b": the Hermitian coordinates and the scratch they are
+  gathered through;
+* "m2", "m4": the kurtosis moments;
+* "by_dataset", at p = 1 only: the data copied dataset by dataset for
+  numpy's pairwise mean.
+
+From p = 2 on only "rows" grows with the whole stack's data: a stack is
+held once.
 """
 
 from __future__ import annotations
@@ -48,8 +59,8 @@ __all__ = [
 # margin above the kurtosis lower bound -1/(p+1) at which estimates are clipped
 KURTOSIS_CLIP_EPS = 1e-6
 
-# largest size of the buffer that holds a block of a stack's real Grams
-# (163 replications at p = 10)
+# largest size of the buffers that hold a block of a stack's real Grams and
+# their twin operands together (109 replications at n = p = 10)
 _GRAM_BLOCK_BYTES = 512 * 2**10
 
 
@@ -93,14 +104,14 @@ def _centred_rows(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray
     the same order, in loops over the whole (m, 2p) output, and the centring
     subtracts over rows of that length too.  At p = 1 numpy's mean sums
     pairwise along its inner loop, so it is used there, on a C-ordered
-    (m, n, 1) copy in the workspace buffer "draw", where the n values of a
-    dataset are that loop.
+    (m, n, 1) copy in the workspace buffer "by_dataset", where the n values
+    of a dataset are that loop.
     """
     m, n, p = x.shape
     rows = ws.take("rows", (n, m, 2 * p))
     np.copyto(rows.view(np.complex128), x.swapaxes(0, 1))
     if p == 1:
-        c = ws.take("draw", (m, n, 2)).view(np.complex128)
+        c = ws.take("by_dataset", (m, n, 2)).view(np.complex128)
         np.copyto(c, rows.view(np.complex128).swapaxes(0, 1))
         xbar = c.mean(axis=-2)
     else:
@@ -111,21 +122,35 @@ def _centred_rows(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray
     return xbar, rows
 
 
-def _gram_coords(a: np.ndarray, b: np.ndarray, factor: float, ws: _Workspace) -> np.ndarray:
-    """Hermitian coordinates (m, p^2), in the workspace buffer "h", of the
-    real Grams factor * a_k b_k of the stacks a (m, 2p, n) and b (m, n, 2p);
-    see ``_HermitianCoords.from_gram``.  The Grams are built a block of
-    replications at a time in the buffer "gram", of at most
-    ``_GRAM_BLOCK_BYTES``; each replication's product is the same BLAS call
-    at any block size, so no bit depends on it."""
-    m, p2 = a.shape[0], a.shape[1]
+def _gram_coords(rows: np.ndarray, w: np.ndarray | None, factor: float, ws: _Workspace) -> np.ndarray:
+    """Hermitian coordinates (m, p^2), in the workspace buffer "h", of
+    factor * sum_i w_ki y_ik y_ik^T over the observations y_ik of the
+    observation-major real rows (n, m, 2p), with weights w (m, n), or 1
+    without them; see ``_HermitianCoords.from_gram``.
+
+    The Grams are built a block of replications at a time in the buffer
+    "gram".  Each block's weighted rows, or without weights a copy of its
+    rows, go to the buffer "twin", observation-major as well, which is the
+    Gram's first operand with weights and its second without; the two
+    buffers hold at most ``_GRAM_BLOCK_BYTES`` together.  numpy sends a
+    product A^T A of one buffer to BLAS syrk, and a product of two to gemm,
+    whose small-matrix path builds the small Grams 1.8-3.5x as fast
+    (OpenBLAS 0.3.31, n = 10, p = 2 to 24).  Each replication's product is
+    the same BLAS call at any block size, so no bit depends on it."""
+    n, m, p2 = rows.shape
     coords = _hermitian_coords(p2 // 2)
-    block = max(1, _GRAM_BLOCK_BYTES // (8 * p2 * p2))
+    block = max(1, min(m, _GRAM_BLOCK_BYTES // (8 * p2 * (p2 + n))))
     h = ws.take("h", (m, coords.p * coords.p))
-    g = ws.take("gram", (min(block, m), p2, p2))
+    g = ws.take("gram", (block, p2, p2))
     for lo in range(0, m, block):
         k = min(block, m - lo)
-        np.matmul(a[lo : lo + k], b[lo : lo + k], out=g[:k])
+        yk, tk = rows[:, lo : lo + k], ws.take("twin", (n, k, p2))
+        if w is None:
+            np.copyto(tk, yk)
+            np.matmul(yk.transpose(1, 2, 0), tk.transpose(1, 0, 2), out=g[:k])
+        else:
+            np.multiply(w[lo : lo + k].T[..., None], yk, out=tk)
+            np.matmul(tk.transpose(1, 2, 0), yk.transpose(1, 0, 2), out=g[:k])
         coords.from_gram(g[:k], factor, ws, out=h[lo : lo + k])
     return h
 
@@ -136,18 +161,12 @@ def _scm_stack(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, n
     :func:`_centred_rows`, of a complex (m, n, p) stack of datasets, in
     buffers of the workspace (the means at p >= 2).  Reads ``x`` only,
     unless it is the view of the workspace's "rows", which it centres in
-    place.
-
-    The Gram's second operand is a copy of the centred rows in the workspace
-    buffer "draw".  numpy sends a product A^T A of one buffer to BLAS syrk,
-    and a product of two to gemm, whose small-matrix path builds the m small
-    Grams 1.8-3.5x as fast (OpenBLAS 0.3.31, n = 10, p = 2 to 24).
+    place.  The Grams take their operands from those rows, a block at a
+    time (:func:`_gram_coords`).
     """
     n = x.shape[1]
     xbar, rows = _centred_rows(x, ws)
-    twin = ws.take("draw", rows.shape)
-    np.copyto(twin, rows)
-    h = _gram_coords(rows.transpose(1, 2, 0), twin.transpose(1, 0, 2), 1.0 / (n - 1), ws)
+    h = _gram_coords(rows, None, 1.0 / (n - 1), ws)
     return h, xbar, rows
 
 
@@ -204,8 +223,7 @@ def _weighted_scm_stack(x: np.ndarray, weight_fn, ws: _Workspace) -> np.ndarray:
     w = np.asarray(weight_fn(d.ravel()), dtype=float)
     if w.shape != (m * n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weight function must map d >= 0 to finite nonnegative weights")
-    wy = np.multiply(w.reshape(m, n, 1), y, out=ws.take("draw", y.shape))  # the SCM's twin is spent
-    return _gram_coords(wy.swapaxes(-1, -2), y, 1.0 / n, ws)
+    return _gram_coords(rows, w.reshape(m, n), 1.0 / n, ws)
 
 
 def weighted_scm(x, weight_fn) -> np.ndarray:
@@ -231,15 +249,15 @@ def weighted_scm(x, weight_fn) -> np.ndarray:
 def _kurtosis_stack(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Plug-in elliptical kurtosis (m,) of a stack of m datasets, from the
     centred observation-major rows (n, m, 2p) of :func:`_centred_rows`; see
-    :func:`estimate_kurtosis`.  The per-coordinate means of |dev|^2 and
-    |dev|^4 are outer-axis reduces over those rows, with the bits of numpy's
-    mean over the rows of each dataset (at p = 1, where that mean sums
-    pairwise, it is used on a transposed copy)."""
+    :func:`estimate_kurtosis`.  The rows are spent: their squares go to
+    them in place, and the real parts' halves then take |dev|^2 and |dev|^4.
+    The per-coordinate means of those are outer-axis reduces over the rows,
+    with the bits of numpy's mean over the rows of each dataset (at p = 1,
+    where that mean sums pairwise, it is used on a transposed copy)."""
     n, m, p = rows.shape[0], rows.shape[1], rows.shape[2] // 2
-    re, im = rows[..., 0::2], rows[..., 1::2]
-    a2, a4 = ws.take("draw", (2,) + re.shape)  # the two halves of the spent draw buffer
-    np.multiply(re, re, out=a2)
-    a2 += np.multiply(im, im, out=a4)
+    rows *= rows
+    a2 = rows[..., 0::2]
+    a2 += rows[..., 1::2]
 
     def means(a, name):
         if p == 1:
@@ -252,7 +270,8 @@ def _kurtosis_stack(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
     if np.any(m2 == 0.0):
         bad = int(np.argmax(m2 == 0.0)) % p
         raise DegenerateCoordinate(f"coordinate {bad} has zero sample variance")
-    m4 = means(np.multiply(a2, a2, out=a4), "m4")
+    a2 *= a2
+    m4 = means(a2, "m4")
     kurt = m4 / (m2 * m2) - 2.0
     return np.maximum(kurt.mean(axis=-1) / 2.0, kurtosis_lower_bound(p) + KURTOSIS_CLIP_EPS)
 

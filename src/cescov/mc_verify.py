@@ -34,15 +34,14 @@ contract.
 
 Each running chunk borrows a workspace (``lin_core._borrowed_workspace``)
 for its draw, its statistic and its temporaries, and gives it back when it
-ends, also when it raises.  The draw leaves the chunk's data in the
-workspace's observation-major rows, where the statistic centres them in
-place: with an identity covariance root the normals are drawn and scaled
-there, and otherwise they go to the buffer "draw" and their product with
-the root to the rows.  The statistic's Grams take "draw" for their second
-operand and are built a block of replications at a time (``estimators``).  No
-result bit depends on the workspace: every partial sum a kernel returns is
-a new array, and the row means taken in a workspace have the bits of
-numpy's ``mean``.
+ends, also when it raises.  The workspace holds the chunk's data once: the
+draw writes them to its observation-major buffer "rows", where the
+covariance root multiplies them in place (``ces_sampler``), and the
+statistic centres them there in place and builds its Grams a block of
+replications at a time (``estimators``).  The moment kernel squares the
+coordinates "h" in place once their sums are taken.  No result bit depends
+on the workspace: every partial sum a kernel returns is a new array, and
+the row means taken in a workspace have the bits of numpy's ``mean``.
 
 ``workers > 1`` runs the chunks on that many threads of the calling process
 (numpy releases the GIL in the kernels that dominate a chunk), over the same
@@ -249,15 +248,13 @@ if hasattr(os, "register_at_fork"):
 
 def _draw_chunk(cfg: MCConfig, c: int, m: int, ws: _Workspace) -> np.ndarray:
     """The (m, n, p) data of chunk c: ``sample_ces`` of m * n rows from the
-    single stream (seed, c), read observation-major.  The rows land in the
-    workspace buffer "rows", observation-major (n, m, 2p) floats, of which
-    this is the complex (m, n, p) view; with an identity covariance root the
-    normals are drawn there, else into the buffer "draw".  The stacked cores
+    single stream (seed, c), read observation-major.  The rows are drawn
+    straight into the workspace buffer "rows", observation-major (n, m, 2p)
+    floats, of which this is the complex (m, n, p) view; the product with
+    the covariance root happens there too, in place.  The stacked cores
     centre that view in place."""
     n, p = cfg.n, cfg.model.dim
-    rows = ws.take("rows", (n * m, 2 * p))
-    y = rows if cfg.model._identity_sqrt else ws.take("draw", (n * m, 2 * p))
-    x = _draw_ces(cfg.model, RngStream(cfg.seed, c), y, rows.view(np.complex128))
+    x = _draw_ces(cfg.model, RngStream(cfg.seed, c), ws.take("rows", (n * m, 2 * p)))
     return x.reshape(n, m, p).swapaxes(0, 1)
 
 
@@ -269,17 +266,13 @@ def _moment_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray) -> dict:
         h = _statistic_fn(cfg.statistic)(_draw_chunk(cfg, c, m, ws), ws)
         h -= ref
         sq = coords.sq_norm(h)  # per-replication ||T - M_ref||_F^2
-        a2 = np.multiply(h, h, out=ws.take("h2", h.shape))
-        u = a2[:, : coords.q]
-        u[:, coords.p :] += a2[:, coords.q :]  # |T_ij - M_ij|^2 over the q unique entries
         # every partial is a new array: the workspace serves the next chunk
-        return {
-            "s1": h.sum(axis=0),
-            "s2": h.T @ h,
-            "f2": u.T @ u,
-            "sq1": sq.sum(),
-            "sq2": sq @ sq,
-        }
+        part = {"s1": h.sum(axis=0), "s2": h.T @ h, "sq1": sq.sum(), "sq2": sq @ sq}
+        h *= h  # h is spent
+        u = h[:, : coords.q]
+        u[:, coords.p :] += h[:, coords.q :]  # |T_ij - M_ij|^2 over the q unique entries
+        part["f2"] = u.T @ u
+        return part
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,7 +509,7 @@ def _sphere_kernel(c: int, m: int, p: int, seed: int) -> dict:
     the fresh array it stands for, so every sum keeps its bits."""
     with _borrowed_workspace() as ws:
         sq = ws.take("sq", (m, 2 * p))
-        u = _draw_sphere(RngStream(seed, c), ws.take("draw", (m, 2 * p)), sq, ws.take("norm", (m,)))
+        u = _draw_sphere(RngStream(seed, c), ws.take("u", (m, 2 * p)), sq, ws.take("norm", (m,)))
         a2, a4, t = (ws.take(name, (m, p)) for name in ("a2", "a4", "t"))
         np.multiply(u.real, u.real, out=a2)
         a2 += np.multiply(u.imag, u.imag, out=t)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from cescov import ces_sampler
 from cescov.ces_sampler import (
     CESModel,
     CompoundGaussianK,
@@ -18,6 +19,7 @@ from cescov.ces_sampler import (
     sample_sphere,
 )
 from cescov.errors import InvalidFamily, NotPositiveDefinite
+from cescov.lin_core import spiked_covariance
 
 from util import mc_se, random_hpd, random_unitary
 
@@ -317,19 +319,37 @@ class TestSampleCes:
     def test_draw_into_reused_buffers(self, family, cov, mu):
         # the Monte Carlo chunks draw into prefixes of workspace buffers that
         # hold NaN or an earlier draw: the bits are those of sample_ces, the
-        # data are the normals' buffer with an identity root and the product
-        # buffer otherwise, and nothing past the prefix is written
+        # data are the prefix itself, whatever the root, and nothing past the
+        # prefix is written
         if cov is None:
             cov = random_hpd(np.random.default_rng(44), 3)
         model = CESModel(mu, cov, family)
         n = 257
-        y, out = np.full(2 * n * 6, np.nan), np.full(2 * n * 3, np.nan, dtype=np.complex128)
+        y = np.full(2 * n * 6, np.nan)
         for stream in (5, 6):
-            prefix = y[: n * 6].reshape(n, 6), out[: n * 3].reshape(n, 3)
-            x = _draw_ces(model, RngStream(45, stream), *prefix)
+            prefix = y[: n * 6].reshape(n, 6)
+            x = _draw_ces(model, RngStream(45, stream), prefix)
             np.testing.assert_array_equal(x, sample_ces(model, n, RngStream(45, stream)))
-            assert np.shares_memory(x, prefix[0] if model._identity_sqrt else prefix[1])
-            assert np.isnan(y[n * 6 :]).all() and np.isnan(out[n * 3 :]).all()
+            assert np.shares_memory(x, prefix)
+            assert np.isnan(y[n * 6 :]).all()
+
+    @pytest.mark.parametrize("root", ["random", "spiked"])
+    def test_blocked_root_product_has_the_bits_of_one_gemm(self, root):
+        # the root multiplies the rows in place a block at a time; the data
+        # keep the bits of one (N, p) @ (p, p) product into a fresh array at
+        # and around the block boundaries, where a lone row would go to gemv
+        p = 4
+        cov = random_hpd(np.random.default_rng(46), p) if root == "random" else spiked_covariance(p, 2.0)
+        model = CESModel(np.array([1.0 - 2j, 0.5, -1j, 2.0]), cov, CompoundGaussianK(0.5))
+        assert not model._identity_sqrt
+        block = max(2, ces_sampler._ROOT_BLOCK_BYTES // (16 * p))
+        for n in (1, block - 1, block, block + 1, 2 * block + 1, 3 * block + 7):
+            gen = RngStream(47, n).generator()
+            y = gen.standard_normal((n, 2 * p))
+            y *= np.sqrt(0.5 * _texture_by_hand(gen, model.family, n))[:, None]
+            ref = y.view(np.complex128) @ model.sqrt_cov.T
+            ref += model.mu
+            np.testing.assert_array_equal(sample_ces(model, n, RngStream(47, n)), ref, err_msg=f"N = {n}")
 
     @pytest.mark.parametrize(
         "family",

@@ -357,9 +357,10 @@ class TestStackedKernels:
 @pytest.mark.parametrize("root", ["identity", "general"])
 def test_chunk_rows_hold_the_bits_of_sample_ces(m, root):
     # stream contract 5: the chunk's data are sample_ces of m * n rows read
-    # observation-major, row i * m + j being observation i of dataset j, in
-    # the workspace's rows; with an identity root the normals are drawn
-    # there, else their product with the root (one (m n, p) @ (p, p) gemm)
+    # observation-major, row i * m + j being observation i of dataset j,
+    # drawn into the workspace's rows and multiplied by the root there in
+    # place; the block boundaries of that product are pinned in
+    # test_ces_sampler against one gemm
     p, n = 3, 10
     cov = np.eye(p) if root == "identity" else random_hpd(np.random.default_rng(74), p)
     for mu in (np.zeros(p), np.array([1.0, -0.5j, 2.0 + 1.0j])):
@@ -719,15 +720,23 @@ class TestWorkspaces:
             sys.setswitchinterval(interval)
 
 
-    @pytest.mark.parametrize("p, mb", [(10, 3.4), (24, 10.0)])
-    def test_a_chunk_workspace_holds_one_copy_of_the_data_and_a_block_of_grams(self, monkeypatch, p, mb):
-        # 3.19 MB at p = 10 and 9.49 MB at p = 24 after one transport run at
-        # n = 10, against 6.23 and 24.58 MB with a separate draw, a separate
-        # twin of the rows and whole-chunk Grams
+    @pytest.mark.parametrize("target, p, mb", [("transport", 10, 2.7), ("transport", 24, 6.5), ("oracle", 4, 2.79)])
+    def test_a_chunk_workspace_holds_one_copy_of_the_data_and_a_block_of_grams(self, monkeypatch, target, p, mb):
+        # after one run at n = 10: transport 1.92 MB at p = 10 and 5.14 MB at
+        # p = 24, oracle --plugin 1.89 MB at p = 4, against 3.19, 9.49 and
+        # 2.79 MB with a second copy of the data for the draw, the Gram's
+        # twin and the kurtosis, and a copy of the coordinates for their squares
         monkeypatch.setattr(lin_core, "_IDLE", [])
-        verify_target("transport", "k:0.5", 10, p, "spiked:gamma=2", CHUNK, 1)
+        m = _chunk_size(10, p)
+        verify_target(target, "k:0.5", 10, p, "spiked:gamma=2", m, 1, plugin=target == "oracle")
         (ws,) = lin_core._IDLE
         assert ws.nbytes <= mb * 1e6
+        data = 10 * m * 2 * p * 8  # the chunk's data, in bytes
+        assert ws.buffers["rows", np.dtype(np.float64)].nbytes == data
+        # besides the rows, only the m p^2 coordinates "h" may be as large
+        # (they are larger from p > 2n on)
+        others = {key[0]: buf.nbytes for key, buf in ws.buffers.items() if key[0] not in ("rows", "h")}
+        assert max(others.values()) < data, others
 
     @pytest.mark.parametrize("statistic", STATISTICS)
     def test_no_buffer_holds_a_whole_chunks_grams(self, monkeypatch, statistic):
@@ -739,13 +748,31 @@ class TestWorkspaces:
         assert max(buf.size for buf in ws.buffers.values()) < CHUNK * (2 * p) ** 2
 
     def test_idle_list_keeps_at_most_the_cap(self, monkeypatch):
-        # four workspaces of a p = 24, n = 30 run hold 69.4 MB together,
-        # above the 67.1 MB cap
+        # the four chunks of a p = 24, n = 80 run draw at once, each into a
+        # workspace of 18.8 MB: three fit below the 67.1 MB cap together,
+        # and the last one back is dropped
+        made = []
+
+        class Counted(_Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        all_lent = threading.Barrier(4, timeout=60)
+        draw = mc_verify._draw_chunk
+
+        def draw_once_all_are_lent(*args):
+            all_lent.wait()
+            return draw(*args)
+
         monkeypatch.setattr(lin_core, "_IDLE", [])
+        monkeypatch.setattr(lin_core, "_Workspace", Counted)
+        monkeypatch.setattr(mc_verify, "_draw_chunk", draw_once_all_are_lent)
         model = CESModel(np.zeros(24), spiked_covariance(24, 2.0), CompoundGaussianK(0.5))
-        empirical_moments(MCConfig(4 * CHUNK, 30, model, seed=69, workers=4))
+        empirical_moments(MCConfig(4 * CHUNK, 80, model, seed=69, workers=4))
         idle = lin_core._IDLE
-        assert idle and sum(ws.nbytes for ws in idle) <= lin_core._IDLE_CAP
+        assert len(made) == 4 and sum(ws.nbytes for ws in made) > lin_core._IDLE_CAP
+        assert len(idle) == 3 and sum(ws.nbytes for ws in idle) <= lin_core._IDLE_CAP
         for ws in idle:
             assert ws.nbytes == sum(buf.nbytes for buf in ws.buffers.values())
 

@@ -9,9 +9,9 @@ at every p, and ``transport`` and ``oracle --plugin`` (k:0.5,
 chunk loop, which ``_reduce_chunks`` drives, by wrapping the functions the
 kernels call:
 
-* draw: ``_draw_chunk``, the chunk's (m, n, p) data, written observation-major
-  into the workspace rows that the statistic centres in place (with an
-  identity covariance root, the normals are drawn there directly);
+* draw: ``_draw_chunk``, the chunk's (m, n, p) data, drawn observation-major
+  straight into the workspace rows, where the covariance root multiplies
+  them and the statistic centres them, each in place;
 * draw0: chunk 0's draw alone, the first random draw after the target's
   set-up (a mean over the chunks would hide a slow first draw);
 * statistic: ``_scm_stack``, the stacked SCM of that data;
@@ -23,7 +23,9 @@ kernels call:
 * faults: the minor page faults of the process (``ru_minflt``) during
   ``_reduce_chunks``;
 * ws_mb: the largest idle workspace (``lin_core._IDLE``) after a run, in MB
-  (10^6 bytes); each row starts from an empty idle list.
+  (10^6 bytes): the chunk's data once (the rows), the statistic's
+  coordinates and the buffers of a block of Grams; each row starts from an
+  empty idle list.
 
 Each figure is per chunk (draw0: of chunk 0; ws_mb: per workspace), the
 median over ``--repeat`` runs after one warm-up run; times are in

@@ -1,0 +1,137 @@
+"""SHA-256 digests of every result bit of a fixed set of runs, one line each.
+
+Two source trees that print the same lines give the same Monte Carlo
+reports and the same sampled files, bit for bit.  The runs are:
+
+* ``mc-verify`` runs through ``mc_verify.verify_target``, as ``cescov
+  mc-verify`` makes them, each at workers 1, 2 and 4: the three Monte Carlo
+  workloads of the benchmark (thm3 gaussian p = 2, transport k:0.5 p = 10,
+  oracle ``--plugin`` k:0.5 p = 4), transport at p = 24, thm1 with the
+  statistics ``wscm:one`` and ``wscm:fobi``, and the sphere check.  A line
+  hashes the run's JSON report and, for the moment targets (thm1, thm3,
+  transport), every field of its ``EmpiricalMoments``;
+* ``cescov sample`` files (t:10) at 10000 x 8 and 3000 x 3 for the
+  covariances identity, ``spiked:gamma=2``, ``diag:...`` and a complex CSV
+  file (with a complex CSV mean), a line hashing the bytes of the file.
+
+Compare a change against its parent commit, checked out at ``../parent``
+(say, with ``git worktree add ../parent HEAD~1``), from the repository
+root::
+
+    diff <(PYTHONPATH=src python3 tools/report_digests.py) \\
+         <(PYTHONPATH=../parent/src python3 tools/report_digests.py)
+
+The tool imports whichever ``cescov`` is on the path, so one copy of it
+compares any two trees that have ``verify_target``, ``empirical_moments``
+and ``cescov sample``.  ``--tiny`` runs the same list with an eighth of the
+replications and a twentieth of the sampled rows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+
+from cescov import cli, mc_verify
+from cescov.lin_core import save_complex_matrix
+
+SEED = 1
+WORKERS = (1, 2, 4)
+
+# name -> verify_target arguments; the replications of the last three end in
+# a ragged chunk (chunks of 512 replications at p = 24, 1422 at n = 12, p = 3)
+MC_RUNS = {
+    "thm3-gauss-p2": dict(target="thm3", dist="gaussian", n=10, p=2, cov="identity", replications=2048),
+    "transport-k05-p10": dict(target="transport", dist="k:0.5", n=10, p=10, cov="spiked:gamma=2",
+                              replications=4096),
+    "oracle-plugin-k05-p4": dict(target="oracle", dist="k:0.5", n=10, p=4, cov="spiked:gamma=2",
+                                 replications=2048, plugin=True),
+    "transport-k05-p24": dict(target="transport", dist="k:0.5", n=10, p=24, cov="spiked:gamma=2",
+                              replications=2 * 512 + 7),
+    "thm1-wscm-one-k05-p3": dict(target="thm1", dist="k:0.5", n=12, p=3, cov="identity",
+                                 replications=2 * 1422 + 7, statistic="wscm:one"),
+    "thm1-wscm-fobi-k05-p3": dict(target="thm1", dist="k:0.5", n=12, p=3, cov="identity",
+                                  replications=2 * 1422 + 7, statistic="wscm:fobi"),
+    "sphere-p3": dict(target="sphere", dist="gaussian", n=10, p=3, cov="identity", replications=200_000),
+}
+
+SAMPLE_SHAPES = ((10_000, 8), (3000, 3))
+SAMPLE_COVS = ("identity", "spiked:gamma=2", "diag", "file")
+
+
+def mc_digest(kwargs: dict, workers: int) -> str:
+    """Digest of one verify_target run: its report and the moments it
+    estimated, taken from ``mc_verify.empirical_moments`` as it returns."""
+    moments = []
+    estimate = mc_verify.empirical_moments
+
+    def recorded(cfg):
+        moments.append(estimate(cfg))
+        return moments[-1]
+
+    mc_verify.empirical_moments = recorded
+    try:
+        report = mc_verify.verify_target(seed=SEED, workers=workers, **kwargs)
+    finally:
+        mc_verify.empirical_moments = estimate
+    h = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+    for emp in moments:
+        for value in vars(emp).values():
+            h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
+
+
+def sample_digest(n: int, p: int, cov: str, tmp: str) -> str:
+    """Digest of the file that ``cescov sample --dist t:10`` writes."""
+    extra = []
+    if cov == "diag":
+        cov = "diag:" + ",".join(f"{1.0 + 0.5 * i:g}" for i in range(p))
+    elif cov == "file":
+        gen = np.random.default_rng(p)  # PCG64: the same matrix on every numpy
+        a = gen.standard_normal((p, p)) + 1j * gen.standard_normal((p, p))
+        cov = os.path.join(tmp, f"cov{p}.csv")
+        save_complex_matrix(cov, a @ a.conj().T + p * np.eye(p))
+        mu = os.path.join(tmp, f"mu{p}.csv")
+        save_complex_matrix(mu, (gen.standard_normal(p) + 1j * gen.standard_normal(p))[None])
+        extra = ["--mu", mu]
+    out = os.path.join(tmp, "sample.csv")
+    argv = ["sample", "--dist", "t:10", "--n", str(n), "--p", str(p), "--cov", cov, *extra,
+            "--seed", str(SEED), "--out", out]
+    with contextlib.redirect_stderr(io.StringIO()):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"cescov {' '.join(argv)} failed")
+    with open(out, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def digest_lines(tiny: bool = False):
+    """The lines ``name digest``, one per run, as they are computed."""
+    for name, kwargs in MC_RUNS.items():
+        if tiny:
+            kwargs = {**kwargs, "replications": kwargs["replications"] // 8}
+        for workers in WORKERS:
+            yield f"{name}-w{workers} {mc_digest(kwargs, workers)}"
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, p in SAMPLE_SHAPES:
+            n = n // 20 if tiny else n
+            for cov in SAMPLE_COVS:
+                yield f"sample-{cov.split(':')[0]}-{n}x{p} {sample_digest(n, p, cov, tmp)}"
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tiny", action="store_true", help="an eighth of the replications, a twentieth of the rows")
+    args = ap.parse_args(argv)
+    for line in digest_lines(args.tiny):
+        print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="threads of this process that run the chunks, kept idle between runs; reports are "
         "bit-identical at any count (with more than 1, set OPENBLAS_NUM_THREADS=1 / OMP_NUM_THREADS=1)",
     )
-    p_mc.add_argument("--stat", default="scm", choices=STATISTICS)
-    p_mc.add_argument("--plugin", action="store_true", help="report plug-in shrinkage ratio")
+    p_mc.add_argument("--stat", default="scm", choices=STATISTICS, help="used by thm1 only")
+    p_mc.add_argument("--plugin", action="store_true", help="report plug-in shrinkage ratio; used by oracle only")
     p_mc.add_argument("--json", action="store_true")
     p_mc.set_defaults(func=cmd_mc_verify)
 

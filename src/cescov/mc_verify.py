@@ -46,14 +46,15 @@ the row means taken in a workspace have the bits of numpy's ``mean``.
 ``workers > 1`` runs the chunks on that many threads of the calling process
 (numpy releases the GIL in the kernels that dominate a chunk), over the same
 chunk grid, so the worker count changes no bit of a result.  The threads
-belong to one pool that lives as long as the process: it is started by the
-first run that asks for them, waits idle between runs, and is shared by
-concurrent runs with the same worker count.  A run that asks for another
-count replaces it, so at most one pool exists.  A child made by ``os.fork``
-starts without it and makes its own.  Chunk code should use ufunc and BLAS
-calls, which release the GIL for their work: on two threads of a 2-CPU VM,
-centring a chunk with ``einsum`` ran 1.0-1.5x as fast as on one, against
-1.5-1.75x with the ufunc ``mean``.  Run BLAS single-threaded
+belong to a pool cached for the next run (``_worker_pool``): it is started
+by the first run that asks for them, waits idle between runs, and is shared
+by concurrent runs with the same worker count.  A run that asks for another
+count evicts it from the cache, and the evicted pool's threads end once no
+run holds it.  A child made by ``os.fork`` starts with an empty cache and
+makes its own pool.  Chunk code should use ufunc and BLAS calls, which
+release the GIL for their work: on two threads of a 2-CPU VM, centring a
+chunk with ``einsum`` ran 1.0-1.5x as fast as on one, against 1.5-1.75x
+with the ufunc ``mean``.  Run BLAS single-threaded
 (``OPENBLAS_NUM_THREADS=1`` / ``OMP_NUM_THREADS=1``) with ``workers > 1`` so
 that the two levels of threads do not oversubscribe the CPUs.
 """
@@ -62,11 +63,10 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -158,27 +158,18 @@ class MCConfig:
                                 "standard errors, eighth-order moments of the data, do not exist")
 
 
-# The worker threads of runs with workers > 1: one pool of exactly _POOL_SIZE
-# threads, made on first use and kept between runs.  _POOL_LOCK guards the
-# pair and the submission of a run's chunks.
-_POOL: ThreadPoolExecutor | None = None
-_POOL_SIZE = 0
-_POOL_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=1)
 def _worker_pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of exactly ``workers`` threads.  A pool of another
-    size is replaced, and shut down without waiting once its successor
-    exists: the chunks already queued on it still run, and a count that
-    ``ThreadPoolExecutor`` rejects leaves the old pool in place.  Call with
-    ``_POOL_LOCK`` held."""
-    global _POOL, _POOL_SIZE
-    if _POOL_SIZE != workers:
-        pool = ThreadPoolExecutor(workers, thread_name_prefix="cescov-mc")
-        if _POOL is not None:
-            _POOL.shutdown(wait=False)
-        _POOL, _POOL_SIZE = pool, workers
-    return _POOL
+    """The pool of ``workers`` threads, kept for the next run.  A call with
+    another count evicts it.  No pool is shut down: a run holds its pool
+    until its last chunk is merged, and the idle threads of an evicted pool
+    end once no run holds it (``ThreadPoolExecutor`` wakes them when it is
+    collected)."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="cescov-mc")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's threads
+    os.register_at_fork(after_in_child=_worker_pool.cache_clear)
 
 
 def _chunk_size(n: int, p: int) -> int:
@@ -194,22 +185,23 @@ def _reduce_chunks(kernel, total: int, chunk: int, workers: int) -> dict:
     Partials are dicts of arrays or scalars.  Each is merged in chunk order
     as soon as it arrives, so a run holds only the partials that finished
     ahead of their turn, never the whole list.  With ``workers > 1`` every
-    chunk is queued on the process's pool of that many threads, which caps
-    how many run at once, over the same grid, so the sums are bit-identical
-    at any worker count.  An exception in a kernel cancels the chunks not yet
-    started and is raised here once the running ones have ended.  Kernels
-    must not call ``_reduce_chunks``: a chunk that waits for chunks queued
-    behind it on the same pool can deadlock.  A grid of one chunk runs on
-    the calling thread at any worker count.
+    chunk is queued on the cached pool of that many threads, which caps how
+    many run at once; the run holds that pool until its last chunk is
+    merged, even if another count evicts it from the cache meanwhile.  The
+    grid does not depend on the worker count, so neither do the sums' bits.
+    An exception in a kernel cancels the chunks not yet started and is
+    raised here once the running ones have ended.  Kernels must not call
+    ``_reduce_chunks``: a chunk that waits for chunks queued behind it on
+    the same pool can deadlock.  A grid of one chunk runs on the calling
+    thread at any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
     if workers == 1 or len(sizes) == 1:
         return _merge(map(kernel, range(len(sizes)), sizes))
-    with _POOL_LOCK:
-        pool = _worker_pool(workers)
-        pending = deque(pool.submit(kernel, c, m) for c, m in enumerate(sizes))
+    pool = _worker_pool(workers)
+    pending = deque(pool.submit(kernel, c, m) for c, m in enumerate(sizes))
     try:
         return _merge(pending.popleft().result() for _ in sizes)
     except BaseException:
@@ -231,19 +223,6 @@ def _merge(parts) -> dict:
         for key, value in out.items():
             value += part[key]
     return {key: value[()] if value.ndim == 0 else value for key, value in out.items()}
-
-
-def _forget_threads():
-    """In a child made by ``os.fork``: drop the parent's pool, whose threads
-    do not exist here, and renew its lock, which a thread of the parent may
-    have held at the fork."""
-    global _POOL, _POOL_SIZE, _POOL_LOCK
-    _POOL, _POOL_SIZE = None, 0
-    _POOL_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_threads)
 
 
 def _draw_chunk(cfg: MCConfig, c: int, m: int, ws: _Workspace) -> np.ndarray:
@@ -552,38 +531,22 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
     m1, m2, m4, m6, m8 = mom["m1"], mom["m2"], mom["m4"], mom["m6"], mom["m8"]
     m22, m44, c2, cp, c4, m3 = mom["m22"], mom["m44"], mom["c2"], mom["cp"], mom["c4"], mom["m3"]
 
+    def dev(est, ref, var):  # |est - ref| in units of its per-entry SE
+        return np.abs(est - ref) / np.sqrt(np.maximum(var, 1e-300) / n)
+
     off = ~np.eye(p, dtype=bool)
-    devs_target = []
-    dev_m2 = np.abs(m2 - 1.0 / p) / np.sqrt(np.maximum(m4 - m2**2, 1e-300) / n)
-    devs_target.append(dev_m2.max())
-    t4 = 2.0 / (p * (p + 1))
-    dev_m4 = np.abs(m4 - t4) / np.sqrt(np.maximum(m8 - m4**2, 1e-300) / n)
-    devs_target.append(dev_m4.max())
-    t22 = 1.0 / (p * (p + 1))
-    se22 = np.sqrt(np.maximum(m44 - m22**2, 1e-300) / n)
-    dev_m22 = (np.abs(m22 - t22) / se22)[off]
-    devs_target.append(dev_m22.max())
-
-    devs_zero = []
-    devs_zero.append((np.abs(m1) / np.sqrt(np.maximum(m2 - np.abs(m1) ** 2, 1e-300) / n)).max())
-    se_cross = np.sqrt(np.maximum(m22, 1e-300) / n)
-    devs_zero.append((np.abs(c2) / se_cross)[off].max())
-    devs_zero.append((np.abs(cp) / se_cross).max())
-    se4 = np.sqrt(np.maximum(m44, 1e-300) / n)
-    devs_zero.append((np.abs(c4) / se4)[off].max())
-    devs_zero.append((np.abs(m3) / np.sqrt(np.maximum(m6, 1e-300) / n)).max())
-
+    abs2 = dev(m2, 1.0 / p, m4 - m2**2).max()
+    abs4 = dev(m4, 2.0 / (p * (p + 1)), m8 - m4**2).max()
+    cross22 = dev(m22, 1.0 / (p * (p + 1)), m44 - m22**2)[off].max()
+    vanishing = [dev(m1, 0.0, m2 - np.abs(m1) ** 2), dev(c2, 0.0, m22)[off], dev(cp, 0.0, m22),
+                 dev(c4, 0.0, m44)[off], dev(m3, 0.0, m6)]
     return ComparisonReport(
         {
-            "nonzero_dev_se": Check(float(max(devs_target)), 4.0),
-            "vanishing_dev_se": Check(float(max(devs_zero)), 4.0),
+            "nonzero_dev_se": Check(float(max(abs2, abs4, cross22)), 4.0),
+            "vanishing_dev_se": Check(float(max(d.max() for d in vanishing)), 4.0),
         },
-        {
-            "draws": draws,
-            "abs2_max_dev_se": float(dev_m2.max()),
-            "abs4_max_dev_se": float(dev_m4.max()),
-            "cross22_max_dev_se": float(dev_m22.max()),
-        },
+        {"draws": draws, "abs2_max_dev_se": float(abs2), "abs4_max_dev_se": float(abs4),
+         "cross22_max_dev_se": float(cross22)},
     )
 
 

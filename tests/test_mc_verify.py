@@ -552,20 +552,15 @@ class TestReduceChunks:
         assert {id(ws) for ws in lin_core._IDLE} == {id(ws) for ws in lent}
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_fewer_than_one_worker(self, monkeypatch, workers):
-        # as in a fresh process, where no pool exists and _POOL_SIZE is 0
-        monkeypatch.setattr(mc_verify, "_POOL", None)
-        monkeypatch.setattr(mc_verify, "_POOL_SIZE", 0)
+    def test_rejects_fewer_than_one_worker(self, workers):
+        mc_verify._worker_pool.cache_clear()  # as in a fresh process, where no pool exists
 
         def kernel(c, m):
             return {"n": float(m)}
 
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             _reduce_chunks(kernel, 10, 5, workers)
-        try:
-            assert _reduce_chunks(kernel, 10, 5, 2)["n"] == 10
-        finally:
-            mc_verify._POOL.shutdown()
+        assert _reduce_chunks(kernel, 10, 5, 2)["n"] == 10
 
     def test_a_rejected_worker_count_keeps_the_pool(self):
         # a count below 1 is refused before the pool is touched, so the
@@ -603,6 +598,21 @@ class TestReduceChunks:
             assert not t.is_alive()
         assert not errors
         assert got == [want] * 20
+
+    def test_a_replaced_pool_s_threads_end(self):
+        # an evicted pool is never shut down: its idle threads end once no
+        # run holds it, so only the last pool's threads stay
+        def kernel(c, m):
+            time.sleep(0.001)
+            return {"n": float(m)}
+
+        for workers in (2, 3, 2):
+            assert _reduce_chunks(kernel, 8 * 12, 8, workers)["n"] == 8 * 12
+        pool_threads = lambda: [t for t in threading.enumerate() if t.name.startswith("cescov-mc")]
+        deadline = time.monotonic() + 10.0
+        while len(pool_threads()) > 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(pool_threads()) == 2
 
     def test_switching_worker_counts_changes_no_bit(self):
         want = report_digests()

@@ -3,29 +3,30 @@ weighted covariance matrices, and a plug-in elliptical kurtosis estimate.
 
 Datasets are (n, p) complex arrays with rows as observations.  The SCM, the
 weighted SCM and the kurtosis estimate are each computed by one stacked core
-that maps an (m, n, p) stack of datasets to m results at once; the public
-single-dataset functions validate their input and call that core with a
-leading axis of 1, and the Monte Carlo harness calls it on whole chunks.
+that maps m datasets to m results at once.  A core's one input is the
+datasets' observation-major rows (n, m, 2p): observation i of dataset j is
+row (i, j), a complex entry as its real and imaginary parts.  The caller
+owns the rows and the core centres them in place.  The public
+single-dataset functions validate their input and copy it into such rows
+with m = 1; the Monte Carlo harness draws a whole chunk straight into them.
 The covariance cores return the p^2 real Hermitian coordinates of
-``lin_core._hermitian_coords``, gathered from one real Gram of the data's
-float view; the public functions assemble the matrix from them, which makes
-it exactly Hermitian.
+``lin_core._hermitian_coords``, gathered from one real Gram of the rows;
+the public functions assemble the matrix from them, which makes it exactly
+Hermitian.
 
 The cores write their temporaries and their results into the buffers of a
 workspace that the caller borrows from ``lin_core._borrowed_workspace``,
 each buffer in one role:
 
-* "rows": the centred data, observation-major (n, m, 2p), a complex entry
-  as its real and imaginary parts.  The row means, the centring and the
-  kurtosis moments are reduces and subtractions over its outer axis.  A
-  core copies its input stack there and reads it only, unless the input
-  already is the complex (m, n, p) view of that buffer, as the Monte Carlo
-  draw leaves it: then the core centres it in place.  The kurtosis core
-  squares the spent rows in place for its moments;
+* "rows": the rows that the public functions copy their dataset into (the
+  Monte Carlo draw fills the same buffer of its chunk's workspace).  The
+  row means, the centring and the kurtosis moments are reduces and
+  subtractions over its outer axis, and the kurtosis core squares the
+  spent rows in place for its moments;
 * "xbar": the row means, from p = 2 on;
 * "twin" and "gram": for a block of replications, a copy of their rows
-  (the weighted rows, for the weighted SCM) as one operand of their real
-  Grams, and those Grams; the two take at most ``_GRAM_BLOCK_BYTES``;
+  (the weighted rows, for the weighted SCM) and their real Grams
+  twin^T rows; the two take at most ``_GRAM_BLOCK_BYTES``;
 * "h" and "h_b": the Hermitian coordinates and the scratch they are
   gathered through;
 * "m2", "m4": the kurtosis moments;
@@ -91,35 +92,39 @@ class SCMResult:
     n: int
 
 
-def _centred_rows(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Row means (m, p) of a complex (m, n, p) stack, with the bits of
-    ``x.mean(axis=-2)``, and the deviations from them as an observation-major
-    (n, m, 2p) float copy, a complex entry as its real and imaginary parts,
-    in the workspace buffer "rows".  Reads ``x`` only, unless ``x`` is the
-    (m, n, p) view of that buffer, which it centres in place (the copy of a
-    view onto itself does nothing).
+def _dataset_rows(x: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """The (n, p) dataset ``x`` copied into the workspace buffer "rows" as
+    the observation-major rows (n, 1, 2p) of a stack of one dataset."""
+    n, p = x.shape
+    rows = ws.take("rows", (n, 1, 2 * p))
+    np.copyto(rows.view(np.complex128)[:, 0], x)
+    return rows
+
+
+def _centre(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Row means (m, p) of the observation-major rows (n, m, 2p) of m
+    datasets, with the bits of numpy's mean of each dataset, and the rows
+    centred on them in place.
 
     At p >= 2 numpy's mean adds the n rows one after another, many short
-    loops over p; one reduce over the outer axis of the copy adds them in
-    the same order, in loops over the whole (m, 2p) output, and the centring
-    subtracts over rows of that length too.  At p = 1 numpy's mean sums
-    pairwise along its inner loop, so it is used there, on a C-ordered
-    (m, n, 1) copy in the workspace buffer "by_dataset", where the n values
-    of a dataset are that loop.
+    loops over p; one reduce over the outer axis of the rows adds them in
+    the same order, in loops over the whole (m, 2p) output, into the
+    workspace buffer "xbar", and the centring subtracts over rows of that
+    length too.  At p = 1 numpy's mean sums pairwise along its inner loop,
+    so it is used there, on a C-ordered (m, n, 1) copy in the workspace
+    buffer "by_dataset", where the n values of a dataset are that loop.
     """
-    m, n, p = x.shape
-    rows = ws.take("rows", (n, m, 2 * p))
-    np.copyto(rows.view(np.complex128), x.swapaxes(0, 1))
-    if p == 1:
+    n, m, p2 = rows.shape
+    if p2 == 2:
         c = ws.take("by_dataset", (m, n, 2)).view(np.complex128)
         np.copyto(c, rows.view(np.complex128).swapaxes(0, 1))
         xbar = c.mean(axis=-2)
     else:
-        s = np.add.reduce(rows, axis=0, out=ws.take("xbar", (m, 2 * p)))
+        s = np.add.reduce(rows, axis=0, out=ws.take("xbar", (m, p2)))
         s *= 1.0 / n  # numpy divides a complex sum by n + 0j, which multiplies by 1/n
         xbar = s.view(np.complex128)
     rows -= xbar.view(np.float64)
-    return xbar, rows
+    return xbar
 
 
 def _gram_coords(rows: np.ndarray, w: np.ndarray | None, factor: float, ws: _Workspace) -> np.ndarray:
@@ -129,14 +134,14 @@ def _gram_coords(rows: np.ndarray, w: np.ndarray | None, factor: float, ws: _Wor
     without them; see ``_HermitianCoords.from_gram``.
 
     The Grams are built a block of replications at a time in the buffer
-    "gram".  Each block's weighted rows, or without weights a copy of its
-    rows, go to the buffer "twin", observation-major as well, which is the
-    Gram's first operand with weights and its second without; the two
-    buffers hold at most ``_GRAM_BLOCK_BYTES`` together.  numpy sends a
-    product A^T A of one buffer to BLAS syrk, and a product of two to gemm,
-    whose small-matrix path builds the small Grams 1.8-3.5x as fast
-    (OpenBLAS 0.3.31, n = 10, p = 2 to 24).  Each replication's product is
-    the same BLAS call at any block size, so no bit depends on it."""
+    "gram", each as the product twin^T rows of the block, where "twin"
+    holds the block's weighted rows, or without weights a copy of its rows,
+    observation-major as well; the two buffers hold at most
+    ``_GRAM_BLOCK_BYTES`` together.  numpy sends a product A^T A of one
+    buffer to BLAS syrk, and a product of two to gemm, whose small-matrix
+    path builds the small Grams 1.8-3.5x as fast (OpenBLAS 0.3.31, n = 10,
+    p = 2 to 24).  Each replication's product is the same BLAS call at any
+    block size, so no bit depends on it."""
     n, m, p2 = rows.shape
     coords = _hermitian_coords(p2 // 2)
     block = max(1, min(m, _GRAM_BLOCK_BYTES // (8 * p2 * (p2 + n))))
@@ -147,27 +152,22 @@ def _gram_coords(rows: np.ndarray, w: np.ndarray | None, factor: float, ws: _Wor
         yk, tk = rows[:, lo : lo + k], ws.take("twin", (n, k, p2))
         if w is None:
             np.copyto(tk, yk)
-            np.matmul(yk.transpose(1, 2, 0), tk.transpose(1, 0, 2), out=g[:k])
         else:
             np.multiply(w[lo : lo + k].T[..., None], yk, out=tk)
-            np.matmul(tk.transpose(1, 2, 0), yk.transpose(1, 0, 2), out=g[:k])
+        np.matmul(tk.transpose(1, 2, 0), yk.transpose(1, 0, 2), out=g[:k])
         coords.from_gram(g[:k], factor, ws, out=h[lo : lo + k])
     return h
 
 
-def _scm_stack(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unbiased SCMs, as Hermitian coordinates (m, p^2), row means (m, p)
-    and the centred observation-major rows (n, m, 2p) of
-    :func:`_centred_rows`, of a complex (m, n, p) stack of datasets, in
-    buffers of the workspace (the means at p >= 2).  Reads ``x`` only,
-    unless it is the view of the workspace's "rows", which it centres in
-    place.  The Grams take their operands from those rows, a block at a
-    time (:func:`_gram_coords`).
+def _scm_stack(rows: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Unbiased SCMs, as Hermitian coordinates (m, p^2), and row means
+    (m, p) of the m datasets with observation-major rows (n, m, 2p), in
+    buffers of the workspace (the means at p >= 2).  The rows are centred
+    in place (:func:`_centre`), and the Grams take their operands from
+    them, a block at a time (:func:`_gram_coords`).
     """
-    n = x.shape[1]
-    xbar, rows = _centred_rows(x, ws)
-    h = _gram_coords(rows, None, 1.0 / (n - 1), ws)
-    return h, xbar, rows
+    xbar = _centre(rows, ws)
+    return _gram_coords(rows, None, 1.0 / (rows.shape[0] - 1), ws), xbar
 
 
 def scm(x) -> SCMResult:
@@ -183,7 +183,7 @@ def scm(x) -> SCMResult:
     """
     x = require_dataset(x, min_rows=2)
     with _borrowed_workspace() as ws:
-        h, xbar, _ = _scm_stack(x[None], ws)
+        h, xbar = _scm_stack(_dataset_rows(x, ws), ws)
         return SCMResult(s=_hermitian_coords(x.shape[1]).to_matrix(h[0]), xbar=xbar[0].copy(), n=x.shape[0])
 
 
@@ -198,19 +198,17 @@ def sample_variance(x) -> float:
     return float(np.sum(dev.real**2 + dev.imag**2) / (x.shape[0] - 1))
 
 
-def _weighted_scm_stack(x: np.ndarray, weight_fn, ws: _Workspace) -> np.ndarray:
+def _weighted_scm_stack(rows: np.ndarray, weight_fn, ws: _Workspace) -> np.ndarray:
     """Weighted covariance matrices, as Hermitian coordinates (m, p^2) in a
-    workspace buffer, of an (m, n, p) stack of datasets; see
+    workspace buffer, of the m datasets with observation-major rows
+    (n, m, 2p), which :func:`_scm_stack` centres in place; see
     :func:`weighted_scm`.  ``weight_fn`` receives the squared distances of
-    all m * n rows as one flat array.  Reads ``x`` only, unless it is the
-    view of the workspace's "rows", as :func:`_scm_stack` does; the
-    deviations are the centred rows of :func:`_scm_stack`."""
-    m, n, p = x.shape
+    all m * n rows as one flat array."""
+    n, m, p = rows.shape[0], rows.shape[1], rows.shape[2] // 2
     coords = _hermitian_coords(p)
-    h, _, rows = _scm_stack(x, ws)
+    h, _ = _scm_stack(rows, ws)
     s = coords.to_matrix(h)
-    y = rows.swapaxes(0, 1)  # (m, n, 2p): the float view of the deviations
-    dev = y.view(np.complex128)
+    dev = rows.swapaxes(0, 1).view(np.complex128)  # (m, n, p): the deviations
     eigs = np.linalg.eigvalsh(s)  # ascending per replication
     tol = PD_RTOL * np.maximum(eigs[:, -1], 0.0)
     singular = eigs[:, 0] <= tol
@@ -220,10 +218,11 @@ def _weighted_scm_stack(x: np.ndarray, weight_fn, ws: _Workspace) -> np.ndarray:
             f"sample covariance is singular at tolerance {tol[i]:.3e} (n={n}, p={p})"
         )
     d = np.einsum("mia,mai->mi", dev.conj(), np.linalg.solve(s, dev.swapaxes(-1, -2))).real
-    w = np.asarray(weight_fn(d.ravel()), dtype=float)
-    if w.shape != (m * n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
+    w = np.asarray(weight_fn(d.ravel()))
+    # bool, integer or float weights: no complex, string or object ones
+    if w.dtype.kind not in "biuf" or w.shape != (m * n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weight function must map d >= 0 to finite nonnegative weights")
-    return _gram_coords(rows, w.reshape(m, n), 1.0 / n, ws)
+    return _gram_coords(rows, w.reshape(m, n).astype(float, copy=False), 1.0 / n, ws)
 
 
 def weighted_scm(x, weight_fn) -> np.ndarray:
@@ -239,16 +238,18 @@ def weighted_scm(x, weight_fn) -> np.ndarray:
     SingularSCM
         If the smallest eigenvalue of S is at or below ``PD_RTOL`` times the
         largest one (in particular whenever n <= p).
+    ValueError
+        If ``u`` does not return one finite nonnegative real weight per row.
     """
     x = require_dataset(x, min_rows=2)
     with _borrowed_workspace() as ws:
-        h = _weighted_scm_stack(x[None], weight_fn, ws)
+        h = _weighted_scm_stack(_dataset_rows(x, ws), weight_fn, ws)
         return _hermitian_coords(x.shape[1]).to_matrix(h[0])
 
 
 def _kurtosis_stack(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Plug-in elliptical kurtosis (m,) of a stack of m datasets, from the
-    centred observation-major rows (n, m, 2p) of :func:`_centred_rows`; see
+    """Plug-in elliptical kurtosis (m,) of m datasets, from their centred
+    observation-major rows (n, m, 2p) (:func:`_centre`); see
     :func:`estimate_kurtosis`.  The rows are spent: their squares go to
     them in place, and the real parts' halves then take |dev|^2 and |dev|^4.
     The per-coordinate means of those are outer-axis reduces over the rows,
@@ -293,5 +294,6 @@ def estimate_kurtosis(x) -> float:
     """
     x = require_dataset(x, min_rows=4)
     with _borrowed_workspace() as ws:
-        _, rows = _centred_rows(x[None], ws)
+        rows = _dataset_rows(x, ws)
+        _centre(rows, ws)
         return float(_kurtosis_stack(rows, ws)[0])

@@ -206,18 +206,18 @@ class _HermitianCoords:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
-    def from_gram(self, g: np.ndarray, factor: float, ws: _Workspace, out: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(self, g: np.ndarray, factor: float, ws: _Workspace, out: np.ndarray) -> np.ndarray:
         """Coordinates (..., p^2) of factor * sum_k x_k x_k^H over the rows
         x_k of complex data, from the real Grams g = y^T y (..., 2p, 2p) of
         its float views y (row k of y is (Re x_k0, Im x_k0, Re x_k1, ...)).
-        The result is ``out``, a C-contiguous array, or else the workspace
-        buffer "h"."""
+        The result is ``out``, a C-contiguous array; the workspace lends
+        the scratch buffer "h_b"."""
         g = g.reshape(g.shape[:-2] + (-1,))
         shape = g.shape[:-1] + (self.p * self.p,)
         # np.take keeps the stack C-ordered, so that a row's reductions do not
         # depend on the stack's size; mode "clip" (the indices are in range)
         # writes straight into out, where "raise" would buffer the result
-        h = np.take(g, self.gram[0], axis=-1, out=ws.take("h", shape) if out is None else out, mode="clip")
+        h = np.take(g, self.gram[0], axis=-1, out=out, mode="clip")
         b = np.take(g, self.gram[1], axis=-1, out=ws.take("h_b", shape), mode="clip")
         h[..., : self.q] += b[..., : self.q]
         h[..., self.q :] -= b[..., self.q :]

@@ -16,8 +16,8 @@ sphere check draws ``SPHERE_CHUNK`` directions per chunk.  Chunk ``c`` of m
 replications draws all of its data from the single random stream
 ``(seed, c)`` as one ``sample_ces`` draw of m * n rows, read
 observation-major: row ``i * m + j`` is observation i of replication j.  It
-computes the statistic for the whole (m, n, p) stack at once and reduces it
-to partial sums.  The partial sums are merged in chunk order as they
+computes the statistic of all m replications at once and reduces it to
+partial sums.  The partial sums are merged in chunk order as they
 arrive, each real component by a plain left-to-right sum that starts from
 chunk 0's partial.  Results are therefore bit-identical for a fixed seed
 regardless of the worker count.  A recursive sum of k partials is off by at
@@ -109,28 +109,15 @@ CHUNK = 512
 _CHUNK_VALUES = CHUNK * 100
 SPHERE_CHUNK = 65536
 
-STATISTICS = ("scm", "wscm:one", "wscm:fobi")
-
-_WEIGHTS = {
-    "one": lambda d: np.ones_like(d),
-    "fobi": lambda d: d,
+# Each statistic's stacked core: a chunk's observation-major rows (n, m, 2p),
+# centred in place, and a workspace to the Hermitian coordinates (m, p^2) of
+# its m matrices, in a buffer of that workspace.
+_STATISTICS = {
+    "scm": lambda rows, ws: _scm_stack(rows, ws)[0],
+    "wscm:one": lambda rows, ws: _weighted_scm_stack(rows, np.ones_like, ws),
+    "wscm:fobi": lambda rows, ws: _weighted_scm_stack(rows, lambda d: d, ws),
 }
-
-
-def _statistic_fn(name: str):
-    """The named statistic on a stack: (m, n, p) data and a workspace to the
-    Hermitian coordinates (m, p^2) of its m matrices, in a buffer of that
-    workspace.  Centres the data in place when they are the view of the
-    workspace's "rows" that :func:`_draw_chunk` returns, and reads them
-    only otherwise."""
-    if name == "scm":
-        return lambda x, ws: _scm_stack(x, ws)[0]
-    if name.startswith("wscm:"):
-        wid = name.split(":", 1)[1]
-        if wid in _WEIGHTS:
-            w = _WEIGHTS[wid]
-            return lambda x, ws: _weighted_scm_stack(x, w, ws)
-    raise ValueError(f"unknown statistic {name!r}; expected one of {STATISTICS}")
+STATISTICS = tuple(_STATISTICS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +138,8 @@ class MCConfig:
             raise ValueError(f"need at least 2 observations per replication, got {self.n}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        _statistic_fn(self.statistic)
+        if self.statistic not in _STATISTICS:
+            raise ValueError(f"unknown statistic {self.statistic!r}; expected one of {STATISTICS}")
         family = self.model.family  # every MC standard error is eighth order in x
         if isinstance(family, StudentT) and family.dof <= 8.0:
             raise InvalidFamily(f"{family} has infinite E[r^8] (needs dof > 8), so the Monte Carlo "
@@ -226,15 +214,16 @@ def _merge(parts) -> dict:
 
 
 def _draw_chunk(cfg: MCConfig, c: int, m: int, ws: _Workspace) -> np.ndarray:
-    """The (m, n, p) data of chunk c: ``sample_ces`` of m * n rows from the
-    single stream (seed, c), read observation-major.  The rows are drawn
-    straight into the workspace buffer "rows", observation-major (n, m, 2p)
-    floats, of which this is the complex (m, n, p) view; the product with
-    the covariance root happens there too, in place.  The stacked cores
-    centre that view in place."""
+    """The observation-major rows (n, m, 2p) of chunk c's m datasets:
+    ``sample_ces`` of m * n rows from the single stream (seed, c), row
+    i * m + j being observation i of dataset j, a complex entry as its real
+    and imaginary parts.  They are drawn straight into the workspace buffer
+    "rows", where the product with the covariance root happens too, in
+    place, and the stacked cores then centre them in place."""
     n, p = cfg.n, cfg.model.dim
-    x = _draw_ces(cfg.model, RngStream(cfg.seed, c), ws.take("rows", (n * m, 2 * p)))
-    return x.reshape(n, m, p).swapaxes(0, 1)
+    rows = ws.take("rows", (n * m, 2 * p))
+    _draw_ces(cfg.model, RngStream(cfg.seed, c), rows)
+    return rows.reshape(n, m, 2 * p)
 
 
 def _moment_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray) -> dict:
@@ -242,7 +231,7 @@ def _moment_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray) -> dict:
     statistics shifted by the coordinates ref."""
     coords = _hermitian_coords(cfg.model.dim)
     with _borrowed_workspace() as ws:
-        h = _statistic_fn(cfg.statistic)(_draw_chunk(cfg, c, m, ws), ws)
+        h = _STATISTICS[cfg.statistic](_draw_chunk(cfg, c, m, ws), ws)
         h -= ref
         sq = coords.sq_norm(h)  # per-replication ||T - M_ref||_F^2
         # every partial is a new array: the workspace serves the next chunk
@@ -570,7 +559,8 @@ def _oracle_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray, beta: float, 
     coordinates ref."""
     sq_norm = _hermitian_coords(cfg.model.dim).sq_norm
     with _borrowed_workspace() as ws:
-        h, _, rows = _scm_stack(_draw_chunk(cfg, c, m, ws), ws)  # rows: the centred data
+        rows = _draw_chunk(cfg, c, m, ws)
+        h, _ = _scm_stack(rows, ws)  # centres the rows
         d = ws.take("err", h.shape)
         e1 = sq_norm(np.subtract(h, ref, out=d))
         np.multiply(beta, h, out=d)

@@ -15,6 +15,8 @@ from cescov.ces_sampler import (
 )
 from cescov.errors import DegenerateCoordinate, SingularSCM, TooFewObservations
 from cescov.estimators import (
+    _GRAM_BLOCK_BYTES,
+    _gram_coords,
     _scm_stack,
     _weighted_scm_stack,
     estimate_kurtosis,
@@ -26,7 +28,7 @@ from cescov.estimators import (
 )
 from cescov.lin_core import _hermitian_coords, _Workspace, centering_matrix
 
-from util import random_complex, random_hpd, random_unitary
+from util import random_complex, random_hpd, random_unitary, rows_of, stack_of
 
 
 @pytest.mark.parametrize(
@@ -50,8 +52,8 @@ def test_estimators_leave_the_callers_data_unchanged(estimate):
 
 
 class TestScmStack:
-    """The stacked SCM of an (m, n, p) stack against a direct complex
-    computation, one dataset at a time."""
+    """The stacked SCM of the rows of an (m, n, p) stack against a direct
+    complex computation, one dataset at a time."""
 
     N = 30  # above every p, so that weighted_scm is defined
 
@@ -63,9 +65,9 @@ class TestScmStack:
     def stack(self, request, p):
         gen = np.random.default_rng(1000 * p + request.param)
         x = random_complex(gen, request.param, self.N, p) + random_complex(gen, 1, 1, p)
-        ws = _Workspace()
-        h, xbar, rows = _scm_stack(x, ws)
-        return x, h.copy(), xbar.copy(), rows.copy()
+        rows = rows_of(x)
+        h, xbar = _scm_stack(rows, _Workspace())
+        return x, h.copy(), xbar.copy(), rows
 
     def test_coordinates_match_the_complex_definition(self, stack):
         x, h, _, _ = stack
@@ -88,7 +90,7 @@ class TestScmStack:
 
     def test_rows_are_the_deviations_observation_major(self, stack):
         x, _, xbar, rows = stack
-        np.testing.assert_array_equal(rows.view(np.complex128).swapaxes(0, 1), x - xbar[:, None, :])
+        np.testing.assert_array_equal(stack_of(rows), x - xbar[:, None, :])
 
     def test_public_estimators_leave_the_callers_data_unchanged(self, p):
         x = random_complex(np.random.default_rng(p), self.N, p)
@@ -102,14 +104,43 @@ class TestScmStack:
 @pytest.mark.parametrize("p", [1, 2, 4, 10])
 @pytest.mark.parametrize(
     "core",
-    [lambda x, ws: _scm_stack(x, ws), lambda x, ws: _weighted_scm_stack(x, lambda d: d, ws)],
+    [lambda rows, ws: _scm_stack(rows, ws), lambda rows, ws: _weighted_scm_stack(rows, lambda d: d, ws)],
     ids=["scm", "wscm:fobi"],
 )
-def test_stacked_cores_read_their_input_only(core, p):
-    x = random_complex(np.random.default_rng(70 + p), 5, 30, p)
-    before = x.tobytes()
-    core(x, _Workspace())
-    assert x.tobytes() == before
+def test_stacked_cores_centre_the_rows_they_are_given(core, p):
+    x = random_complex(np.random.default_rng(70 + p), 5, 30, p) + 1.0 - 0.5j
+    rows = rows_of(x)
+    core(rows, _Workspace())
+    xbar = np.stack([d.mean(axis=0) for d in x])  # numpy's mean of each dataset
+    np.testing.assert_array_equal(stack_of(rows).view(np.uint64), (x - xbar[:, None]).view(np.uint64))
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 10, 24])
+def test_unit_weights_give_the_unweighted_coordinates(p):
+    # two full blocks of Grams and a ragged one of 3 replications
+    n = 10
+    m = 2 * (_GRAM_BLOCK_BYTES // (8 * 2 * p * (2 * p + n))) + 3
+    rows = np.random.default_rng(95 + p).standard_normal((n, m, 2 * p))
+    plain = _gram_coords(rows, None, 0.25, _Workspace())
+    unit = _gram_coords(rows, np.ones((m, n)), 0.25, _Workspace())
+    np.testing.assert_array_equal(unit.view(np.uint64), plain.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "weight_fn",
+    [
+        lambda d: d + 0j,
+        lambda d: d.astype(str),
+        lambda d: -d,
+        lambda d: np.full_like(d, np.nan),
+        lambda d: d[:-1],
+    ],
+    ids=["complex", "string", "negative", "nan", "shape"],
+)
+def test_weighted_scm_refuses_weights_that_are_not_finite_nonnegative_reals(weight_fn):
+    x = random_complex(np.random.default_rng(96), 20, 3)
+    with pytest.raises(ValueError, match="^weight function must map d >= 0 to finite nonnegative weights$"):
+        weighted_scm(x, weight_fn)
 
 
 class TestPooledWorkspaces:

@@ -69,7 +69,7 @@ def test_hermitian_coordinates_round_trip(p, seed):
 def test_coordinates_from_the_real_gram(p, n, seed):
     x = random_complex(np.random.default_rng(seed), n, p)
     y = x.view(np.float64)
-    got = _hermitian_coords(p).from_gram(y.T @ y, 0.5, _Workspace())
+    got = _hermitian_coords(p).from_gram(y.T @ y, 0.5, _Workspace(), out=np.empty(p * p))
     want = _hermitian_coords(p).from_matrix(x.T @ x.conj() * 0.5)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 

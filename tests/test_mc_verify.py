@@ -1,3 +1,4 @@
+import argparse
 import functools
 import operator
 import os
@@ -26,6 +27,7 @@ from cescov.ces_sampler import (
     StudentT,
     sample_ces,
 )
+from cescov.cli import build_parser
 from cescov.errors import InvalidFamily, SingularSCM
 from cescov import mc_verify
 from cescov.estimators import _scm_stack, _weighted_scm_stack, estimate_kurtosis, scm, weighted_scm
@@ -59,7 +61,7 @@ from cescov.mc_verify import (
     _oracle_kernel,
     _plugin_beta,
     _reduce_chunks,
-    _statistic_fn,
+    _STATISTICS,
 )
 from cescov.theory import (
     CovariancePair,
@@ -70,7 +72,7 @@ from cescov.theory import (
     scm_radial_structure,
 )
 
-from util import random_hpd, report_digests
+from util import random_hpd, report_digests, rows_of, stack_of
 
 
 def spherical_model(p, family=None):
@@ -95,6 +97,17 @@ class TestMCConfig:
             MCConfig(replications=10, n=10, model=model, workers=0)
         with pytest.raises(ValueError):
             MCConfig(replications=10, n=10, model=model, statistic="median")
+
+    @pytest.mark.parametrize("name", ["wscm:two", "wscm:", "scm:one"])
+    def test_refuses_unknown_statistics(self, name):
+        with pytest.raises(ValueError) as err:
+            MCConfig(replications=10, n=10, model=spherical_model(2), statistic=name)
+        assert str(err.value) == f"unknown statistic {name!r}; expected one of {STATISTICS}"
+
+    def test_cli_offers_every_statistic(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (stat,) = [a for a in sub.choices["mc-verify"]._actions if a.dest == "stat"]
+        assert tuple(stat.choices) == STATISTICS
 
     @pytest.mark.parametrize("dof", [6.0, 8.0])
     def test_refuses_infinite_eighth_moment(self, dof):
@@ -166,7 +179,7 @@ class TestEmpiricalMoments:
         # the same chunks; a row permutation K var would give its conjugate
         cfg, emp = gaussian_run
         r, chunk = cfg.replications, _chunk_size(cfg.n, cfg.model.dim)
-        stat = _statistic_fn(cfg.statistic)
+        stat = _STATISTICS[cfg.statistic]
         t = _hermitian_coords(cfg.model.dim).to_matrix(np.concatenate(
             [stat(_draw_chunk(cfg, c, min(chunk, r - lo), _Workspace()), _Workspace())
              for c, lo in enumerate(range(0, r, chunk))]
@@ -195,7 +208,7 @@ class TestEmpiricalMoments:
         t = np.stack([
             single(x)
             for c, lo in enumerate(range(0, r, chunk))
-            for x in _draw_chunk(cfg, c, min(chunk, r - lo), _Workspace())
+            for x in stack_of(_draw_chunk(cfg, c, min(chunk, r - lo), _Workspace()))
         ])
         w = t.swapaxes(-1, -2).reshape(r, -1) - vec(cov)  # row r is vec(T_r - M)
         mean_w = w.mean(axis=0)
@@ -309,8 +322,8 @@ class TestMomentsFromSums:
 
 
 class TestStackedKernels:
-    """A chunk's statistics, computed on the whole (m, n, p) stack, equal
-    the single-dataset estimators applied to each of its datasets."""
+    """A chunk's statistics, computed on the rows of all its datasets at
+    once, equal the single-dataset estimators applied to each of them."""
 
     @pytest.fixture(scope="class")
     def cfg(self):
@@ -320,7 +333,7 @@ class TestStackedKernels:
 
     @pytest.fixture(scope="class")
     def chunk(self, cfg):
-        return _draw_chunk(cfg, 2, 200, _Workspace())
+        return stack_of(_draw_chunk(cfg, 2, 200, _Workspace()))  # the (m, n, p) stack
 
     def test_chunk_draws_from_one_stream(self, cfg, chunk):
         # stream contract 5: chunk c draws its m * n rows from the stream
@@ -337,7 +350,7 @@ class TestStackedKernels:
         ],
     )
     def test_statistic_matches_single_dataset(self, chunk, name, single):
-        stacked = _hermitian_coords(3).to_matrix(_statistic_fn(name)(chunk, _Workspace()))
+        stacked = _hermitian_coords(3).to_matrix(_STATISTICS[name](rows_of(chunk), _Workspace()))
         assert stacked.shape == (len(chunk), 3, 3)
         for i, x in enumerate(chunk):
             np.testing.assert_array_equal(stacked[i], single(x))
@@ -345,7 +358,8 @@ class TestStackedKernels:
     def test_plugin_beta_matches_single_dataset(self, chunk):
         n, p = chunk.shape[1:]
         ws = _Workspace()
-        h, _, rows = _scm_stack(chunk, ws)  # rows: the centred data, observation-major
+        rows = rows_of(chunk)
+        h, _ = _scm_stack(rows, ws)  # centres the rows
         stacked = _plugin_beta(rows, h, ws)
         for i, x in enumerate(chunk):
             _, gamma = scale_and_sphericity(scm(x).s)
@@ -366,11 +380,11 @@ def test_chunk_rows_hold_the_bits_of_sample_ces(m, root):
     for mu in (np.zeros(p), np.array([1.0, -0.5j, 2.0 + 1.0j])):
         cfg = MCConfig(4 * CHUNK, n, CESModel(mu, cov, StudentT(10.0)), seed=75)
         ws = _Workspace()
-        chunk = _draw_chunk(cfg, 3, m, ws)
-        assert chunk.shape == (m, n, p)
-        assert np.shares_memory(chunk, ws.take("rows", (n, m, 2 * p)))
+        rows = _draw_chunk(cfg, 3, m, ws)
+        assert rows.shape == (n, m, 2 * p)
+        assert np.shares_memory(rows, ws.take("rows", (n, m, 2 * p)))
         ref = sample_ces(cfg.model, m * n, RngStream(cfg.seed, 3))
-        np.testing.assert_array_equal(chunk, ref.reshape(n, m, p).swapaxes(0, 1))
+        np.testing.assert_array_equal(stack_of(rows), ref.reshape(n, m, p).swapaxes(0, 1))
 
 
 @pytest.mark.parametrize("n, p, m", [(10, 2, 2560), (10, 4, 1280), (10, 10, 512), (10, 24, 512)])
@@ -392,23 +406,25 @@ def test_small_p_grid_is_bit_identical_across_workers():
 @pytest.mark.parametrize("p", [1, 2, 10])
 @pytest.mark.parametrize("root", ["identity", "general"])
 def test_cores_centre_their_own_rows_with_the_bits_of_a_copy(p, root):
-    # a chunk drawn into the core's own workspace is centred in place; one
-    # drawn into another workspace is copied first: the results are the same
+    # a chunk drawn into the core's own workspace is centred in place; a
+    # copy of its rows, centred with another workspace, gives the same results
     cov = np.eye(p) if root == "identity" else random_hpd(np.random.default_rng(76 + p), p)
     cfg = MCConfig(2 * CHUNK, 12, CESModel(np.full(p, 0.5 - 1.0j), cov, CompoundGaussianK(0.5)), seed=77)
     cores = {
         "scm": _scm_stack,
-        "wscm:fobi": lambda x, ws: (_weighted_scm_stack(x, lambda d: d, ws),),
+        "wscm:fobi": lambda rows, ws: (_weighted_scm_stack(rows, lambda d: d, ws),),
     }
     for name, core in cores.items():
         ws = _Workspace()
-        own = [a.tobytes() for a in core(_draw_chunk(cfg, 1, 300, ws), ws)]
-        fresh = [a.tobytes() for a in core(_draw_chunk(cfg, 1, 300, _Workspace()), _Workspace())]
+        rows = _draw_chunk(cfg, 1, 300, ws)
+        copy = rows.copy()
+        own = [a.tobytes() for a in core(rows, ws)]
+        fresh = [a.tobytes() for a in core(copy, _Workspace())]
         assert own == fresh, name
     ws = _Workspace()
-    x = _draw_chunk(cfg, 1, 300, ws)
-    want = np.ascontiguousarray(x).mean(axis=1)  # numpy's mean of each dataset as sample_ces lays it out
-    np.testing.assert_array_equal(_scm_stack(x, ws)[1], want)
+    rows = _draw_chunk(cfg, 1, 300, ws)
+    want = np.ascontiguousarray(stack_of(rows)).mean(axis=1)  # numpy's mean of each dataset as sample_ces lays it out
+    np.testing.assert_array_equal(_scm_stack(rows, ws)[1], want)
 
 
 class TestMerge:

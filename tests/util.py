@@ -14,6 +14,19 @@ def random_complex(gen, *shape):
     return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
 
+def rows_of(x):
+    """The observation-major rows (n, m, 2p) of a complex (m, n, p) stack of
+    datasets, the input of the stacked estimator cores, as a new array (a
+    view could let a core centre the caller's stack)."""
+    return np.array(x.swapaxes(0, 1), dtype=np.complex128).view(np.float64)
+
+
+def stack_of(rows):
+    """The complex (m, n, p) stack of datasets, a view of their
+    observation-major rows (n, m, 2p)."""
+    return rows.view(np.complex128).swapaxes(0, 1)
+
+
 def random_hpd(gen, p, jitter=0.5):
     """Random Hermitian positive definite p x p matrix."""
     a = random_complex(gen, p, p)

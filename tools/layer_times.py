@@ -9,12 +9,13 @@ at every p, and ``transport`` and ``oracle --plugin`` (k:0.5,
 chunk loop, which ``_reduce_chunks`` drives, by wrapping the functions the
 kernels call:
 
-* draw: ``_draw_chunk``, the chunk's (m, n, p) data, drawn observation-major
-  straight into the workspace rows, where the covariance root multiplies
-  them and the statistic centres them, each in place;
+* draw: ``_draw_chunk``, the observation-major rows (n, m, 2p) of the
+  chunk's m datasets, drawn straight into the workspace, where the
+  covariance root multiplies them and the statistic centres them, each in
+  place;
 * draw0: chunk 0's draw alone, the first random draw after the target's
   set-up (a mean over the chunks would hide a slow first draw);
-* statistic: ``_scm_stack``, the stacked SCM of that data;
+* statistic: ``_scm_stack``, the stacked SCM of those rows;
 * accumulate: the rest of the kernel (its partial sums, and the plug-in
   coefficient of ``oracle``), taken as the kernel's time less the two above;
 * merge: the rest of ``_reduce_chunks``, mostly the in-order merge of the

@@ -1,7 +1,8 @@
 """SHA-256 digests of every result bit of a fixed set of runs, one line each.
 
 Two source trees that print the same lines give the same Monte Carlo
-reports and the same sampled files, bit for bit.  The runs are:
+reports, the same sampled files and the same estimates from them, bit for
+bit.  The runs are:
 
 * ``mc-verify`` runs through ``mc_verify.verify_target``, as ``cescov
   mc-verify`` makes them, each at workers 1, 2 and 4: the three Monte Carlo
@@ -12,7 +13,11 @@ reports and the same sampled files, bit for bit.  The runs are:
   transport), every field of its ``EmpiricalMoments``;
 * ``cescov sample`` files (t:10) at 10000 x 8 and 3000 x 3 for the
   covariances identity, ``spiked:gamma=2``, ``diag:...`` and a complex CSV
-  file (with a complex CSV mean), a line hashing the bytes of the file.
+  file (with a complex CSV mean), a line hashing the bytes of the file;
+* ``cescov estimate --in <file> --json`` on each sampled file, a line
+  hashing its standard output: the public ``scm`` and
+  ``estimate_kurtosis``, which share their stacked cores with the Monte
+  Carlo statistics.
 
 Compare a change against its parent commit, checked out at ``../parent``
 (say, with ``git worktree add ../parent HEAD~1``), from the repository
@@ -23,7 +28,7 @@ root::
 
 The tool imports whichever ``cescov`` is on the path, so one copy of it
 compares any two trees that have ``verify_target``, ``empirical_moments``
-and ``cescov sample``.  ``--tiny`` runs the same list with an eighth of the
+and ``cescov sample`` and ``estimate``.  ``--tiny`` runs the same list with an eighth of the
 replications and a twentieth of the sampled rows.
 """
 
@@ -88,8 +93,18 @@ def mc_digest(kwargs: dict, workers: int) -> str:
     return h.hexdigest()
 
 
-def sample_digest(n: int, p: int, cov: str, tmp: str) -> str:
-    """Digest of the file that ``cescov sample --dist t:10`` writes."""
+def run_cli(argv: list[str]) -> str:
+    """The standard output of ``cescov <argv>``, which must succeed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"cescov {' '.join(argv)} failed: {err.getvalue()}")
+    return out.getvalue()
+
+
+def sample_digest(n: int, p: int, cov: str, tmp: str, out: str) -> str:
+    """Digest of the file ``out`` that ``cescov sample --dist t:10`` writes."""
     extra = []
     if cov == "diag":
         cov = "diag:" + ",".join(f"{1.0 + 0.5 * i:g}" for i in range(p))
@@ -101,14 +116,15 @@ def sample_digest(n: int, p: int, cov: str, tmp: str) -> str:
         mu = os.path.join(tmp, f"mu{p}.csv")
         save_complex_matrix(mu, (gen.standard_normal(p) + 1j * gen.standard_normal(p))[None])
         extra = ["--mu", mu]
-    out = os.path.join(tmp, "sample.csv")
-    argv = ["sample", "--dist", "t:10", "--n", str(n), "--p", str(p), "--cov", cov, *extra,
-            "--seed", str(SEED), "--out", out]
-    with contextlib.redirect_stderr(io.StringIO()):
-        if cli.main(argv) != 0:
-            raise RuntimeError(f"cescov {' '.join(argv)} failed")
+    run_cli(["sample", "--dist", "t:10", "--n", str(n), "--p", str(p), "--cov", cov, *extra,
+             "--seed", str(SEED), "--out", out])
     with open(out, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def estimate_digest(path: str) -> str:
+    """Digest of what ``cescov estimate --in path --json`` prints."""
+    return hashlib.sha256(run_cli(["estimate", "--in", path, "--json"]).encode()).hexdigest()
 
 
 def digest_lines(tiny: bool = False):
@@ -119,10 +135,13 @@ def digest_lines(tiny: bool = False):
         for workers in WORKERS:
             yield f"{name}-w{workers} {mc_digest(kwargs, workers)}"
     with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sample.csv")
         for n, p in SAMPLE_SHAPES:
             n = n // 20 if tiny else n
             for cov in SAMPLE_COVS:
-                yield f"sample-{cov.split(':')[0]}-{n}x{p} {sample_digest(n, p, cov, tmp)}"
+                name = f"{cov.split(':')[0]}-{n}x{p}"
+                yield f"sample-{name} {sample_digest(n, p, cov, tmp, out)}"
+                yield f"estimate-{name} {estimate_digest(out)}"
 
 
 def main(argv=None) -> None:

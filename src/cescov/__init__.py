@@ -37,7 +37,6 @@ from .lin_core import (
     covariance_preset,
     hermitian_sqrt,
     hermitize,
-    kron,
     load_complex_matrix,
     mean_preset,
     save_complex_matrix,

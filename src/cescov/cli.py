@@ -115,10 +115,7 @@ def cmd_curve(args) -> int:
             f"conflicting flags: --kappa-max {args.kappa_max} must exceed --kappa-min {kappa_min}"
         )
     grid = np.linspace(kappa_min, args.kappa_max, args.steps + 1)
-    try:
-        series = shrinkage_curve(args.n, args.p, args.gamma, grid)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    series = shrinkage_curve(args.n, args.p, args.gamma, grid)
     lines = ["kappa,beta_o"] + [f"{k:.12g},{b:.12g}" for k, b in series]
     text = "\n".join(lines) + "\n"
     if args.out == "-":

@@ -252,10 +252,11 @@ def _kurtosis_stack(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
     observation-major rows (n, m, 2p) (:func:`_centre`); see
     :func:`estimate_kurtosis`.  The rows are spent: their squares go to
     them in place, and the real parts' halves then take |dev|^2 and |dev|^4.
-    The per-coordinate means of those are outer-axis reduces over the rows,
-    with the bits of numpy's mean over the rows of each dataset (at p = 1,
-    where that mean sums pairwise, it is used on a transposed copy)."""
-    n, m, p = rows.shape[0], rows.shape[1], rows.shape[2] // 2
+    The per-coordinate means of those are numpy's mean over the outer axis
+    of the rows, with the bits of its mean over the rows of each dataset
+    (at p = 1, where that mean sums pairwise, it is used on a transposed
+    copy)."""
+    m, p = rows.shape[1], rows.shape[2] // 2
     rows *= rows
     a2 = rows[..., 0::2]
     a2 += rows[..., 1::2]
@@ -263,9 +264,7 @@ def _kurtosis_stack(rows: np.ndarray, ws: _Workspace) -> np.ndarray:
     def means(a, name):
         if p == 1:
             return a.transpose(1, 0, 2).copy().mean(axis=-2)
-        s = np.add.reduce(a, axis=0, out=ws.take(name, (m, p)))
-        s /= n
-        return s
+        return np.mean(a, axis=0, out=ws.take(name, (m, p)))
 
     m2 = means(a2, "m2")
     if np.any(m2 == 0.0):

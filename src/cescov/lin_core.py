@@ -19,7 +19,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from numpy import kron  # dense Kronecker product, part of the public surface
 
 from .errors import NotHermitian, NotPositiveDefinite, ZeroTrace
 
@@ -30,7 +29,6 @@ __all__ = [
     "vec",
     "unvec",
     "vec_index",
-    "kron",
     "commutation_matrix",
     "hermitize",
     "hermitian_sqrt",

@@ -32,13 +32,16 @@ errors from them once, by an exact index map.  Reports therefore differ from
 those of the complex accumulation by rounding only, under the same stream
 contract.
 
-Each running chunk borrows a workspace (``lin_core._borrowed_workspace``)
+Both checks of a statistic's chunks, the moments and the oracle
+shrinkage, run one kernel (``_chunk_kernel``): it draws the chunk, takes
+its statistic and hands both to the check's sums function.  Each running
+chunk borrows a workspace (``lin_core._borrowed_workspace``)
 for its draw, its statistic and its temporaries, and gives it back when it
 ends, also when it raises.  The workspace holds the chunk's data once: the
 draw writes them to its observation-major buffer "rows", where the
 covariance root multiplies them in place (``ces_sampler``), and the
 statistic centres them there in place and builds its Grams a block of
-replications at a time (``estimators``).  The moment kernel squares the
+replications at a time (``estimators``).  The moment sums square the
 coordinates "h" in place once their sums are taken.  No result bit depends
 on the workspace: every partial sum a kernel returns is a new array, and
 the row means taken in a workspace have the bits of numpy's ``mean``.
@@ -226,21 +229,28 @@ def _draw_chunk(cfg: MCConfig, c: int, m: int, ws: _Workspace) -> np.ndarray:
     return rows.reshape(n, m, 2 * p)
 
 
-def _moment_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray) -> dict:
-    """Partial moment sums of chunk c, on the Hermitian coordinates of its
-    statistics shifted by the coordinates ref."""
-    coords = _hermitian_coords(cfg.model.dim)
+def _chunk_kernel(c: int, m: int, cfg: MCConfig, sums) -> dict:
+    """The partial sums of chunk c: ``sums(h, rows, ws)`` of the Hermitian
+    coordinates h of its m statistics, of its rows, which the statistic has
+    centred in place, and of the workspace that holds both."""
     with _borrowed_workspace() as ws:
-        h = _STATISTICS[cfg.statistic](_draw_chunk(cfg, c, m, ws), ws)
-        h -= ref
-        sq = coords.sq_norm(h)  # per-replication ||T - M_ref||_F^2
-        # every partial is a new array: the workspace serves the next chunk
-        part = {"s1": h.sum(axis=0), "s2": h.T @ h, "sq1": sq.sum(), "sq2": sq @ sq}
-        h *= h  # h is spent
-        u = h[:, : coords.q]
-        u[:, coords.p :] += h[:, coords.q :]  # |T_ij - M_ij|^2 over the q unique entries
-        part["f2"] = u.T @ u
-        return part
+        rows = _draw_chunk(cfg, c, m, ws)
+        return sums(_STATISTICS[cfg.statistic](rows, ws), rows, ws)
+
+
+def _moment_sums(h: np.ndarray, rows: np.ndarray, ws: _Workspace, ref: np.ndarray) -> dict:
+    """Partial moment sums of a chunk's statistics on their Hermitian
+    coordinates h shifted by the coordinates ref; spends h."""
+    coords = _hermitian_coords(rows.shape[2] // 2)
+    h -= ref
+    sq = coords.sq_norm(h)  # per-replication ||T - M_ref||_F^2
+    # every partial is a new array: the workspace serves the next chunk
+    part = {"s1": h.sum(axis=0), "s2": h.T @ h, "sq1": sq.sum(), "sq2": sq @ sq}
+    h *= h  # h is spent
+    u = h[:, : coords.q]
+    u[:, coords.p :] += h[:, coords.q :]  # |T_ij - M_ij|^2 over the q unique entries
+    part["f2"] = u.T @ u
+    return part
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,14 +292,14 @@ def empirical_moments(cfg: MCConfig) -> EmpiricalMoments:
     with divisor R - 1.  Deterministic for a fixed seed at any worker count.
     """
     ref = _hermitian_coords(cfg.model.dim).from_matrix(cfg.model.cov)
-    kernel = partial(_moment_kernel, cfg=cfg, ref=ref)
+    kernel = partial(_chunk_kernel, cfg=cfg, sums=partial(_moment_sums, ref=ref))
     tot = _reduce_chunks(kernel, cfg.replications, _chunk_size(cfg.n, cfg.model.dim), cfg.workers)
     return _moments_from_sums(tot, cfg.replications, cfg.model.dim, ref)
 
 
 def _moments_from_sums(tot: dict, r: int, p: int, ref: np.ndarray) -> EmpiricalMoments:
     """The moments of r replications from the merged partial sums ``tot`` of
-    ``_moment_kernel`` at the shift ref; overwrites ``tot["s2"]``.  The
+    ``_moment_sums`` at the shift ref; overwrites ``tot["s2"]``.  The
     p^2 x p^2 arrays are built in place, one operation at a time in the
     order of the plain expressions, so besides ``tot`` and the results no
     more than two real p^2 x p^2 temporaries are alive at once."""
@@ -553,23 +563,21 @@ def _plugin_beta(rows: np.ndarray, h: np.ndarray, ws: _Workspace) -> np.ndarray:
     return beta_opt(nmse_from_sphericity(n, p, gamma, _kurtosis_stack(rows, ws)))
 
 
-def _oracle_kernel(c: int, m: int, cfg: MCConfig, ref: np.ndarray, beta: float, plugin: bool) -> dict:
-    """Partial sums of the squared errors of chunk c's SCMs, scaled by beta
-    (and by the plug-in coefficient), from the model covariance with
-    coordinates ref."""
-    sq_norm = _hermitian_coords(cfg.model.dim).sq_norm
-    with _borrowed_workspace() as ws:
-        rows = _draw_chunk(cfg, c, m, ws)
-        h, _ = _scm_stack(rows, ws)  # centres the rows
-        d = ws.take("err", h.shape)
-        e1 = sq_norm(np.subtract(h, ref, out=d))
-        np.multiply(beta, h, out=d)
-        e2 = sq_norm(np.subtract(d, ref, out=d))
-        part = {"e1": e1.sum(), "e2": e2.sum(), "e11": e1 @ e1, "e22": e2 @ e2, "e12": e1 @ e2}
-        if plugin:
-            np.multiply(_plugin_beta(rows, h, ws)[:, None], h, out=d)
-            part["e3"] = sq_norm(np.subtract(d, ref, out=d)).sum()
-        return part
+def _oracle_sums(h: np.ndarray, rows: np.ndarray, ws: _Workspace, ref: np.ndarray, beta: float,
+                 plugin: bool) -> dict:
+    """Partial sums of the squared errors of a chunk's SCMs with Hermitian
+    coordinates h, scaled by beta (and by the plug-in coefficient of the
+    centred rows), from the model covariance with coordinates ref."""
+    sq_norm = _hermitian_coords(rows.shape[2] // 2).sq_norm
+    d = ws.take("err", h.shape)
+    e1 = sq_norm(np.subtract(h, ref, out=d))
+    np.multiply(beta, h, out=d)
+    e2 = sq_norm(np.subtract(d, ref, out=d))
+    part = {"e1": e1.sum(), "e2": e2.sum(), "e11": e1 @ e1, "e22": e2 @ e2, "e12": e1 @ e2}
+    if plugin:
+        np.multiply(_plugin_beta(rows, h, ws)[:, None], h, out=d)
+        part["e3"] = sq_norm(np.subtract(d, ref, out=d)).sum()
+    return part
 
 
 def verify_oracle_efficiency(
@@ -586,7 +594,11 @@ def verify_oracle_efficiency(
     ``include_plugin`` the ratio for a per-replication plug-in coefficient
     (from estimated sphericity and kurtosis) is reported as well, without
     being part of the pass criterion; its kurtosis estimate needs n >= 4.
+    The closed forms are the SCM's, so a ``cfg.statistic`` other than
+    "scm" raises ValueError.
     """
+    if cfg.statistic != "scm":
+        raise ValueError(f"the oracle check is of the SCM, got statistic {cfg.statistic!r}")
     if include_plugin and cfg.n < 4:
         raise TooFewObservations(f"need at least 4 observations, got {cfg.n}")
     model = cfg.model
@@ -595,7 +607,7 @@ def verify_oracle_efficiency(
     b = beta_o if beta is None else float(beta)
 
     ref = _hermitian_coords(model.dim).from_matrix(model.cov)
-    kernel = partial(_oracle_kernel, cfg=cfg, ref=ref, beta=b, plugin=include_plugin)
+    kernel = partial(_chunk_kernel, cfg=cfg, sums=partial(_oracle_sums, ref=ref, beta=b, plugin=include_plugin))
     tot = _reduce_chunks(kernel, cfg.replications, _chunk_size(cfg.n, model.dim), cfg.workers)
 
     r = cfg.replications

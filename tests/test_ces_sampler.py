@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -222,6 +223,17 @@ class TestCESModel:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             CESModel(np.zeros(3), np.eye(2), Gaussian())
+
+    @pytest.mark.parametrize(
+        "mu, message",
+        [
+            (np.zeros((2, 1)), "mu must be a 1-D vector, got shape (2, 1)"),
+            (np.array([0.0, np.nan]), "mu contains non-finite entries"),
+        ],
+    )
+    def test_rejects_a_bad_mu(self, mu, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CESModel(mu, np.eye(2), Gaussian())
 
 
 class TestSampleCes:

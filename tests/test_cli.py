@@ -282,6 +282,17 @@ class TestCurve:
         assert len(err.splitlines()) == 1
         assert "kappa = -0.2 " in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--steps", "0"], "--steps must be >= 1, got 0"),
+            (["--kappa-min", "1", "--kappa-max", "0.5"],
+             "conflicting flags: --kappa-max 0.5 must exceed --kappa-min 1.0"),
+        ],
+    )
+    def test_rejects_an_empty_grid(self, capsys, argv, message):
+        assert run(capsys, "curve", *argv) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("flag", ["--kappa-min", "--kappa-max"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_rejects_non_finite_kappa(self, capsys, flag, value):
@@ -615,6 +626,12 @@ class TestEstimate:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--in", str(tmp_path / "nope.csv"))
         assert code == 2
+
+    def test_one_row_dataset(self, capsys, tmp_path):
+        data = tmp_path / "one.csv"
+        data.write_text("# 1 2\nre_1,im_1,re_2,im_2\n1,0,2,0\n")
+        code, _, err = run(capsys, "estimate", "--in", str(data))
+        assert (code, err) == (2, "error: need at least 2 observations, got 1\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,6 @@ from cescov.lin_core import (
     dump_complex_matrix,
     hermitian_sqrt,
     hermitize,
-    kron,
     load_complex_matrix,
     mean_preset,
     parse_complex_matrix,
@@ -99,25 +98,25 @@ class TestCommutationMatrix:
 
 class TestKron:
     def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_trace_product_hermitian(self):
         gen = np.random.default_rng(5)
         m = random_hpd(gen, 3)
-        assert np.trace(kron(m.conj(), m)) == pytest.approx(np.trace(m).real ** 2, rel=1e-12)
+        assert np.trace(np.kron(m.conj(), m)) == pytest.approx(np.trace(m).real ** 2, rel=1e-12)
 
     def test_mixed_product(self):
         gen = np.random.default_rng(6)
         a, b, c, d = (random_complex(gen, 2, 2) for _ in range(4))
         np.testing.assert_allclose(
-            kron(a, b) @ kron(c, d), kron(a @ c, b @ d), rtol=1e-12, atol=1e-12
+            np.kron(a, b) @ np.kron(c, d), np.kron(a @ c, b @ d), rtol=1e-12, atol=1e-12
         )
 
     def test_vec_identity(self):
         gen = np.random.default_rng(7)
         a, b, x = (random_complex(gen, 3, 3) for _ in range(3))
         np.testing.assert_allclose(
-            vec(b @ x @ a.T), kron(a, b) @ vec(x), rtol=1e-12, atol=1e-12
+            vec(b @ x @ a.T), np.kron(a, b) @ vec(x), rtol=1e-12, atol=1e-12
         )
 
 
@@ -157,8 +156,8 @@ class TestHermitianSqrt:
         gen = np.random.default_rng(9)
         m = random_hpd(gen, 3)
         r = hermitian_sqrt(m)
-        g = kron(r.conj(), r)
-        np.testing.assert_allclose(g @ g, kron(m.conj(), m), rtol=0, atol=1e-10)
+        g = np.kron(r.conj(), r)
+        np.testing.assert_allclose(g @ g, np.kron(m.conj(), m), rtol=0, atol=1e-10)
         v = vec(np.eye(3))
         lhs = g @ np.outer(v, v) @ g
         rhs = np.outer(vec(m), vec(m).conj())
@@ -266,6 +265,13 @@ class TestComplexCsv:
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             parse_complex_matrix(text.splitlines(True))
+
+    @pytest.mark.parametrize(
+        "lines, message", [(["# 0 3"], "shape must be positive, got 0 x 3"), (["# 2 1"], "missing header line")]
+    )
+    def test_bad_prefix_or_missing_header_is_named(self, lines, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_complex_matrix(lines)
 
     def test_huge_declared_row_count(self):
         # nothing is allocated from the header's row count

@@ -53,12 +53,13 @@ from cescov.mc_verify import (
     verify_oracle_efficiency,
     verify_sphere_moments,
     verify_target,
+    _chunk_kernel,
     _chunk_size,
     _draw_chunk,
     _merge,
-    _moment_kernel,
+    _moment_sums,
     _moments_from_sums,
-    _oracle_kernel,
+    _oracle_sums,
     _plugin_beta,
     _reduce_chunks,
     _STATISTICS,
@@ -276,7 +277,8 @@ def _spiked_sums(p, r):
     cov = spiked_covariance(p, 2.0)
     cfg = MCConfig(replications=r, n=10, model=CESModel(np.zeros(p), cov, CompoundGaussianK(0.5)), seed=61)
     ref = _hermitian_coords(p).from_matrix(cov)
-    return _reduce_chunks(partial(_moment_kernel, cfg=cfg, ref=ref), r, _chunk_size(10, p), 1), ref
+    kernel = partial(_chunk_kernel, cfg=cfg, sums=partial(_moment_sums, ref=ref))
+    return _reduce_chunks(kernel, r, _chunk_size(10, p), 1), ref
 
 
 class TestMomentsFromSums:
@@ -702,11 +704,11 @@ class TestWorkspaces:
         model = CESModel(np.zeros(3), random_hpd(np.random.default_rng(64), 3), CompoundGaussianK(0.5))
         cfg = MCConfig(CHUNK, 10, model, statistic, seed=65)
         ref = _hermitian_coords(3).from_matrix(model.cov)
-        for kernel in (
-            partial(_moment_kernel, cfg=cfg, ref=ref),
-            partial(_oracle_kernel, cfg=cfg, ref=ref, beta=0.5, plugin=True),
+        for sums in (
+            partial(_moment_sums, ref=ref),
+            partial(_oracle_sums, ref=ref, beta=0.5, plugin=True),
         ):
-            part = kernel(0, CHUNK)
+            part = _chunk_kernel(0, CHUNK, cfg, sums)
             (ws,) = lin_core._IDLE
             assert ws.buffers
             for key, value in part.items():
@@ -1001,6 +1003,41 @@ class TestVerifyOracleEfficiency:
         r4 = verify_oracle_efficiency(replace(cfg, workers=4))
         assert r1.details["ratio"] == r4.details["ratio"]
         assert r1.details["mse_emp"] == r4.details["mse_emp"]
+
+    @pytest.mark.parametrize("statistic", [s for s in STATISTICS if s != "scm"])
+    def test_refuses_a_statistic_other_than_the_scm(self, statistic):
+        # the closed forms it compares with are the SCM's
+        cfg = MCConfig(replications=500, n=10, model=spherical_model(2), statistic=statistic, seed=26)
+        with pytest.raises(ValueError, match=re.escape(repr(statistic))):
+            verify_oracle_efficiency(cfg, include_plugin=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("check", ["moments", "oracle"])
+def test_each_chunk_is_drawn_and_reduced_to_its_statistic_once(monkeypatch, check, workers):
+    # p = 2, n = 10: two chunks of 2560 replications and a ragged one of 7
+    draws, statistics = [], []
+    draw = mc_verify._draw_chunk
+
+    def counted_draw(cfg, c, m, ws):
+        draws.append((c, m))
+        return draw(cfg, c, m, ws)
+
+    def counted(core):
+        def stat(rows, ws):
+            statistics.append(rows.shape[1])
+            return core(rows, ws)
+        return stat
+
+    monkeypatch.setattr(mc_verify, "_draw_chunk", counted_draw)
+    monkeypatch.setattr(mc_verify, "_STATISTICS", {k: counted(v) for k, v in _STATISTICS.items()})
+    cfg = MCConfig(2 * 2560 + 7, 10, spherical_model(2, CompoundGaussianK(0.5)), seed=80, workers=workers)
+    if check == "moments":
+        empirical_moments(cfg)
+    else:
+        verify_oracle_efficiency(cfg, include_plugin=True)
+    assert sorted(draws) == [(0, 2560), (1, 2560), (2, 7)]
+    assert sorted(statistics) == [7, 2560, 2560]
 
 
 class TestReportSerialization:

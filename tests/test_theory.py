@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cescov.lin_core import commutation_matrix, hermitian_sqrt, hermitize, kron, vec
+from cescov.lin_core import commutation_matrix, hermitian_sqrt, hermitize, vec
 from cescov.errors import ZeroTrace
 from cescov.theory import (
     CovariancePair,
@@ -87,7 +87,7 @@ class TestAffineEquivariantVar:
         m = random_hpd(gen, 3)
         s = RadialStructure(1.0, 0.4, 0.05, dim=3)
         r = hermitian_sqrt(m)
-        g = kron(r.conj(), r)
+        g = np.kron(r.conj(), r)
         at_identity = radial_var_structure(s.tau1, s.tau2, 3)
         transported = g @ at_identity.var @ g
         direct = affine_equivariant_var(m, s).var
@@ -125,7 +125,7 @@ class TestAffineEquivariantVar:
         s = RadialStructure(1.0, 0.37, tau2, dim=p)
         mh = hermitize(m)
         vm = vec(mh)
-        want = s.tau1 * kron(mh.conj(), mh) + s.tau2 * np.outer(vm, vm.conj())
+        want = s.tau1 * np.kron(mh.conj(), mh) + s.tau2 * np.outer(vm, vm.conj())
         got = affine_equivariant_var(m, s).var
         assert got.shape == want.shape and got.flags.c_contiguous
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -7,7 +7,7 @@ and p (column m): ``thm3`` (gaussian, identity covariance)
 at every p, and ``transport`` and ``oracle --plugin`` (k:0.5,
 ``--cov spiked:gamma=2``) where p > 2.  The layers are timed inside the real
 chunk loop, which ``_reduce_chunks`` drives, by wrapping the functions the
-kernels call:
+chunk kernel (``_chunk_kernel``) calls:
 
 * draw: ``_draw_chunk``, the observation-major rows (n, m, 2p) of the
   chunk's m datasets, drawn straight into the workspace, where the
@@ -16,8 +16,9 @@ kernels call:
 * draw0: chunk 0's draw alone, the first random draw after the target's
   set-up (a mean over the chunks would hide a slow first draw);
 * statistic: ``_scm_stack``, the stacked SCM of those rows;
-* accumulate: the rest of the kernel (its partial sums, and the plug-in
-  coefficient of ``oracle``), taken as the kernel's time less the two above;
+* accumulate: the rest of the kernel, its sums function (the moment sums,
+  or the errors and the plug-in coefficient of ``oracle``), taken as the
+  kernel's time less the two above;
 * merge: the rest of ``_reduce_chunks``, mostly the in-order merge of the
   partial sums (a copy of chunk 0's, then one in-place add per chunk),
   taken as its time less the kernels';

@@ -153,10 +153,8 @@ def cmd_estimate(args) -> int:
         raise CliError(f"cannot read dataset {args.infile!r}: {e}") from None
     except ValueError as e:
         raise CliError(f"malformed dataset {args.infile!r}: {e}") from None
-    n, p = x.shape
-    if n < 2:
-        raise CliError(f"need at least 2 observations, got {n}")
     res = scm(x)
+    n, p = x.shape
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n": n,

@@ -188,14 +188,14 @@ def scm(x) -> SCMResult:
 
 
 def sample_variance(x) -> float:
-    """Unbiased sample variance of a complex sample: sum |x_i - xbar|^2 / (n-1)."""
+    """Unbiased sample variance of a complex sample: sum |x_i - xbar|^2 / (n-1),
+    the SCM of the sample as a dataset in dimension p = 1.  Raises ValueError
+    for a sample that is not 1-D or not finite, and TooFewObservations for
+    one of fewer than two values."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D sample, got shape {x.shape}")
-    if x.shape[0] < 2:
-        raise TooFewObservations(f"need at least 2 observations, got {x.shape[0]}")
-    dev = x - x.mean()
-    return float(np.sum(dev.real**2 + dev.imag**2) / (x.shape[0] - 1))
+    return float(scm(x[:, None]).s[0, 0].real)
 
 
 def _weighted_scm_stack(rows: np.ndarray, weight_fn, ws: _Workspace) -> np.ndarray:

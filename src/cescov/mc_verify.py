@@ -20,17 +20,22 @@ computes the statistic of all m replications at once and reduces it to
 partial sums.  The partial sums are merged in chunk order as they
 arrive, each real component by a plain left-to-right sum that starts from
 chunk 0's partial.  Results are therefore bit-identical for a fixed seed
-regardless of the worker count.  A recursive sum of k partials is off by at
-most (k - 1) u sum |x_i| (u = 2^-53), far below the percent-level Monte
-Carlo standard errors it is compared against.
+regardless of the worker count, at a fixed BLAS thread count: threaded BLAS
+splits the reductions of its products differently, which changes the
+rounding of the transport moment sums.  A recursive sum of k partials is
+off by at most (k - 1) u sum |x_i| (u = 2^-53), far below the
+percent-level Monte Carlo standard errors it is compared against.
 
 The moments of a Hermitian p x p statistic accumulate on its p^2 real
 coordinates (``lin_core._hermitian_coords``): the diagonal and the real and
 imaginary parts of the upper triangle, taken from one real Gram of the
-chunk.  A run rebuilds the complex p^2 x p^2 covariance and its standard
-errors from them once, by an exact index map.  Reports therefore differ from
-those of the complex accumulation by rounding only, under the same stream
-contract.
+chunk.  Three sums are kept: s1 of the coordinates, s2 of their outer
+products and f2 of the outer products of the unique entries' squared
+moduli.  A run rebuilds the complex p^2 x p^2 covariance and its standard
+errors from them once, by an exact index map, and takes the MSE and its
+standard error as closed forms of the diagonal of s2 and of f2.  Reports
+therefore differ from those of the complex accumulation by rounding only,
+under the same stream contract.
 
 Both checks of a statistic's chunks, the moments and the oracle
 shrinkage, run one kernel (``_chunk_kernel``): it draws the chunk, takes
@@ -240,12 +245,14 @@ def _chunk_kernel(c: int, m: int, cfg: MCConfig, sums) -> dict:
 
 def _moment_sums(h: np.ndarray, rows: np.ndarray, ws: _Workspace, ref: np.ndarray) -> dict:
     """Partial moment sums of a chunk's statistics on their Hermitian
-    coordinates h shifted by the coordinates ref; spends h."""
+    coordinates h shifted by the coordinates ref: s1, the sum of the
+    coordinates; s2, the sum of their outer products; and f2, the sum of
+    the outer products of the squared moduli of the q unique entries.
+    Spends h."""
     coords = _hermitian_coords(rows.shape[2] // 2)
     h -= ref
-    sq = coords.sq_norm(h)  # per-replication ||T - M_ref||_F^2
     # every partial is a new array: the workspace serves the next chunk
-    part = {"s1": h.sum(axis=0), "s2": h.T @ h, "sq1": sq.sum(), "sq2": sq @ sq}
+    part = {"s1": h.sum(axis=0), "s2": h.T @ h}
     h *= h  # h is spent
     u = h[:, : coords.q]
     u[:, coords.p :] += h[:, coords.q :]  # |T_ij - M_ij|^2 over the q unique entries
@@ -263,8 +270,10 @@ class EmpiricalMoments:
     moments accumulate on the p^2 real coordinates of the statistic, and
     ``var_emp`` and ``se_var`` are rebuilt from them by an exact index map:
     ``var_emp`` is exactly Hermitian.
-    ``mse_emp`` is the direct average of the squared Frobenius distance of
-    the statistic from the model covariance matrix.
+    ``mse_emp`` is the average squared Frobenius distance of the statistic
+    from the model covariance matrix, and ``se_mse`` its standard error,
+    both closed forms of the moment sums s2 and f2 (see
+    :func:`_moments_from_sums`).
     """
 
     mean_stat: np.ndarray
@@ -298,12 +307,22 @@ def empirical_moments(cfg: MCConfig) -> EmpiricalMoments:
 
 
 def _moments_from_sums(tot: dict, r: int, p: int, ref: np.ndarray) -> EmpiricalMoments:
-    """The moments of r replications from the merged partial sums ``tot`` of
-    ``_moment_sums`` at the shift ref; overwrites ``tot["s2"]``.  The
-    p^2 x p^2 arrays are built in place, one operation at a time in the
-    order of the plain expressions, so besides ``tot`` and the results no
-    more than two real p^2 x p^2 temporaries are alive at once."""
+    """The moments of r replications from the merged partial sums s1, s2
+    and f2 (``tot``) of ``_moment_sums`` at the shift ref; overwrites
+    ``tot["s2"]``.  The squared distance of replication j from the shift is
+    sq_j = sum_k weight_k h_jk^2, so sum_j sq_j = weight . diag(s2) and
+    sum_j sq_j^2 = w^T f2 w, with w the weights of the q unique entries (1
+    on the diagonal, 2 above it): the MSE and its standard error are read
+    from s2 before it is overwritten.  The p^2 x p^2 arrays are built in
+    place, one operation at a time in the order of the plain expressions,
+    so besides ``tot`` and the results no more than two real p^2 x p^2
+    temporaries are alive at once."""
     coords = _hermitian_coords(p)
+    mse_emp = float(coords.weight @ np.diag(tot["s2"])) / r
+    w = coords.weight[: coords.q]
+    mse_sq = float(w @ tot["f2"] @ w) / r
+    se_mse = math.sqrt(max(mse_sq - mse_emp**2, 0.0) / r)
+
     mean_h = tot["s1"] / r
     cov_h = tot["s2"]
     cov_h -= r * np.outer(mean_h, mean_h)
@@ -320,10 +339,6 @@ def _moments_from_sums(tot: dict, r: int, p: int, ref: np.ndarray) -> EmpiricalM
     se_var /= r
     np.sqrt(se_var, out=se_var)
     se_mean = unvec(np.sqrt(np.maximum(np.diag(var).real, 0.0) / r), p)
-
-    mse_emp = float(tot["sq1"]) / r
-    mse_sq = float(tot["sq2"]) / r
-    se_mse = math.sqrt(max(mse_sq - mse_emp**2, 0.0) / r)
 
     return EmpiricalMoments(
         mean_stat=mean_mat,

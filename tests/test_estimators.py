@@ -288,6 +288,16 @@ class TestSampleVariance:
         with pytest.raises(TooFewObservations):
             sample_variance(np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_sample_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_variance(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 100])
+    def test_bits_of_the_scm_p1(self, n):
+        x = random_complex(np.random.default_rng(n), n)
+        assert sample_variance(x) == scm(x[:, None]).s[0, 0].real
+
 
 class TestWeightedScm:
     def test_constant_weight_recovers_scaled_scm(self):

@@ -28,10 +28,14 @@ def test_every_row_is_finite_and_restores_mc_verify(target):
     assert {name: getattr(mc_verify, name) for name in layer_times.PATCHED} == originals
 
 
-def test_header_names_the_bit_generator_and_stream_contract():
+def test_header_names_the_bit_generator_and_stream_contract(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     header = layer_times.versions()
     assert "SFC64 streams" in header
     assert f"stream contract {mc_verify.STREAM_CONTRACT}" in header
+    assert "OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 MKL_NUM_THREADS=unset" in header
 
 
 def test_csv_line_times_a_bit_exact_round_trip():

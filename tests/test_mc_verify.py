@@ -288,6 +288,7 @@ class TestMomentsFromSums:
     def test_bits_of_the_plain_expressions(self, p):
         r = CHUNK + 7
         tot, ref = _spiked_sums(p, r)
+        assert set(tot) == {"s1", "s2", "f2"}
         coords = _hermitian_coords(p)
         # the expressions as written before the results were built in place
         mean_h = tot["s1"] / r

@@ -9,16 +9,20 @@ from pathlib import Path
 import cescov
 
 ROOT = Path(__file__).parents[1]
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_two_runs_print_identical_lines():
-    env = {**os.environ, "PYTHONPATH": str(Path(cescov.__file__).parents[1])}
+    # one run under single-threaded BLAS, one under two BLAS threads: the
+    # tool pins the thread count, so the transport lines must not change
     runs = [
         subprocess.run(
             [sys.executable, str(ROOT / "tools" / "report_digests.py"), "--tiny"],
-            env=env, capture_output=True, text=True, timeout=300, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cescov.__file__).parents[1]),
+                 **dict.fromkeys(THREAD_VARS, threads)},
+            capture_output=True, text=True, timeout=300, check=True,
         ).stdout.splitlines()
-        for _ in range(2)
+        for threads in ("1", "2")
     ]
     assert runs[0] == runs[1]
     # 7 Monte Carlo runs at workers 1, 2 and 4, and 4 sampled files at 2

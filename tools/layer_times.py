@@ -37,9 +37,11 @@ the benchmark's CSV workload (``cescov sample --dist t:10 --n 10000 --p 8
 ``load_complex_matrix`` (parse) of that file in a temporary directory, the
 median over ``--repeat`` round trips after a warm-up, and whether the file
 read back bit for bit.  The header names numpy's version and its BLAS, whose
-small-matrix gemm path sets the statistic's speed, and the bit generator of
-the random streams and the stream contract, which set the draw's.  Run it
-with BLAS single-threaded, from the repository root::
+small-matrix gemm path sets the statistic's speed, the values of the BLAS
+thread variables (or "unset"), so that a table made with threaded BLAS is
+labelled, and the bit generator of the random streams and the stream
+contract, which set the draw's.  Run it with BLAS single-threaded, from the
+repository root::
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/layer_times.py --p 2 4 10
 """
@@ -68,6 +70,7 @@ ROWS = {
     "oracle": (dict(dist="k:0.5", cov="spiked:gamma=2", plugin=True), 3),
 }
 PATCHED = ("_draw_chunk", "_scm_stack", "_reduce_chunks")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def timed(fn, layer: str, totals: dict):
@@ -84,11 +87,13 @@ def timed(fn, layer: str, totals: dict):
 
 
 def versions() -> str:
-    """numpy's version, the name and version of its BLAS, and the bit
-    generator and stream contract that the draws come from."""
+    """numpy's version, the name and version of its BLAS, the BLAS thread
+    variables the run sees, and the bit generator and stream contract that
+    the draws come from."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS)
     bit_generator = type(RngStream(0).generator().bit_generator).__name__
-    return (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
+    return (f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']} ({threads}), "
             f"{bit_generator} streams, stream contract {mc.STREAM_CONTRACT}")
 
 

@@ -30,22 +30,34 @@ The tool imports whichever ``cescov`` is on the path, so one copy of it
 compares any two trees that have ``verify_target``, ``empirical_moments``
 and ``cescov sample`` and ``estimate``.  ``--tiny`` runs the same list with an eighth of the
 replications and a twentieth of the sampled rows.
+
+The tool sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 before numpy is imported, as ``bench/run.py`` does,
+whatever the calling shell holds: threaded BLAS splits the reductions of its
+products differently and changes the bits of the transport reports, so two
+trees compared in differently set shells would otherwise differ.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import hashlib
-import io
-import json
 import os
-import tempfile
 
-import numpy as np
+# Before numpy is imported: reports are bit-identical only at a fixed BLAS thread count.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"
 
-from cescov import cli, mc_verify
-from cescov.lin_core import save_complex_matrix
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from cescov import cli, mc_verify  # noqa: E402
+from cescov.lin_core import save_complex_matrix  # noqa: E402
 
 SEED = 1
 WORKERS = (1, 2, 4)

@@ -499,7 +499,9 @@ def compare_to_theory(
 def _sphere_kernel(c: int, m: int, p: int, seed: int) -> dict:
     """Partial moment sums of chunk c's m sphere draws.  The draws and their
     products go to buffers of a borrowed workspace, each with the layout of
-    the fresh array it stands for, so every sum keeps its bits."""
+    the fresh array it stands for, so every sum keeps its bits.  The sums of
+    |u_q|^2, |u_q|^4 and |u_q|^8 are not kept apart: they are the diagonals
+    of c2, m22 and m44."""
     with _borrowed_workspace() as ws:
         sq = ws.take("sq", (m, 2 * p))
         u = _draw_sphere(RngStream(seed, c), ws.take("u", (m, 2 * p)), sq, ws.take("norm", (m,)))
@@ -510,10 +512,7 @@ def _sphere_kernel(c: int, m: int, p: int, seed: int) -> dict:
         uc, uu = sq.view(np.complex128), ws.take("uu", (m, p), np.complex128)  # sq is spent
         part = {
             "m1": u.sum(axis=0),
-            "m2": a2.sum(axis=0),
-            "m4": a4.sum(axis=0),
             "m6": np.multiply(a4, a2, out=t).sum(axis=0),
-            "m8": np.multiply(a4, a4, out=t).sum(axis=0),
             "m22": a2.T @ a2,
             "m44": a4.T @ a4,
             "c2": u.T @ np.conjugate(u, out=uc),
@@ -533,7 +532,9 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
     (E[u_q], E[u_q u_r], E[u_q u_r*] for q != r, E[u_q^2 u_r*^2] for q != r,
     E[|u_q|^2 u_q]).  The checks ``nonzero_dev_se`` and ``vanishing_dev_se``
     are the largest deviations of the two panels in per-entry SE units,
-    each against 4 SE.
+    each against 4 SE.  The even moments E|u_q|^2, E|u_q|^4 and E|u_q|^8
+    (the last for the SE of the fourth) are the diagonals of the Grams
+    E[u u^H], E[a a^T] and E[a^2 (a^2)^T], with a = |u|^2 entrywise.
     """
     if p < 2:
         raise ValueError(f"sphere moment verification needs p >= 2, got {p}")
@@ -542,8 +543,8 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
     kernel = partial(_sphere_kernel, p=p, seed=seed)
     n = float(draws)
     mom = {key: v / n for key, v in _reduce_chunks(kernel, draws, SPHERE_CHUNK, workers).items()}
-    m1, m2, m4, m6, m8 = mom["m1"], mom["m2"], mom["m4"], mom["m6"], mom["m8"]
-    m22, m44, c2, cp, c4, m3 = mom["m22"], mom["m44"], mom["c2"], mom["cp"], mom["c4"], mom["m3"]
+    m1, m6, m22, m44, c2, cp, c4, m3 = (mom[k] for k in ("m1", "m6", "m22", "m44", "c2", "cp", "c4", "m3"))
+    m2, m4, m8 = np.diag(c2).real, np.diag(m22), np.diag(m44)  # E|u_q|^2, E|u_q|^4, E|u_q|^8
 
     def dev(est, ref, var):  # |est - ref| in units of its per-entry SE
         return np.abs(est - ref) / np.sqrt(np.maximum(var, 1e-300) / n)

@@ -13,17 +13,21 @@ spherical-model constants to an arbitrary covariance matrix M:
     pvar = tau1 (M* x M) K_p   + tau2 vec(M) vec(M)^T
 
 In both forms pvar = var K_p, as for every Hermitian statistic, so only var
-is built and pvar is derived from it by a column permutation.
+is built, by one builder (the spherical form is its case M = I), and pvar
+is derived from it by a column permutation.
 
 For the unbiased sample covariance matrix built from n observations with
 elliptical kurtosis kappa, the constants are sigma = 1,
-tau1 = 1/(n-1) + kappa/n and tau2 = kappa/n, giving
+tau1 = 1/(n-1) + kappa/n and tau2 = kappa/n.  Its MSE is the trace of var,
+and divided by ||M||_F^2 = p gamma eta^2 (scale eta, sphericity gamma) it
+is the NMSE:
 
-    MSE  = E ||S - M||_F^2 = tau1 tr(M)^2 + tau2 tr(M^2)
+    MSE  = E ||S - M||_F^2 = tau1 tr(M)^2 + tau2 tr(M^2) = NMSE ||M||_F^2
     NMSE = MSE / ||M||_F^2 = (p/gamma) (1/(n-1) + kappa/n) + kappa/n
 
-and the MSE-optimal scalar shrinkage of S is beta_o = 1/(NMSE + 1), with
-oracle MSE equal to beta_o * MSE.
+Only :func:`nmse_from_sphericity` evaluates this NMSE, and the MSE is
+taken as that NMSE times ||M||_F^2.  The MSE-optimal scalar shrinkage of S is
+beta_o = 1/(NMSE + 1), with oracle MSE equal to beta_o * MSE.
 """
 
 from __future__ import annotations
@@ -114,10 +118,7 @@ def empirical_structure_pair(tau1: float, tau2: float, p: int) -> CovariancePair
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    tau1, tau2 = float(tau1), float(tau2)
-    v = vec(np.eye(p))
-    var = tau1 * np.eye(p * p) + tau2 * np.outer(v, v)
-    return CovariancePair(var=var.astype(np.complex128))
+    return _two_constant_var(np.eye(p, dtype=np.complex128), float(tau1), float(tau2))
 
 
 def affine_equivariant_var(m, s: RadialStructure) -> CovariancePair:
@@ -129,8 +130,14 @@ def affine_equivariant_var(m, s: RadialStructure) -> CovariancePair:
     p = m.shape[0]
     if s.dim != p:
         raise ValueError(f"structure is for dim {s.dim}, matrix is {p} x {p}")
-    # tau1 kron(M*, M) + tau2 vec(M) vec(M)^H, with the bits of that
-    # expression, built in place for a block of M*'s rows at a time
+    return _two_constant_var(m, s.tau1, s.tau2)
+
+
+def _two_constant_var(m: np.ndarray, tau1: float, tau2: float) -> CovariancePair:
+    """The pair of var = tau1 kron(M*, M) + tau2 vec(M) vec(M)^H for a
+    Hermitian complex M, with the bits of that expression, built in place
+    for a block of M*'s rows at a time."""
+    p = m.shape[0]
     mc, vm = m.conj(), vec(m)
     vc = vm.conj()
     var = np.empty((p * p, p * p), dtype=np.complex128)
@@ -138,11 +145,18 @@ def affine_equivariant_var(m, s: RadialStructure) -> CovariancePair:
         rows = slice(a.start * p, a.stop * p)
         block = var[rows]
         np.multiply(mc[a, None, :, None], m[None, :, None, :], out=block.reshape(-1, p, p, p))  # kron's rows
-        block *= s.tau1
+        block *= tau1
         t = np.outer(vm[rows], vc)
-        t *= s.tau2
+        t *= tau2
         block += t
     return CovariancePair(var=var)
+
+
+def _require_finite(name: str, x) -> None:
+    """Raise ValueError naming the first non-finite value of ``x``."""
+    bad = np.asarray(x)[~np.isfinite(x)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad.flat[0]}")
 
 
 def scm_radial_structure(n: int, kappa: float, p: int) -> RadialStructure:
@@ -150,6 +164,7 @@ def scm_radial_structure(n: int, kappa: float, p: int) -> RadialStructure:
     sigma = 1, tau1 = 1/(n-1) + kappa/n, tau2 = kappa/n."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    _require_finite("kappa", kappa)
     if kappa < kurtosis_lower_bound(p):
         raise ValueError(
             f"kappa = {kappa} is below the lower bound -1/(p+1) = {kurtosis_lower_bound(p)}"
@@ -165,31 +180,42 @@ def scm_radial_structure(n: int, kappa: float, p: int) -> RadialStructure:
 def mse_scm(m, n: int, kappa: float) -> tuple[float, float]:
     """Mean squared error of the sample covariance matrix and its normalized form.
 
-    Returns (MSE, NMSE) with MSE = tau1 tr(M)^2 + tau2 tr(M^2) and
-    NMSE = MSE / ||M||_F^2.
+    Returns (MSE, NMSE) with NMSE from :func:`nmse_from_sphericity` and
+    MSE = NMSE ||M||_F^2 = tau1 tr(M)^2 + tau2 tr(M^2).
 
     Raises
     ------
     ZeroTrace
         If tr(M) <= 0.
+    ValueError
+        If n < 2, kappa is not finite or below -1/(p+1), or the sphericity
+        of M lies outside [1, p] (only an indefinite M can do that).
     """
-    m = hermitize(m)
-    p = m.shape[0]
-    scale_and_sphericity(m)  # enforces tr(M) > 0
-    s = scm_radial_structure(n, kappa, p)
-    t1 = float(np.trace(m).real)
-    t2 = float(np.trace(m @ m).real)
-    mse = s.tau1 * t1 * t1 + s.tau2 * t2
-    return mse, mse / t2
+    eta, gamma = scale_and_sphericity(m)
+    return _mse_and_nmse(n, np.shape(m)[0], eta, gamma, kappa)
+
+
+def _mse_and_nmse(n: int, p: int, eta: float, gamma: float, kappa: float) -> tuple[float, float]:
+    """(MSE, NMSE) of the SCM of a covariance with scale eta and sphericity
+    gamma, whose squared Frobenius norm is p gamma eta^2."""
+    nmse = nmse_from_sphericity(n, p, gamma, kappa)
+    return nmse * (p * gamma * eta * eta), nmse
 
 
 def nmse_from_sphericity(n: int, p: int, gamma, kappa):
     """NMSE of the sample covariance matrix from (n, p, sphericity, kurtosis).
 
     Elementwise over array-valued ``gamma`` and ``kappa``.
+
+    Raises
+    ------
+    ValueError
+        If n < 2, a kappa is not finite, a sphericity lies outside [1, p] or
+        a kappa below -1/(p+1); the message names one offending value.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    _require_finite("kappa", kappa)
     # the messages name one offending value, also for array-valued input;
     # the computed sphericity of a scaled identity can fall below 1, and that
     # of a rank-one matrix exceed p, by rounding
@@ -233,6 +259,7 @@ def beta_opt_univariate(n: int, kurt: float) -> float:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    _require_finite("kurt", kurt)
     if kurt < -1.0:
         raise ValueError(f"kurt must be >= -1, got {kurt}")
     return n * (n - 1) / (kurt * (n - 1) + n * n)
@@ -280,22 +307,26 @@ def shrinkage_report(n: int, p: int, kappa: float, *, cov=None, gamma: float | N
     Exactly one of ``cov`` and ``gamma`` must be given.  With ``gamma`` alone
     the absolute scale is indeterminate, so the report is at unit scale
     (eta = 1, i.e. tr(M) = p).
+
+    Raises
+    ------
+    ValueError
+        If both or neither of ``cov`` and ``gamma`` are given, ``cov`` is not
+        p x p, or n, kappa or the sphericity is out of range (as
+        :func:`nmse_from_sphericity` raises).
+    ZeroTrace, NotPositiveDefinite
+        If ``cov`` has tr(M) <= 0 or is not positive definite.
     """
     if (cov is None) == (gamma is None):
         raise ValueError("exactly one of cov and gamma must be given")
+    eta = 1.0
     if cov is not None:
         m = hermitize(cov)
         if m.shape[0] != p:
             raise ValueError(f"cov is {m.shape[0]} x {m.shape[1]}, expected p = {p}")
         eta, gamma = scale_and_sphericity(m)
         hermitian_sqrt(m)  # rejects an indefinite M, as CESModel does
-        mse, nmse = mse_scm(m, n, kappa)
-    else:
-        eta = 1.0
-        nmse = nmse_from_sphericity(n, p, gamma, kappa)
-        s = scm_radial_structure(n, kappa, p)
-        # at eta = 1: tr(M) = p and tr(M^2) = gamma * p
-        mse = s.tau1 * p * p + s.tau2 * gamma * p
+    mse, nmse = _mse_and_nmse(n, p, eta, gamma, kappa)
     beta = beta_opt(nmse)
     return ShrinkageReport(
         eta=eta,

@@ -213,6 +213,12 @@ class TestTheory:
         assert code == 2
         assert "lower bound" in err
 
+    @pytest.mark.parametrize("form", [["--gamma", "2"], ["--cov", "identity"]])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_kappa(self, capsys, form, value):
+        got = run(capsys, "theory", "--n", "10", "--p", "4", "--kappa", value, *form)
+        assert got == (2, "", f"error: kappa must be finite, got {value}\n")
+
     def test_conflicting_gamma_and_cov(self, capsys):
         code, _, err = run(
             capsys, "theory", "--n", "10", "--p", "4", "--kappa", "0",

@@ -16,6 +16,7 @@ from cescov.lin_core import _hermitian_coords, _Workspace, commutation_matrix, v
 from cescov.theory import (
     RadialStructure,
     affine_equivariant_var,
+    empirical_structure_pair,
     mse_scm,
     radial_var_structure,
     scm_radial_structure,
@@ -82,6 +83,19 @@ def test_transport_at_identity_is_radial_form(p, tau1, t):
     want = radial_var_structure(s.tau1, s.tau2, p)
     np.testing.assert_array_equal(got.var.view(np.uint64), want.var.view(np.uint64))
     np.testing.assert_array_equal(got.pvar.view(np.uint64), want.pvar.view(np.uint64))
+
+
+@exact
+@given(p=st.integers(1, 8), tau1=st.floats(-10.0, 10.0), tau2=st.floats(-10.0, 10.0))
+def test_empirical_pair_has_the_bits_of_the_dense_form(p, tau1, tau2):
+    # the blocked two-constant builder at M = I against the dense real
+    # expression and its complex cast, with tau's inside and outside the
+    # constraints tau1 >= 0 and tau2 >= -tau1/p
+    v = vec(np.eye(p))
+    want = (tau1 * np.eye(p * p) + tau2 * np.outer(v, v)).astype(np.complex128)
+    got = empirical_structure_pair(tau1, tau2, p).var
+    assert got.shape == want.shape and got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @exact

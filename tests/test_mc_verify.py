@@ -62,6 +62,7 @@ from cescov.mc_verify import (
     _oracle_sums,
     _plugin_beta,
     _reduce_chunks,
+    _sphere_kernel,
     _STATISTICS,
 )
 from cescov.theory import (
@@ -957,6 +958,12 @@ class TestVerifySphereMoments:
         r4 = verify_sphere_moments(3, 2 * 10**5, seed=19, workers=4)
         assert r1.checks["nonzero_dev_se"] == r4.checks["nonzero_dev_se"]
         assert r1.checks["vanishing_dev_se"] == r4.checks["vanishing_dev_se"]
+
+    def test_sums_hold_each_moment_once(self):
+        # E|u_q|^2, E|u_q|^4 and E|u_q|^8 are read from the diagonals of c2,
+        # m22 and m44, so no sum of their own is kept
+        tot = _reduce_chunks(partial(_sphere_kernel, p=3, seed=1), 10**4, mc_verify.SPHERE_CHUNK, 1)
+        assert set(tot) == {"m1", "m6", "m22", "m44", "c2", "cp", "c4", "m3"}
 
     def test_rejects_p1(self):
         with pytest.raises(ValueError):

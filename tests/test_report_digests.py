@@ -25,9 +25,9 @@ def test_two_runs_print_identical_lines():
         for threads in ("1", "2")
     ]
     assert runs[0] == runs[1]
-    # 7 Monte Carlo runs at workers 1, 2 and 4, and 4 sampled files at 2
-    # shapes, each with the estimate from it
-    assert len(runs[0]) == 7 * 3 + 4 * 2 * 2
+    # 7 Monte Carlo runs at workers 1, 2 and 4, 4 sampled files at 2 shapes,
+    # each with the estimate from it, 5 theory reports and the curve
+    assert len(runs[0]) == 7 * 3 + 4 * 2 * 2 + 5 + 1
     assert all(re.fullmatch(r"[\w:.-]+ [0-9a-f]{64}", line) for line in runs[0]), runs[0]
     names = [line.split()[0] for line in runs[0]]
     assert len(set(names)) == len(names)

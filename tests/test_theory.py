@@ -64,6 +64,23 @@ class TestRadialStructure:
         pair = empirical_structure_pair(1.0, -0.7, 2)
         assert isinstance(pair, CovariancePair)
 
+    def test_peak_memory_in_p4_units(self):
+        # built by the blocked two-constant builder at M = I: the complex
+        # result is two real p^2 x p^2 units, and besides it only a block of
+        # rows and numpy's ufunc buffers are alive (2.54 units at p = 16; a
+        # dense real expression with a complex cast peaks at 3.01)
+        p = 16
+        radial_var_structure(0.37, -0.011, p)  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pair = radial_var_structure(0.37, -0.011, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pair.var.shape == (p * p, p * p)
+        assert peak <= 2.75 * 8 * p**4, peak / (8 * p**4)
+
 
 class TestAffineEquivariantVar:
     def test_identity_reduces_to_radial_structure(self):
@@ -167,6 +184,11 @@ class TestScmRadialStructure:
         with pytest.raises(ValueError):
             scm_radial_structure(10, -0.5, p=4)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_kappa(self, kappa):
+        with pytest.raises(ValueError, match=f"^kappa must be finite, got {kappa}$"):
+            scm_radial_structure(10, kappa, 2)
+
 
 class TestMseScm:
     def test_gaussian_identity(self):
@@ -196,6 +218,11 @@ class TestMseScm:
         assert all(a > b for a, b in zip(mses_n, mses_n[1:]))
         mses_k = [mse_scm(m, 10, k)[0] for k in np.linspace(-0.2, 3.0, 9)]
         assert all(a < b for a, b in zip(mses_k, mses_k[1:]))
+
+    def test_indefinite_matrix_beyond_sphericity_p_rejected(self):
+        # tr(M) = 0.5 and tr(M^2) = 1.25: sphericity 10, above p = 2
+        with pytest.raises(ValueError, match=r"sphericity must lie in \[1, p\] = \[1, 2\], got 10"):
+            mse_scm(np.diag([1.0, -0.5]), 10, 0.0)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroTrace):
@@ -278,6 +305,25 @@ class TestBetaOptUnivariate:
         with pytest.raises(ValueError):
             beta_opt_univariate(10, -1.5)
 
+    @pytest.mark.parametrize("kurt", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_kurtosis(self, kurt):
+        # NaN slips past the check kurt >= -1, and inf would give 0.0
+        with pytest.raises(ValueError, match=f"^kurt must be finite, got {kurt}$"):
+            beta_opt_univariate(10, kurt)
+
+
+class TestNmseFromSphericity:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    def test_rejects_non_finite_kappa(self, bad, shape):
+        # named before the bounds are checked: the array's other kappa is
+        # below -1/(p+1) and the sphericity above p
+        kappa = bad if shape == "scalar" else np.array([0.5, bad, -5.0])
+        with pytest.raises(ValueError, match=f"^kappa must be finite, got {bad}$"):
+            nmse_from_sphericity(10, 2, 1.5, kappa)
+        with pytest.raises(ValueError, match=f"^kappa must be finite, got {bad}$"):
+            nmse_from_sphericity(10, 2, 3.0, kappa)
+
 
 class TestShrinkageCurve:
     def test_figure_endpoints(self):
@@ -308,9 +354,10 @@ class TestShrinkageReport:
         _, gamma = 1.0, 2 * np.trace(m @ m).real / np.trace(m).real ** 2
         via_cov = shrinkage_report(10, 2, 0.5, cov=m)
         via_gamma = shrinkage_report(10, 2, 0.5, gamma=gamma)
-        assert via_cov.eta == pytest.approx(1.0)
-        for fld in ("gamma", "mse", "nmse", "beta_o", "oracle_mse"):
-            assert getattr(via_cov, fld) == pytest.approx(getattr(via_gamma, fld), rel=1e-12)
+        # eta = 1 and gamma = 1.25 exactly, and both paths share every later
+        # operation
+        assert via_cov.to_dict() == via_gamma.to_dict()
+        assert (via_cov.eta, via_cov.gamma) == (1.0, 1.25)
 
     def test_fields_and_identities(self):
         rep = shrinkage_report(10, 4, 0.0, gamma=2.0)

@@ -17,7 +17,13 @@ bit.  The runs are:
 * ``cescov estimate --in <file> --json`` on each sampled file, a line
   hashing its standard output: the public ``scm`` and
   ``estimate_kurtosis``, which share their stacked cores with the Monte
-  Carlo statistics.
+  Carlo statistics;
+* ``cescov theory --json``, a line hashing its standard output, at n = 10:
+  ``--gamma 2`` at p = 10 with kappa 0 and 2, and ``--cov`` (kappa 0.5)
+  ``identity`` at p = 2, ``spiked:gamma=2`` at p = 10 and the complex CSV
+  covariance file of the p = 3 samples: the closed-form MSE, NMSE and
+  shrinkage;
+* ``cescov curve`` at its defaults, a line hashing its standard output.
 
 Compare a change against its parent commit, checked out at ``../parent``
 (say, with ``git worktree add ../parent HEAD~1``), from the repository
@@ -28,7 +34,8 @@ root::
 
 The tool imports whichever ``cescov`` is on the path, so one copy of it
 compares any two trees that have ``verify_target``, ``empirical_moments``
-and ``cescov sample`` and ``estimate``.  ``--tiny`` runs the same list with an eighth of the
+and the ``cescov`` commands ``sample``, ``estimate``, ``theory`` and
+``curve``.  ``--tiny`` runs the same list with an eighth of the
 replications and a twentieth of the sampled rows.
 
 The tool sets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
@@ -82,6 +89,16 @@ MC_RUNS = {
 SAMPLE_SHAPES = ((10_000, 8), (3000, 3))
 SAMPLE_COVS = ("identity", "spiked:gamma=2", "diag", "file")
 
+# name -> ``cescov theory`` arguments; "file" stands for the complex CSV
+# covariance file that the p = 3 samples use
+THEORY_RUNS = {
+    "theory-gamma2-k0-p10": ["--p", "10", "--gamma", "2", "--kappa", "0"],
+    "theory-gamma2-k2-p10": ["--p", "10", "--gamma", "2", "--kappa", "2"],
+    "theory-identity-p2": ["--p", "2", "--cov", "identity", "--kappa", "0.5"],
+    "theory-spiked-p10": ["--p", "10", "--cov", "spiked:gamma=2", "--kappa", "0.5"],
+    "theory-file-p3": ["--p", "3", "--cov", "file", "--kappa", "0.5"],
+}
+
 
 def mc_digest(kwargs: dict, workers: int) -> str:
     """Digest of one verify_target run: its report and the moments it
@@ -134,9 +151,9 @@ def sample_digest(n: int, p: int, cov: str, tmp: str, out: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def estimate_digest(path: str) -> str:
-    """Digest of what ``cescov estimate --in path --json`` prints."""
-    return hashlib.sha256(run_cli(["estimate", "--in", path, "--json"]).encode()).hexdigest()
+def stdout_digest(argv: list[str]) -> str:
+    """Digest of what ``cescov <argv>`` prints."""
+    return hashlib.sha256(run_cli(argv).encode()).hexdigest()
 
 
 def digest_lines(tiny: bool = False):
@@ -153,7 +170,11 @@ def digest_lines(tiny: bool = False):
             for cov in SAMPLE_COVS:
                 name = f"{cov.split(':')[0]}-{n}x{p}"
                 yield f"sample-{name} {sample_digest(n, p, cov, tmp, out)}"
-                yield f"estimate-{name} {estimate_digest(out)}"
+                yield f"estimate-{name} {stdout_digest(['estimate', '--in', out, '--json'])}"
+        for name, argv in THEORY_RUNS.items():
+            argv = [os.path.join(tmp, "cov3.csv") if a == "file" else a for a in argv]
+            yield f"{name} {stdout_digest(['theory', '--n', '10', *argv, '--json'])}"
+    yield f"curve {stdout_digest(['curve'])}"
 
 
 def main(argv=None) -> None:

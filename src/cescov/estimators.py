@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCoordinate, SingularSCM, TooFewObservations
-from .lin_core import PD_RTOL, _borrowed_workspace, _hermitian_coords, _Workspace
+from .lin_core import PD_RTOL, _borrowed_workspace, _hermitian_coords, _Workspace, as_complex_matrix
 from .ces_sampler import kurtosis_lower_bound
 
 __all__ = [
@@ -67,11 +67,7 @@ _GRAM_BLOCK_BYTES = 512 * 2**10
 
 def require_dataset(x, min_rows: int = 1) -> np.ndarray:
     """Coerce to a finite (n, p) complex array with n >= min_rows."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ValueError(f"dataset must be 2-D (rows = observations), got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("dataset contains non-finite entries")
+    x = as_complex_matrix(x, "dataset")
     if x.shape[0] < min_rows:
         raise TooFewObservations(f"need at least {min_rows} observations, got {x.shape[0]}")
     return x

@@ -306,14 +306,20 @@ def hermitian_sqrt(m) -> np.ndarray:
     """
     m = hermitize(m)
     w, v = np.linalg.eigh(m)
+    _require_positive_definite(w)
+    r = (v * np.sqrt(w)) @ v.conj().T
+    return (r + r.conj().T) / 2
+
+
+def _require_positive_definite(w: np.ndarray) -> None:
+    """Raise NotPositiveDefinite unless the smallest of the eigenvalues ``w``
+    lies above ``PD_RTOL`` times the largest one."""
     pd_tol = PD_RTOL * max(float(w.max()), 0.0)
     if float(w.min()) <= pd_tol:
         raise NotPositiveDefinite(
             f"matrix is not positive definite: min eigenvalue {w.min():.3e} "
             f"<= tolerance {pd_tol:.3e}"
         )
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return (r + r.conj().T) / 2
 
 
 def centering_matrix(n: int) -> np.ndarray:

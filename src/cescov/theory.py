@@ -25,8 +25,11 @@ is the NMSE:
     MSE  = E ||S - M||_F^2 = tau1 tr(M)^2 + tau2 tr(M^2) = NMSE ||M||_F^2
     NMSE = MSE / ||M||_F^2 = (p/gamma) (1/(n-1) + kappa/n) + kappa/n
 
-Only :func:`nmse_from_sphericity` evaluates this NMSE, and the MSE is
-taken as that NMSE times ||M||_F^2.  The MSE-optimal scalar shrinkage of S is
+The constants tau1 and tau2, with their checks of n and kappa, are written
+once, and only :func:`nmse_from_sphericity` evaluates this NMSE; the MSE is
+taken as that NMSE times ||M||_F^2.  One path checks a covariance M for
+:func:`mse_scm` and :func:`shrinkage_report` alike: Hermitian, of positive
+trace and positive definite.  The MSE-optimal scalar shrinkage of S is
 beta_o = 1/(NMSE + 1), with oracle MSE equal to beta_o * MSE.
 """
 
@@ -38,7 +41,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ces_sampler import kurtosis_lower_bound
-from .lin_core import _row_blocks, _vec_transpose_index, hermitian_sqrt, hermitize, scale_and_sphericity, vec
+from .lin_core import (_require_positive_definite, _row_blocks, _vec_transpose_index, hermitize,
+                       scale_and_sphericity, vec)
 
 __all__ = [
     "RadialStructure",
@@ -159,22 +163,29 @@ def _require_finite(name: str, x) -> None:
         raise ValueError(f"{name} must be finite, got {bad.flat[0]}")
 
 
-def scm_radial_structure(n: int, kappa: float, p: int) -> RadialStructure:
-    """Spherical-model constants of the unbiased sample covariance matrix:
-    sigma = 1, tau1 = 1/(n-1) + kappa/n, tau2 = kappa/n."""
+def _scm_constants(n: int, p: int, kappa):
+    """(tau1, tau2) = (1/(n-1) + kappa/n, kappa/n) of the unbiased SCM,
+    elementwise over an array-valued ``kappa``.
+
+    Raises ValueError if n < 2, a kappa is not finite or a kappa is below
+    -1/(p+1); the message names one offending value.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     _require_finite("kappa", kappa)
-    if kappa < kurtosis_lower_bound(p):
+    kappa_lo = np.min(kappa)
+    if kappa_lo < kurtosis_lower_bound(p):
         raise ValueError(
-            f"kappa = {kappa} is below the lower bound -1/(p+1) = {kurtosis_lower_bound(p)}"
+            f"kappa = {kappa_lo} is below the lower bound -1/(p+1) = {kurtosis_lower_bound(p)}"
         )
-    return RadialStructure(
-        sigma=1.0,
-        tau1=1.0 / (n - 1) + kappa / n,
-        tau2=kappa / n,
-        dim=p,
-    )
+    return 1.0 / (n - 1) + kappa / n, kappa / n
+
+
+def scm_radial_structure(n: int, kappa: float, p: int) -> RadialStructure:
+    """Spherical-model constants of the unbiased sample covariance matrix:
+    sigma = 1, tau1 = 1/(n-1) + kappa/n, tau2 = kappa/n."""
+    tau1, tau2 = _scm_constants(n, p, kappa)
+    return RadialStructure(sigma=1.0, tau1=tau1, tau2=tau2, dim=p)
 
 
 def mse_scm(m, n: int, kappa: float) -> tuple[float, float]:
@@ -185,14 +196,29 @@ def mse_scm(m, n: int, kappa: float) -> tuple[float, float]:
 
     Raises
     ------
+    NotHermitian
+        If M is not Hermitian within tolerance.
     ZeroTrace
         If tr(M) <= 0.
+    NotPositiveDefinite
+        If M is not positive definite, as :func:`shrinkage_report` raises.
     ValueError
-        If n < 2, kappa is not finite or below -1/(p+1), or the sphericity
-        of M lies outside [1, p] (only an indefinite M can do that).
+        If n < 2 or kappa is not finite or below -1/(p+1).
     """
-    eta, gamma = scale_and_sphericity(m)
+    eta, gamma = _geometry(m)
     return _mse_and_nmse(n, np.shape(m)[0], eta, gamma, kappa)
+
+
+def _geometry(m, p: int | None = None) -> tuple[float, float]:
+    """Scale and sphericity (eta, gamma) of a covariance M, the one check of
+    a covariance here: M must be Hermitian, p x p when p is given, of
+    positive trace and positive definite."""
+    m = hermitize(m)
+    if p is not None and m.shape[0] != p:
+        raise ValueError(f"cov is {m.shape[0]} x {m.shape[1]}, expected p = {p}")
+    eta, gamma = scale_and_sphericity(m)
+    _require_positive_definite(np.linalg.eigvalsh(m))  # as CESModel's root does
+    return eta, gamma
 
 
 def _mse_and_nmse(n: int, p: int, eta: float, gamma: float, kappa: float) -> tuple[float, float]:
@@ -210,13 +236,11 @@ def nmse_from_sphericity(n: int, p: int, gamma, kappa):
     Raises
     ------
     ValueError
-        If n < 2, a kappa is not finite, a sphericity lies outside [1, p] or
-        a kappa below -1/(p+1); the message names one offending value.
+        If n < 2, a kappa is not finite, a kappa is below -1/(p+1) or a
+        sphericity lies outside [1, p], checked in that order; the message
+        names one offending value.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    _require_finite("kappa", kappa)
-    # the messages name one offending value, also for array-valued input;
+    tau1, tau2 = _scm_constants(n, p, kappa)
     # the computed sphericity of a scaled identity can fall below 1, and that
     # of a rank-one matrix exceed p, by rounding
     gamma_lo, gamma_hi = np.min(gamma), np.max(gamma)
@@ -224,12 +248,7 @@ def nmse_from_sphericity(n: int, p: int, gamma, kappa):
     if not (lo_ok and gamma_hi <= p * (1.0 + _TAU_SLACK)):
         bad = gamma_hi if lo_ok else gamma_lo
         raise ValueError(f"sphericity must lie in [1, p] = [1, {p}], got {bad}")
-    kappa_lo = np.min(kappa)
-    if kappa_lo < kurtosis_lower_bound(p):
-        raise ValueError(
-            f"kappa = {kappa_lo} is below the lower bound -1/(p+1) = {kurtosis_lower_bound(p)}"
-        )
-    return (p / gamma) * (1.0 / (n - 1) + kappa / n) + kappa / n
+    return (p / gamma) * tau1 + tau2
 
 
 def beta_opt(nmse):
@@ -314,18 +333,15 @@ def shrinkage_report(n: int, p: int, kappa: float, *, cov=None, gamma: float | N
         If both or neither of ``cov`` and ``gamma`` are given, ``cov`` is not
         p x p, or n, kappa or the sphericity is out of range (as
         :func:`nmse_from_sphericity` raises).
-    ZeroTrace, NotPositiveDefinite
-        If ``cov`` has tr(M) <= 0 or is not positive definite.
+    NotHermitian, ZeroTrace, NotPositiveDefinite
+        If ``cov`` is not Hermitian, has tr(M) <= 0 or is not positive
+        definite, as :func:`mse_scm` raises.
     """
     if (cov is None) == (gamma is None):
         raise ValueError("exactly one of cov and gamma must be given")
     eta = 1.0
     if cov is not None:
-        m = hermitize(cov)
-        if m.shape[0] != p:
-            raise ValueError(f"cov is {m.shape[0]} x {m.shape[1]}, expected p = {p}")
-        eta, gamma = scale_and_sphericity(m)
-        hermitian_sqrt(m)  # rejects an indefinite M, as CESModel does
+        eta, gamma = _geometry(cov, p)
     mse, nmse = _mse_and_nmse(n, p, eta, gamma, kappa)
     beta = beta_opt(nmse)
     return ShrinkageReport(

@@ -123,6 +123,11 @@ class TestEllipticalKurtosis:
             for fam in (Gaussian(), StudentT(5.0), CompoundGaussianK(0.25)):
                 assert elliptical_kurtosis(fam) >= kurtosis_lower_bound(p)
 
+    def test_rejects_an_unknown_family(self):
+        family = object()
+        with pytest.raises(InvalidFamily, match=f"^unsupported family {re.escape(repr(family))}$"):
+            elliptical_kurtosis(family)
+
 
 class TestSampleSphere:
     def test_unit_norm(self):
@@ -183,6 +188,10 @@ class TestSampleModular:
     def test_scalar_draw(self):
         r = sample_modular(Gaussian(), 3, RngStream(2))
         assert isinstance(r, float) and r > 0
+
+    def test_rejects_p0(self):
+        with pytest.raises(ValueError, match="^p must be >= 1, got 0$"):
+            sample_modular(Gaussian(), 0, RngStream(1))
 
     @pytest.mark.parametrize("family", FAMILIES, ids=str)
     def test_draw_order(self, family):

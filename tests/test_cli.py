@@ -9,7 +9,8 @@ import pytest
 
 import cescov
 from cescov.cli import main
-from cescov.lin_core import load_complex_matrix, scale_and_sphericity, spiked_covariance
+from cescov.ces_sampler import CESModel, CompoundGaussianK, RngStream, sample_ces
+from cescov.lin_core import load_complex_matrix, parse_complex_matrix, scale_and_sphericity, spiked_covariance
 from cescov.mc_verify import Tolerances, verify_target
 
 
@@ -158,6 +159,19 @@ class TestSample:
         )
         assert code == 2
         assert "--seed" in err
+
+    def test_stdout_csv_parses_back_bit_for_bit(self, capsys, tmp_path):
+        argv = ("sample", "--dist", "k:0.5", "--n", "600", "--p", "3", "--cov", "spiked:gamma=2", "--seed", "5")
+        code, out, err = run(capsys, *argv, "--out", "-")
+        assert code == 0
+        path = tmp_path / "x.csv"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", err)
+        assert out == path.read_text(encoding="ascii")
+        # the summary goes to stderr, the CSV alone to stdout
+        assert json.loads(err)["seed"] == 5
+        model = CESModel(np.zeros(3), spiked_covariance(3, 2.0), CompoundGaussianK(0.5))
+        expected = sample_ces(model, 600, RngStream(5))
+        assert parse_complex_matrix(out.splitlines()).tobytes() == expected.tobytes()
 
 
 class TestSpikedCovariance:
@@ -482,6 +496,18 @@ class TestMcVerify:
         )
         assert code == 2
         assert "--seed" in err
+
+    def test_draws_a_seed_without_ci_mode(self, capsys, monkeypatch):
+        monkeypatch.delenv("CES_SCM_CI", raising=False)
+        argv = ("mc-verify", "--target", "sphere", "--p", "2", "--reps", "10000", "--json")
+        code, out, err = run(capsys, *argv)
+        payload = json.loads(out)
+        assert err == "" and code == (0 if payload["report"]["pass"] else 1)
+        seed = payload["seed"]
+        assert isinstance(seed, int) and 0 <= seed < 2**63
+        # the reported seed reproduces the run
+        again = json.loads(run(capsys, *argv, "--seed", str(seed))[1])
+        assert again["report"] == payload["report"]
 
     @pytest.mark.parametrize("target, dist, n, p, cov, reps, stat, plugin", [
         ("thm1", "gaussian", 10, 2, "identity", 3000, "scm", False),

@@ -190,6 +190,11 @@ class TestPooledWorkspaces:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
 
 
+def test_require_dataset_rejects_a_1d_array():
+    with pytest.raises(ValueError, match=r"^dataset must be 2-D, got shape \(3,\)$"):
+        require_dataset(np.ones(3))
+
+
 class TestSampleMean:
     def test_single_row(self):
         x = np.array([[1.0 + 2j, 3.0]])
@@ -287,6 +292,10 @@ class TestSampleVariance:
     def test_too_few(self):
         with pytest.raises(TooFewObservations):
             sample_variance(np.array([1.0]))
+
+    def test_rejects_a_2d_sample(self):
+        with pytest.raises(ValueError, match=r"^expected a 1-D sample, got shape \(3, 2\)$"):
+            sample_variance(np.ones((3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_sample_raises(self, bad):

@@ -7,6 +7,7 @@ import pytest
 from cescov.errors import NotHermitian, NotPositiveDefinite, ZeroTrace
 from cescov.lin_core import (
     _CSV_BLOCK,
+    as_complex_matrix,
     centering_matrix,
     commutation_matrix,
     covariance_preset,
@@ -149,6 +150,14 @@ class TestHermitianSqrt:
     def test_hermitize_rejects_asymmetric(self):
         with pytest.raises(NotHermitian):
             hermitize(np.array([[1.0, 2.0], [3.0, 1.0]]))
+
+    def test_hermitize_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+            hermitize(np.ones((2, 3)))
+
+    def test_as_complex_matrix_rejects_nan(self):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            as_complex_matrix(np.array([[1.0, np.nan]]))
 
     def test_sqrt_transport_identities(self):
         # congruence by (M^1/2)* (x) M^1/2 maps I to M* (x) M and

@@ -106,6 +106,11 @@ class TestMCConfig:
             MCConfig(replications=10, n=10, model=spherical_model(2), statistic=name)
         assert str(err.value) == f"unknown statistic {name!r}; expected one of {STATISTICS}"
 
+    def test_verify_target_refuses_an_unknown_target(self):
+        with pytest.raises(ValueError) as err:
+            verify_target("nope", "gaussian", 10, 2, "identity", 10, 1)
+        assert str(err.value) == f"unknown target 'nope'; expected one of {TARGETS}"
+
     def test_cli_offers_every_statistic(self):
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         (stat,) = [a for a in sub.choices["mc-verify"]._actions if a.dest == "stat"]

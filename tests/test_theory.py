@@ -1,13 +1,16 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cescov.lin_core import commutation_matrix, hermitian_sqrt, hermitize, vec
-from cescov.errors import ZeroTrace
+from cescov.errors import NotHermitian, NotPositiveDefinite, ZeroTrace
 from cescov.theory import (
     CovariancePair,
     RadialStructure,
+    ShrinkageReport,
+    _scm_constants,
     affine_equivariant_var,
     beta_opt,
     beta_opt_univariate,
@@ -166,6 +169,16 @@ class TestAffineEquivariantVar:
         assert peak <= 3 * 8 * p**4, peak / (8 * p**4)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: RadialStructure(1.0, 0.5, 0.0, dim=0), "dim must be >= 1, got 0"),
+    (lambda: RadialStructure(1.0, np.nan, 0.0, dim=2), "tau constants must be finite"),
+    (lambda: empirical_structure_pair(0.5, 0.0, 0), "p must be >= 1, got 0"),
+], ids=["radial-dim0", "radial-nan-tau", "empirical-p0"])
+def test_structures_refuse_a_bad_dimension_or_tau(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 class TestScmRadialStructure:
     def test_gaussian_n10(self):
         s = scm_radial_structure(10, 0.0, p=2)
@@ -220,13 +233,28 @@ class TestMseScm:
         assert all(a < b for a, b in zip(mses_k, mses_k[1:]))
 
     def test_indefinite_matrix_beyond_sphericity_p_rejected(self):
-        # tr(M) = 0.5 and tr(M^2) = 1.25: sphericity 10, above p = 2
-        with pytest.raises(ValueError, match=r"sphericity must lie in \[1, p\] = \[1, 2\], got 10"):
+        # tr(M) = 0.5 and tr(M^2) = 1.25: sphericity 10, above p = 2, but the
+        # covariance check refuses the indefinite M before the sphericity is
+        # looked at
+        with pytest.raises(NotPositiveDefinite, match=r"^matrix is not positive definite: min eigenvalue -5\.000e-01 "):
             mse_scm(np.diag([1.0, -0.5]), 10, 0.0)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroTrace):
             mse_scm(np.zeros((2, 2)), 10, 0.0)
+
+    @pytest.mark.parametrize("m, error", [
+        (np.zeros((2, 2)), ZeroTrace),
+        # sphericity 1.67 lies in [1, 3]: only the definiteness check refuses it
+        (np.diag([1.0, 1.0, -0.1]), NotPositiveDefinite),
+        (np.diag([1.0, -0.5]), NotPositiveDefinite),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), NotHermitian),
+    ])
+    def test_refuses_a_covariance_as_shrinkage_report_does(self, m, error):
+        with pytest.raises(error):
+            mse_scm(m, 10, 0.0)
+        with pytest.raises(error):
+            shrinkage_report(10, m.shape[0], 0.0, cov=m)
 
 
 class TestBetaOpt:
@@ -312,7 +340,35 @@ class TestBetaOptUnivariate:
             beta_opt_univariate(10, kurt)
 
 
+class TestScmConstants:
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_bits_of_the_written_expressions(self, n, p):
+        grid = np.linspace(-1 / (p + 1), 3.0, 29)
+        for kappa in [*grid.tolist(), grid]:
+            tau1, tau2 = _scm_constants(n, p, kappa)
+            ref1, ref2 = 1.0 / (n - 1) + kappa / n, kappa / n
+            assert np.array_equal(np.asarray(tau1).view(np.uint64), np.asarray(ref1).view(np.uint64))
+            assert np.array_equal(np.asarray(tau2).view(np.uint64), np.asarray(ref2).view(np.uint64))
+            assert type(tau1) is type(ref1) and type(tau2) is type(ref2)
+
+    def test_scm_radial_structure_and_nmse_share_them(self):
+        tau1, tau2 = _scm_constants(10, 3, 0.7)
+        s = scm_radial_structure(10, 0.7, 3)
+        assert (s.tau1, s.tau2) == (tau1, tau2)
+        assert nmse_from_sphericity(10, 3, 1.5, 0.7) == (3 / 1.5) * tau1 + tau2
+
+
 class TestNmseFromSphericity:
+    def test_rejects_small_n(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
+            nmse_from_sphericity(1, 2, 1.5, 0.0)
+
+    def test_names_kappa_below_the_bound_before_the_sphericity(self):
+        # the sphericity 5 lies above p = 2 as well
+        with pytest.raises(ValueError, match=r"^kappa = -0\.5 is below the lower bound -1/\(p\+1\) = -0\.3333333333333333$"):
+            nmse_from_sphericity(10, 2, 5.0, -0.5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("shape", ["scalar", "array"])
     def test_rejects_non_finite_kappa(self, bad, shape):
@@ -366,6 +422,16 @@ class TestShrinkageReport:
         }
         assert 0.0 < rep.beta_o < 1.0
         assert rep.oracle_mse == pytest.approx(rep.beta_o * rep.mse, rel=1e-14)
+
+    @pytest.mark.parametrize("beta_o", [0.0, 1.0])
+    def test_report_refuses_beta_outside_the_open_unit_interval(self, beta_o):
+        message = f"beta_o must lie in (0, 1), got {beta_o}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ShrinkageReport(1.0, 1.0, 0.0, 10, 2, mse=1.0, nmse=0.5, beta_o=beta_o, oracle_mse=beta_o)
+
+    def test_rejects_a_cov_of_another_dimension(self):
+        with pytest.raises(ValueError, match=r"^cov is 3 x 3, expected p = 2$"):
+            shrinkage_report(10, 2, 0.0, cov=np.eye(3))
 
     def test_requires_exactly_one_of_cov_gamma(self):
         with pytest.raises(ValueError):

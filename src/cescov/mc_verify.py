@@ -1,10 +1,14 @@
 """Monte Carlo harness: empirical moments of matrix statistics and pass/fail
 comparisons against the closed-form second-order theory.  ``verify_target``
 is the check that ``cescov mc-verify`` runs for each of its ``TARGETS``: it
-picks the model, the closed form, the MSE and the tolerances of the target.
-Each verification returns a :class:`ComparisonReport` of named checks,
-each a value and its limit, which passes iff every value lies below its
-limit.
+picks the model, the closed form and the MSE of the target.  Each
+verification returns a :class:`ComparisonReport` of named checks, each a
+value and its limit, which passes iff every value lies below its limit.
+The scalar checks of :func:`compare_to_theory` (tau1, tau2, the MSE) are
+z-scores, each the distance of the mean of a per-replication scalar from
+its closed form in units of its SE, sd / sqrt(R), under one limit: Sidak's
+over the scalar checks of the report at the family-wise false-fail rate
+``ALPHA``, whatever the family.
 
 Stream contract 5 (``STREAM_CONTRACT``): the replications of a run are cut
 into a fixed grid of chunks, the last chunk holding the remainder.  A chunk
@@ -33,7 +37,9 @@ chunk.  Three sums are kept: s1 of the coordinates, s2 of their outer
 products and f2 of the outer products of the unique entries' squared
 moduli.  A run rebuilds the complex p^2 x p^2 covariance and its standard
 errors from them once, by an exact index map, and takes the MSE and its
-standard error as closed forms of the diagonal of s2 and of f2.  Reports
+standard error as closed forms of the diagonal of s2 and of f2, and five
+of the seven sums of the radial scalars as closed forms of s1, s2 and f2;
+the chunks add the other two, b2 and bt, beside them.  Reports
 therefore differ from those of the complex accumulation by rounding only,
 under the same stream contract.
 
@@ -75,14 +81,15 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
+from statistics import NormalDist
 
 import numpy as np
 
-from .ces_sampler import CESModel, RngStream, StudentT, _draw_ces, _draw_sphere, elliptical_kurtosis, parse_family
+from .ces_sampler import CESModel, RngStream, StudentT, _draw_ces, _draw_sphere, parse_family
 from .errors import InvalidFamily, TooFewObservations
 from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
 from .lin_core import (_borrowed_workspace, _hermitian_coords, _row_blocks, _scale_and_sphericity_stack,
-                       _Workspace, covariance_preset, unvec, vec_index)
+                       _Workspace, covariance_preset, unvec)
 from .theory import (CovariancePair, RadialStructure, _var_times_commutation, affine_equivariant_var,
                      beta_opt, empirical_structure_pair, mse_scm, nmse_from_sphericity, scm_radial_structure)
 
@@ -247,13 +254,20 @@ def _moment_sums(h: np.ndarray, rows: np.ndarray, ws: _Workspace, ref: np.ndarra
     """Partial moment sums of a chunk's statistics on their Hermitian
     coordinates h shifted by the coordinates ref: s1, the sum of the
     coordinates; s2, the sum of their outer products; and f2, the sum of
-    the outer products of the squared moduli of the q unique entries.
+    the outer products of the squared moduli of the q unique entries.  With
+    d = h - ref, t = tr(T - M) and b = t^2 - sum_i d_ii^2 per replication,
+    b2 and bt are the sums of b^2 and b t, the two sums of the radial
+    scalars that s1, s2 and f2 do not hold (see :func:`_moments_from_sums`).
     Spends h."""
     coords = _hermitian_coords(rows.shape[2] // 2)
+    ones = np.ones(coords.p)
     h -= ref
     # every partial is a new array: the workspace serves the next chunk
     part = {"s1": h.sum(axis=0), "s2": h.T @ h}
+    t = h[:, : coords.p] @ ones  # tr(T - M)
     h *= h  # h is spent
+    b = t * t - h[:, : coords.p] @ ones  # 2 sum_{i<j} d_ii d_jj
+    part["b2"], part["bt"] = b @ b, b @ t
     u = h[:, : coords.q]
     u[:, coords.p :] += h[:, coords.q :]  # |T_ij - M_ij|^2 over the q unique entries
     part["f2"] = u.T @ u
@@ -273,7 +287,11 @@ class EmpiricalMoments:
     ``mse_emp`` is the average squared Frobenius distance of the statistic
     from the model covariance matrix, and ``se_mse`` its standard error,
     both closed forms of the moment sums s2 and f2 (see
-    :func:`_moments_from_sums`).
+    :func:`_moments_from_sums`).  ``radial_sums`` holds the sums over the
+    replications of the scalars that :func:`radial_estimate_from_moments`
+    reads, with d the coordinates of T - M: t, t^2, A, A^2, B, B^2 and B t,
+    where t = tr(T - M), A = sum_{i<j} |d_ij|^2 and B = sum_{i<j} d_ii d_jj
+    (A and B are 0 at p = 1).
     """
 
     mean_stat: np.ndarray
@@ -284,6 +302,7 @@ class EmpiricalMoments:
     mse_emp: float
     se_mse: float
     replications: int
+    radial_sums: np.ndarray
 
     @property
     def pvar_emp(self) -> np.ndarray:
@@ -313,15 +332,21 @@ def _moments_from_sums(tot: dict, r: int, p: int, ref: np.ndarray) -> EmpiricalM
     sq_j = sum_k weight_k h_jk^2, so sum_j sq_j = weight . diag(s2) and
     sum_j sq_j^2 = w^T f2 w, with w the weights of the q unique entries (1
     on the diagonal, 2 above it): the MSE and its standard error are read
-    from s2 before it is overwritten.  The p^2 x p^2 arrays are built in
-    place, one operation at a time in the order of the plain expressions,
-    so besides ``tot`` and the results no more than two real p^2 x p^2
-    temporaries are alive at once."""
+    from s2 before it is overwritten.  So are five of the seven radial sums,
+    exactly: sum t = 1^T s1[:p], sum t^2 = 1^T s2[:p, :p] 1, sum A =
+    tr s2[p:, p:], sum A^2 = 1^T f2[p:, p:] 1 and sum B = (sum t^2 -
+    tr s2[:p, :p]) / 2; sum B^2 and sum B t are b2 / 4 and bt / 2.  The
+    p^2 x p^2 arrays are built in place, one operation at a time in the
+    order of the plain expressions, so besides ``tot`` and the results no
+    more than two real p^2 x p^2 temporaries are alive at once."""
     coords = _hermitian_coords(p)
     mse_emp = float(coords.weight @ np.diag(tot["s2"])) / r
     w = coords.weight[: coords.q]
     mse_sq = float(w @ tot["f2"] @ w) / r
     se_mse = math.sqrt(max(mse_sq - mse_emp**2, 0.0) / r)
+    diag, off = tot["s2"][:p, :p], tot["s2"][p:, p:]
+    radial_sums = np.array([tot["s1"][:p].sum(), diag.sum(), np.trace(off), tot["f2"][p:, p:].sum(),
+                            (diag.sum() - np.trace(diag)) / 2, tot["b2"] / 4, tot["bt"] / 2])
 
     mean_h = tot["s1"] / r
     cov_h = tot["s2"]
@@ -349,6 +374,7 @@ def _moments_from_sums(tot: dict, r: int, p: int, ref: np.ndarray) -> EmpiricalM
         mse_emp=mse_emp,
         se_mse=se_mse,
         replications=r,
+        radial_sums=radial_sums,
     )
 
 
@@ -369,39 +395,48 @@ class RadialEstimate:
 
 
 def radial_estimate_from_moments(emp: EmpiricalMoments) -> RadialEstimate:
-    """Extract radial constants from moments estimated at a spherical model."""
+    """Extract radial constants from moments estimated at a spherical model
+    M = c I, each the mean of a per-replication scalar (``emp.radial_sums``)
+    with its standard error sd / sqrt(R).  With P = p(p-1)/2 pairs, tau1 is
+    the mean of A / P, the mean of |T_ij|^2 over the pairs i < j, and tau2
+    the mean of sum_{i<j} (T_ii - s)(T_jj - s) / P = (B - delta (p-1) t +
+    P delta^2) / P, centred at the estimated diagonal s = c + delta, with
+    delta the mean of t / p; taking s for the true sigma moves neither
+    estimate at first order.  sigma is the mean diagonal of ``mean_stat``,
+    and se_sigma the standard error of the mean of t / p."""
     p = emp.mean_stat.shape[0]
     if p < 2:
         raise ValueError("radial constants need p >= 2 (no off-diagonal pair)")
-    # the p(p-1) off-diagonal pairs (i, j) in row-major order
-    i, j = np.divmod(np.arange(p * p), p)
-    i, j = i[i != j], j[i != j]
-    ij, ii, jj = vec_index(i, j, p), vec_index(i, i, p), vec_index(j, j, p)
+    pairs = p * (p - 1) / 2
+    t, tt, a, aa, b, bb, bt = emp.radial_sums / emp.replications
+    delta = t / p
+    c = delta * (p - 1)  # B - c t + pairs delta^2 sums (T_ii - s)(T_jj - s) over the pairs
+
+    def se(var):  # sd / sqrt(R) of a scalar with variance var
+        return math.sqrt(max(var, 0.0) / emp.replications)
+
     return RadialEstimate(
         sigma=float(np.diag(emp.mean_stat).real.mean()),
-        tau1=float(emp.var_emp[ij, ij].real.mean()),
-        tau2=float(emp.var_emp[ii, jj].real.mean()),
-        se_sigma=float(np.diag(emp.se_mean).mean()),
-        se_tau1=float(emp.se_var[ij, ij].mean()),
-        se_tau2=float(emp.se_var[ii, jj].mean()),
+        tau1=float(a / pairs),
+        tau2=float((b - c * t) / pairs + delta * delta),
+        se_sigma=se(tt - t * t) / p,
+        se_tau1=se(aa - a * a) / pairs,
+        se_tau2=se(bb - 2 * c * bt + c * c * tt - (b - c * t) ** 2) / pairs,
     )
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The limits of the checks of :func:`compare_to_theory`: entrywise
-    deviations in SE units, relative errors for the radial constants and
-    the MSE."""
+    """The limit of the entrywise check ``var_dev_se`` of
+    :func:`compare_to_theory`, in SE units.  The scalar checks take their
+    limit from ``ALPHA`` instead (:func:`_sidak_limit`)."""
 
     se_mult: float = 4.0
-    rel_tau: float = 0.02
-    rel_mse: float = 0.02
 
     @staticmethod
     def for_family(family) -> "Tolerances":
-        # heavy tails inflate the estimator variance; allow 5% instead of 2%
-        rel = 0.05 if elliptical_kurtosis(family) > 0 else 0.02
-        return Tolerances(rel_tau=rel, rel_mse=rel)
+        # bench/workloads.py still calls this
+        return Tolerances()
 
 
 @dataclass(frozen=True)
@@ -433,7 +468,14 @@ class ComparisonReport:
         return {"pass": self.passed, **asdict(self)}
 
 
-_ZERO_REF = 1e-12
+# The family-wise false-fail rate of the scalar checks of one report.
+ALPHA = 1e-3
+
+
+def _sidak_limit(k: int, alpha: float = ALPHA) -> float:
+    """The limit on |z| of each of k two-sided z-checks under which a run
+    that meets the theory fails with probability alpha (Sidak, JASA 1967)."""
+    return NormalDist().inv_cdf(1 - (1 - (1 - alpha) ** (1 / k)) / 2)
 
 
 def compare_to_theory(
@@ -451,12 +493,12 @@ def compare_to_theory(
     covariance in per-entry MC standard errors, against
     ``tolerances.se_mult``.  The pseudo-covariance is a column permutation
     of the covariance on both sides (pvar = var K_p), so its deviation is
-    the same one and is not checked apart.  With a theoretical radial
-    structure and its estimate, ``tau1_rel_err`` and ``tau2_rel_err`` check
-    the relative errors of the radial constants against ``rel_tau``; a tau
-    reference of zero is checked in SE units instead, as ``tau2_dev_se``
-    against ``se_mult``.  With an MSE value, ``mse_rel_err`` checks its
-    relative error against ``rel_mse``.
+    the same one and is not checked apart.  The scalar checks are z-scores
+    |estimate - theory| / SE: ``tau1_z`` and ``tau2_z`` with a theoretical
+    radial structure and its estimate, and ``mse_z`` with an MSE value.
+    They share one limit, ``_sidak_limit(k)`` over the k scalar checks of
+    the report, so that a run that meets the theory fails one of them with
+    probability ``ALPHA``.
     """
     if emp.var_emp.shape != theo.var.shape:
         raise ValueError(
@@ -472,21 +514,15 @@ def compare_to_theory(
     ]))
     checks = {"var_dev_se": Check(dev_var, tol.se_mult)}
 
+    scalars = {}  # name -> (theory, estimate, SE)
     if radial_theory is not None and radial_estimate is not None:
-        for name, ref, est, se in (
-            ("tau1", radial_theory.tau1, radial_estimate.tau1, radial_estimate.se_tau1),
-            ("tau2", radial_theory.tau2, radial_estimate.tau2, radial_estimate.se_tau2),
-        ):
-            details[f"{name}_theory"] = ref
-            details[f"{name}_est"] = est
-            if abs(ref) > _ZERO_REF:
-                checks[f"{name}_rel_err"] = Check(abs(est - ref) / abs(ref), tol.rel_tau)
-            else:
-                checks[f"{name}_dev_se"] = Check(abs(est) / max(se, 1e-300), tol.se_mult)
+        scalars["tau1"] = radial_theory.tau1, radial_estimate.tau1, radial_estimate.se_tau1
+        scalars["tau2"] = radial_theory.tau2, radial_estimate.tau2, radial_estimate.se_tau2
     if mse_theory is not None:
-        details["mse_theory"] = mse_theory
-        details["mse_emp"] = emp.mse_emp
-        checks["mse_rel_err"] = Check(abs(emp.mse_emp - mse_theory) / abs(mse_theory), tol.rel_mse)
+        scalars["mse"] = mse_theory, emp.mse_emp, emp.se_mse
+    for name, (ref, est, se) in scalars.items():
+        details.update({f"{name}_theory": ref, f"{name}_est": est, f"{name}_se": se})
+        checks[f"{name}_z"] = Check(abs(est - ref) / max(se, 1e-300), _sidak_limit(len(scalars)))
 
     return ComparisonReport(checks, details)
 
@@ -672,18 +708,16 @@ def verify_target(target: str, dist: str, n: int, p: int, cov: str, replications
     and oracle read ``cov``, and only thm1 ``statistic``.
 
     The report's checks are ``var_dev_se`` for thm1; ``var_dev_se``,
-    ``tau1_rel_err``, ``tau2_rel_err`` (``tau2_dev_se`` where tau2 is zero,
-    as at the Gaussian) and ``mse_rel_err`` for thm3; ``var_dev_se`` and
-    ``mse_rel_err`` for transport; ``nonzero_dev_se`` and
-    ``vanishing_dev_se`` for sphere; ``ratio_dev_se`` and ``ratio`` for
-    oracle.
+    ``tau1_z``, ``tau2_z`` and ``mse_z`` for thm3; ``var_dev_se`` and
+    ``mse_z`` for transport; ``nonzero_dev_se`` and ``vanishing_dev_se``
+    for sphere; ``ratio_dev_se`` and ``ratio`` for oracle.  No limit
+    depends on the family (see :func:`compare_to_theory`).
     """
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
     if target == "sphere":
         return verify_sphere_moments(p, replications, seed, workers=workers)
     family = parse_family(dist)
-    tol = Tolerances.for_family(family)
     m = covariance_preset(cov, p) if target in ("transport", "oracle") else np.eye(p, dtype=np.complex128)
     model = CESModel(np.zeros(p, dtype=np.complex128), m, family)
     stat = statistic if target == "thm1" else "scm"
@@ -693,7 +727,7 @@ def verify_target(target: str, dist: str, n: int, p: int, cov: str, replications
     emp = empirical_moments(cfg)
     if target == "thm1":
         est = radial_estimate_from_moments(emp)
-        return compare_to_theory(emp, empirical_structure_pair(est.tau1, est.tau2, p), tol)
+        return compare_to_theory(emp, empirical_structure_pair(est.tau1, est.tau2, p))
     # at cov = I (thm3) the transported pair is the radial form
     struct = scm_radial_structure(n, model.kappa, p)
     pair = affine_equivariant_var(model.cov, struct)
@@ -701,4 +735,4 @@ def verify_target(target: str, dist: str, n: int, p: int, cov: str, replications
     radial = {}
     if target == "thm3":
         radial = dict(radial_theory=struct, radial_estimate=radial_estimate_from_moments(emp))
-    return compare_to_theory(emp, pair, tol, mse_theory=mse_t, **radial)
+    return compare_to_theory(emp, pair, mse_theory=mse_t, **radial)

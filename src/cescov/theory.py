@@ -41,8 +41,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ces_sampler import kurtosis_lower_bound
-from .lin_core import (_require_positive_definite, _row_blocks, _vec_transpose_index, hermitize,
-                       scale_and_sphericity, vec)
+from .lin_core import (_hermitian_coords, _require_positive_definite, _row_blocks, _scale_and_sphericity_stack,
+                       _vec_transpose_index, hermitize, vec)
 
 __all__ = [
     "RadialStructure",
@@ -212,13 +212,14 @@ def mse_scm(m, n: int, kappa: float) -> tuple[float, float]:
 def _geometry(m, p: int | None = None) -> tuple[float, float]:
     """Scale and sphericity (eta, gamma) of a covariance M, the one check of
     a covariance here: M must be Hermitian, p x p when p is given, of
-    positive trace and positive definite."""
+    positive trace and positive definite.  M is hermitized once, and
+    (eta, gamma) are read from that matrix."""
     m = hermitize(m)
     if p is not None and m.shape[0] != p:
         raise ValueError(f"cov is {m.shape[0]} x {m.shape[1]}, expected p = {p}")
-    eta, gamma = scale_and_sphericity(m)
+    eta, gamma = _scale_and_sphericity_stack(_hermitian_coords(m.shape[0]).from_matrix(m[None]))
     _require_positive_definite(np.linalg.eigvalsh(m))  # as CESModel's root does
-    return eta, gamma
+    return float(eta[0]), float(gamma[0])
 
 
 def _mse_and_nmse(n: int, p: int, eta: float, gamma: float, kappa: float) -> tuple[float, float]:

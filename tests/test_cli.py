@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import cescov
+from cescov import mc_verify
 from cescov.cli import main
 from cescov.ces_sampler import CESModel, CompoundGaussianK, RngStream, sample_ces
 from cescov.lin_core import load_complex_matrix, parse_complex_matrix, scale_and_sphericity, spiked_covariance
-from cescov.mc_verify import Tolerances, verify_target
+from cescov.mc_verify import verify_target
 
 
 def run(capsys, *argv):
@@ -430,10 +431,9 @@ class TestMcVerify:
         assert f"need at least 4 observations, got {n}" in err
 
     def test_fail_exit_code(self, capsys, monkeypatch):
-        # zero tolerances fail any run that has sampling error, whatever the
-        # seed, exercising the 0/1/2 exit-code contract's failure branch
-        zero = Tolerances(se_mult=0.0, rel_tau=0.0, rel_mse=0.0)
-        monkeypatch.setattr(Tolerances, "for_family", staticmethod(lambda family: zero))
+        # a closed-form MSE of zero fails every run, whatever the seed,
+        # exercising the 0/1/2 exit-code contract's failure branch
+        monkeypatch.setattr(mc_verify, "mse_scm", lambda cov, n, kappa: (0.0, 0.0))
         code, out, _ = run(
             capsys, "mc-verify", "--target", "thm3", "--dist", "gaussian",
             "--n", "10", "--p", "2", "--reps", "3000", "--seed", "1", "--json",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cescov import lin_core, theory
 from cescov.lin_core import commutation_matrix, hermitian_sqrt, hermitize, vec
 from cescov.errors import NotHermitian, NotPositiveDefinite, ZeroTrace
 from cescov.theory import (
@@ -242,6 +243,22 @@ class TestMseScm:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroTrace):
             mse_scm(np.zeros((2, 2)), 10, 0.0)
+
+    def test_hermitizes_the_covariance_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, name="matrix"):
+            calls.append(name)
+            return hermitize(a, name)
+
+        # every module that reaches hermitize by its global name
+        for module in (lin_core, theory):
+            monkeypatch.setattr(module, "hermitize", counted)
+        m = random_hpd(np.random.default_rng(82), 4)
+        mse = mse_scm(m, 10, 0.5)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert mse == mse_scm(m, 10, 0.5)
 
     @pytest.mark.parametrize("m, error", [
         (np.zeros((2, 2)), ZeroTrace),

@@ -28,7 +28,6 @@ __all__ = [
     "as_complex_matrix",
     "vec",
     "unvec",
-    "vec_index",
     "commutation_matrix",
     "hermitize",
     "hermitian_sqrt",
@@ -69,11 +68,6 @@ def unvec(v, rows: int, cols: int | None = None) -> np.ndarray:
     if cols is None:
         cols = rows
     return np.reshape(np.asarray(v), (rows, cols), order="F")
-
-
-def vec_index(i: int, j: int, rows: int) -> int:
-    """Position of entry (i, j) inside the column-stacked vectorization."""
-    return j * rows + i
 
 
 def _vec_transpose_index(p: int) -> np.ndarray:

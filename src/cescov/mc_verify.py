@@ -4,11 +4,15 @@ is the check that ``cescov mc-verify`` runs for each of its ``TARGETS``: it
 picks the model, the closed form and the MSE of the target.  Each
 verification returns a :class:`ComparisonReport` of named checks, each a
 value and its limit, which passes iff every value lies below its limit.
-The scalar checks of :func:`compare_to_theory` (tau1, tau2, the MSE) are
-z-scores, each the distance of the mean of a per-replication scalar from
-its closed form in units of its SE, sd / sqrt(R), under one limit: Sidak's
-over the scalar checks of the report at the family-wise false-fail rate
-``ALPHA``, whatever the family.
+Every Monte Carlo mean that a check compares is the mean of a
+per-replication value and comes with its SE sd / sqrt(R), both from the
+sums of the values and of their squared moduli (``_mean_and_se``): the MSE,
+tau1 and tau2, the oracle's ||beta S - M||^2 - r ||S - M||^2 at the
+estimated ratio r (its delta-method SE), and each sphere moment.  The scalar checks of :func:`compare_to_theory` (tau1,
+tau2, the MSE) are z-scores, each the distance of such a mean from its
+closed form in units of its SE, under one limit: Sidak's over the scalar
+checks of the report at the family-wise false-fail rate ``ALPHA``, whatever
+the family.  The oracle and sphere checks keep fixed limits of 3 and 4 SE.
 
 Stream contract 5 (``STREAM_CONTRACT``): the replications of a run are cut
 into a fixed grid of chunks, the last chunk holding the remainder.  A chunk
@@ -75,7 +79,6 @@ that the two levels of threads do not oversubscribe the CPUs.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -325,6 +328,16 @@ def empirical_moments(cfg: MCConfig) -> EmpiricalMoments:
     return _moments_from_sums(tot, cfg.replications, cfg.model.dim, ref)
 
 
+def _mean_and_se(total, total_sq, r: int):
+    """The mean of a per-replication scalar over r replications and its
+    standard error sd / sqrt(r), from the sums of its values (``total``) and
+    of their squared moduli (``total_sq``).  Works elementwise on arrays, and
+    on complex totals; the SE is 0 where rounding makes the variance
+    negative."""
+    mean = total / r
+    return mean, np.sqrt(np.maximum(total_sq / r - np.abs(mean) ** 2, 0.0) / r)
+
+
 def _moments_from_sums(tot: dict, r: int, p: int, ref: np.ndarray) -> EmpiricalMoments:
     """The moments of r replications from the merged partial sums s1, s2
     and f2 (``tot``) of ``_moment_sums`` at the shift ref; overwrites
@@ -340,10 +353,8 @@ def _moments_from_sums(tot: dict, r: int, p: int, ref: np.ndarray) -> EmpiricalM
     order of the plain expressions, so besides ``tot`` and the results no
     more than two real p^2 x p^2 temporaries are alive at once."""
     coords = _hermitian_coords(p)
-    mse_emp = float(coords.weight @ np.diag(tot["s2"])) / r
     w = coords.weight[: coords.q]
-    mse_sq = float(w @ tot["f2"] @ w) / r
-    se_mse = math.sqrt(max(mse_sq - mse_emp**2, 0.0) / r)
+    mse_emp, se_mse = map(float, _mean_and_se(coords.weight @ np.diag(tot["s2"]), w @ tot["f2"] @ w, r))
     diag, off = tot["s2"][:p, :p], tot["s2"][p:, p:]
     radial_sums = np.array([tot["s1"][:p].sum(), diag.sum(), np.trace(off), tot["f2"][p:, p:].sum(),
                             (diag.sum() - np.trace(diag)) / 2, tot["b2"] / 4, tot["bt"] / 2])
@@ -408,20 +419,18 @@ def radial_estimate_from_moments(emp: EmpiricalMoments) -> RadialEstimate:
     if p < 2:
         raise ValueError("radial constants need p >= 2 (no off-diagonal pair)")
     pairs = p * (p - 1) / 2
-    t, tt, a, aa, b, bb, bt = emp.radial_sums / emp.replications
-    delta = t / p
+    t, tt, a, aa, b, bb, bt = emp.radial_sums
+    delta = t / emp.replications / p
     c = delta * (p - 1)  # B - c t + pairs delta^2 sums (T_ii - s)(T_jj - s) over the pairs
-
-    def se(var):  # sd / sqrt(R) of a scalar with variance var
-        return math.sqrt(max(var, 0.0) / emp.replications)
-
+    (_, a, b), (se_t, se_a, se_b) = _mean_and_se(  # of t, A and B - c t
+        np.array([t, a, b - c * t]), np.array([tt, aa, bb - 2 * c * bt + c * c * tt]), emp.replications)
     return RadialEstimate(
         sigma=float(np.diag(emp.mean_stat).real.mean()),
         tau1=float(a / pairs),
-        tau2=float((b - c * t) / pairs + delta * delta),
-        se_sigma=se(tt - t * t) / p,
-        se_tau1=se(aa - a * a) / pairs,
-        se_tau2=se(bb - 2 * c * bt + c * c * tt - (b - c * t) ** 2) / pairs,
+        tau2=float(b / pairs + delta * delta),
+        se_sigma=float(se_t / p),
+        se_tau1=float(se_a / pairs),
+        se_tau2=float(se_b / pairs),
     )
 
 
@@ -568,29 +577,32 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
     (E[u_q], E[u_q u_r], E[u_q u_r*] for q != r, E[u_q^2 u_r*^2] for q != r,
     E[|u_q|^2 u_q]).  The checks ``nonzero_dev_se`` and ``vanishing_dev_se``
     are the largest deviations of the two panels in per-entry SE units,
-    each against 4 SE.  The even moments E|u_q|^2, E|u_q|^4 and E|u_q|^8
-    (the last for the SE of the fourth) are the diagonals of the Grams
-    E[u u^H], E[a a^T] and E[a^2 (a^2)^T], with a = |u|^2 entrywise.
+    each against 4 SE.  Each entry is the mean of a per-draw value with its
+    SE sd / sqrt(draws), the sd centred at that mean and taken from the sum
+    of the value's squared modulus, itself a moment of the panel: E|u_q|^4
+    for E|u_q|^2, E|u_q|^8 for E|u_q|^4, E|u_q|^4 |u_r|^4 for E|u_q|^2
+    |u_r|^2 and E[u_q^2 u_r*^2], and so on.  The even moments E|u_q|^2,
+    E|u_q|^4 and E|u_q|^8 are the diagonals of the Grams E[u u^H], E[a a^T]
+    and E[a^2 (a^2)^T], with a = |u|^2 entrywise.
     """
     if p < 2:
         raise ValueError(f"sphere moment verification needs p >= 2, got {p}")
     if draws < 10_000:
         raise ValueError(f"need at least 10^4 draws, got {draws}")
     kernel = partial(_sphere_kernel, p=p, seed=seed)
-    n = float(draws)
-    mom = {key: v / n for key, v in _reduce_chunks(kernel, draws, SPHERE_CHUNK, workers).items()}
-    m1, m6, m22, m44, c2, cp, c4, m3 = (mom[k] for k in ("m1", "m6", "m22", "m44", "c2", "cp", "c4", "m3"))
-    m2, m4, m8 = np.diag(c2).real, np.diag(m22), np.diag(m44)  # E|u_q|^2, E|u_q|^4, E|u_q|^8
+    tot = _reduce_chunks(kernel, draws, SPHERE_CHUNK, workers)
+    m1, m6, m22, m44, c2, cp, c4, m3 = (tot[k] for k in ("m1", "m6", "m22", "m44", "c2", "cp", "c4", "m3"))
+    m2, m4, m8 = np.diag(c2).real, np.diag(m22), np.diag(m44)  # sums of |u_q|^2, |u_q|^4, |u_q|^8
 
-    def dev(est, ref, var):  # |est - ref| in units of its per-entry SE
-        return np.abs(est - ref) / np.sqrt(np.maximum(var, 1e-300) / n)
+    def dev(total, total_sq, ref=0.0):  # |mean - ref| in units of its per-entry SE
+        mean, se = _mean_and_se(total, total_sq, draws)
+        return np.abs(mean - ref) / np.maximum(se, 1e-300)
 
     off = ~np.eye(p, dtype=bool)
-    abs2 = dev(m2, 1.0 / p, m4 - m2**2).max()
-    abs4 = dev(m4, 2.0 / (p * (p + 1)), m8 - m4**2).max()
-    cross22 = dev(m22, 1.0 / (p * (p + 1)), m44 - m22**2)[off].max()
-    vanishing = [dev(m1, 0.0, m2 - np.abs(m1) ** 2), dev(c2, 0.0, m22)[off], dev(cp, 0.0, m22),
-                 dev(c4, 0.0, m44)[off], dev(m3, 0.0, m6)]
+    abs2 = dev(m2, m4, 1.0 / p).max()
+    abs4 = dev(m4, m8, 2.0 / (p * (p + 1))).max()
+    cross22 = dev(m22, m44, 1.0 / (p * (p + 1)))[off].max()
+    vanishing = [dev(m1, m2), dev(c2, m22)[off], dev(cp, m22), dev(c4, m44)[off], dev(m3, m6)]
     return ComparisonReport(
         {
             "nonzero_dev_se": Check(float(max(abs2, abs4, cross22)), 4.0),
@@ -618,8 +630,11 @@ def _plugin_beta(rows: np.ndarray, h: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _oracle_sums(h: np.ndarray, rows: np.ndarray, ws: _Workspace, ref: np.ndarray, beta: float,
                  plugin: bool) -> dict:
     """Partial sums of the squared errors of a chunk's SCMs with Hermitian
-    coordinates h, scaled by beta (and by the plug-in coefficient of the
-    centred rows), from the model covariance with coordinates ref."""
+    coordinates h from the model covariance M with coordinates ref: e1 and
+    e2 of the squared errors ||S - M||^2 and ||beta S - M||^2 of each
+    replication, e11, e22 and e12 of their products e1 e1, e2 e2 and e1 e2,
+    and with ``plugin`` e3 of the squared errors of the SCMs scaled by the
+    plug-in coefficients of the centred rows."""
     sq_norm = _hermitian_coords(rows.shape[2] // 2).sq_norm
     d = ws.take("err", h.shape)
     e1 = sq_norm(np.subtract(h, ref, out=d))
@@ -640,8 +655,12 @@ def verify_oracle_efficiency(
 
     Estimates E||S - M||_F^2 and E||beta S - M||_F^2 over the configured
     replications.  The check ``ratio_dev_se`` tests that their ratio matches
-    the oracle coefficient within 3 delta-method standard errors, and the
-    check ``ratio`` that it lies below 1 (a strict improvement).
+    the coefficient beta within 3 standard errors, and the check ``ratio``
+    that it lies below 1 (a strict improvement).  The SE of the estimated
+    ratio r = mean e2 / mean e1, ``se_ratio``, is its delta-method SE: the
+    SE sd / sqrt(R) of the mean of the per-replication value e2 - r e1 (whose
+    mean is 0 by the choice of r), divided by the mean of e1, with e1 =
+    ||S - M||^2 and e2 = ||beta S - M||^2.
     ``beta`` overrides the oracle value (useful as a control); with
     ``include_plugin`` the ratio for a per-replication plug-in coefficient
     (from estimated sphericity and kurtosis) is reported as well, without
@@ -663,13 +682,11 @@ def verify_oracle_efficiency(
     tot = _reduce_chunks(kernel, cfg.replications, _chunk_size(cfg.n, model.dim), cfg.workers)
 
     r = cfg.replications
-    mean1 = float(tot["e1"]) / r
-    mean2 = float(tot["e2"]) / r
-    ratio = mean2 / mean1
-    v11 = float(tot["e11"]) / r - mean1**2
-    v22 = float(tot["e22"]) / r - mean2**2
-    c12 = float(tot["e12"]) / r - mean1 * mean2
-    se_ratio = math.sqrt(max(v22 + ratio**2 * v11 - 2 * ratio * c12, 0.0) / r) / mean1
+    e1, e2, e11, e22, e12 = (float(tot[k]) for k in ("e1", "e2", "e11", "e22", "e12"))
+    mean1 = e1 / r
+    ratio = e2 / r / mean1
+    _, se_y = _mean_and_se(e2 - ratio * e1, e22 - 2 * ratio * e12 + ratio**2 * e11, r)  # of y = e2 - ratio e1
+    se_ratio = float(se_y) / mean1
     dev_se = abs(ratio - b) / max(se_ratio, 1e-300)
 
     details = {

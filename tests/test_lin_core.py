@@ -22,7 +22,6 @@ from cescov.lin_core import (
     spiked_covariance,
     unvec,
     vec,
-    vec_index,
 )
 
 from util import random_complex, random_hpd
@@ -43,7 +42,7 @@ class TestVec:
         v = vec(a)
         for i in range(3):
             for j in range(4):
-                assert v[vec_index(i, j, 3)] == a[i, j]
+                assert v[j * 3 + i] == a[i, j]
 
     def test_unvec_roundtrip(self):
         gen = np.random.default_rng(2)

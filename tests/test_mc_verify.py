@@ -1,5 +1,6 @@
 import argparse
 import functools
+import math
 import operator
 import os
 import re
@@ -56,6 +57,7 @@ from cescov.mc_verify import (
     _chunk_kernel,
     _chunk_size,
     _draw_chunk,
+    _mean_and_se,
     _merge,
     _moment_sums,
     _moments_from_sums,
@@ -1067,7 +1069,71 @@ class TestVerifySphereMoments:
         assert got.to_dict() == want.to_dict()
 
 
+class TestMeanAndSe:
+    def test_plain_expressions(self):
+        # a float, a real array and a complex array of per-replication values
+        gen = np.random.default_rng(95)
+        r = 37
+        z = gen.standard_normal((r, 3)) + 1j * gen.standard_normal((r, 3))
+        for values in (gen.standard_normal(r), gen.standard_normal((r, 4)), z):
+            total, total_sq = values.sum(axis=0), (np.abs(values) ** 2).sum(axis=0)
+            mean, se = _mean_and_se(total, total_sq, r)
+            np.testing.assert_array_equal(mean, total / r)
+            np.testing.assert_allclose(se, values.std(axis=0) / math.sqrt(r), rtol=1e-12)
+
+    def test_se_is_zero_where_rounding_makes_the_variance_negative(self):
+        total, total_sq = 0.1 + 0.1 + 0.1, 0.1 * 0.1 + 0.1 * 0.1 + 0.1 * 0.1  # three values 0.1
+        assert total_sq / 3 - (total / 3) ** 2 < 0
+        assert _mean_and_se(total, total_sq, 3)[1] == 0.0
+        _, se = _mean_and_se(np.array([total, 3.0]), np.array([total_sq, 5.0]), 3)
+        assert se[0] == 0.0 and se[1] == pytest.approx(math.sqrt(2 / 9), rel=1e-15)  # values 0, 1, 2
+
+
 class TestVerifyOracleEfficiency:
+    def test_se_ratio_is_the_delta_method_se(self, monkeypatch):
+        model = CESModel(np.zeros(4), spiked_covariance(4, 2.0), CompoundGaussianK(0.5))
+        cfg = MCConfig(2 * _chunk_size(10, 4) + 7, 10, model, seed=96)
+        merged = []
+        reduce = mc_verify._reduce_chunks
+        monkeypatch.setattr(mc_verify, "_reduce_chunks", lambda *a: merged.append(reduce(*a)) or merged[-1])
+        report = verify_oracle_efficiency(cfg, include_plugin=True)
+        (tot,) = merged
+        r, b = cfg.replications, report.details["beta_used"]
+        mean1, mean2 = float(tot["e1"]) / r, float(tot["e2"]) / r
+        ratio = mean2 / mean1
+        v11 = float(tot["e11"]) / r - mean1**2
+        v22 = float(tot["e22"]) / r - mean2**2
+        c12 = float(tot["e12"]) / r - mean1 * mean2
+        want = math.sqrt(v22 + ratio**2 * v11 - 2 * ratio * c12) / (math.sqrt(r) * mean1)
+        assert report.details["se_ratio"] == pytest.approx(want, rel=1e-12)
+        assert report.details["ratio_dev_se"] == abs(report.details["ratio"] - b) / report.details["se_ratio"]
+        # the parent expressions of the ratios and the MSE, bit for bit
+        assert report.details["ratio"] == mean2 / mean1
+        assert report.details["mse_emp"] == mean1
+        assert report.details["plugin_ratio"] == float(tot["e3"]) / r / mean1
+
+    @pytest.mark.parametrize("plugin", [False, True])
+    def test_partial_sums(self, plugin):
+        cfg = MCConfig(CHUNK, 10, spherical_model(3), seed=97)
+        ref = _hermitian_coords(3).from_matrix(cfg.model.cov)
+        part = _chunk_kernel(0, CHUNK, cfg, partial(_oracle_sums, ref=ref, beta=0.6, plugin=plugin))
+        assert set(part) == {"e1", "e2", "e11", "e22", "e12"} | ({"e3"} if plugin else set())
+
+    def test_sums_of_each_replication(self):
+        model = CESModel(np.zeros(3), random_hpd(np.random.default_rng(98), 3), CompoundGaussianK(0.5))
+        coords = _hermitian_coords(3)
+        ref, beta, seen = coords.from_matrix(model.cov), 0.6, []
+
+        def recorded(h, rows, ws):
+            seen.append(h.copy())
+            return _oracle_sums(h, rows, ws, ref, beta, False)
+
+        part = _chunk_kernel(0, CHUNK, MCConfig(CHUNK, 10, model, seed=99), recorded)
+        (h,) = seen
+        e1, e2 = coords.sq_norm(h - ref), coords.sq_norm(beta * h - ref)
+        want = {"e1": e1.sum(), "e2": e2.sum(), "e11": e1 @ e1, "e22": e2 @ e2, "e12": e1 @ e2}
+        assert part == pytest.approx(want, rel=1e-12)
+
     def test_beta_one_control_ratio_is_exactly_one(self):
         cfg = MCConfig(replications=500, n=10, model=spherical_model(2), seed=20)
         report = verify_oracle_efficiency(cfg, beta=1.0)

@@ -22,13 +22,15 @@ included) and prints one JSON record:
   program is right;
 * ``wall_s``: the time the runs took.
 
-thm3 and transport runs build the inputs of ``compare_to_theory`` here, as
-``verify_target`` does, so an unperturbed run gives ``verify_target``'s
-reports.  ``--perturb NAME=FACTOR`` (NAME ``tau1``, ``tau2`` or ``mse``;
-repeatable) scales that closed form before the comparison: tau1 and tau2
-reach the covariance pair and the radial checks, and the MSE its check.
-The other targets run ``verify_target`` itself and take no ``--perturb``.
-From the repository root, with BLAS single-threaded::
+Every run is a call of ``mc_verify.verify_target``, so an unperturbed
+record holds its reports, with nothing of the library wrapped.
+``--perturb NAME=FACTOR`` (NAME ``tau1``, ``tau2`` or ``mse``; repeatable;
+thm3 and transport only) scales that closed form where ``verify_target``
+reads it: while the runs last, ``mc_verify.scm_radial_structure`` and
+``mc_verify.mse_scm`` are wrapped so that they return their tau1, tau2 and
+MSE times the factors, and the originals are put back afterwards, also
+when a run raises.  tau1 and tau2 then reach the covariance pair and the
+radial checks, and the MSE its check.  From the repository root, with BLAS single-threaded::
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/null_rates.py \\
         --target thm3 --dist gaussian --n 10 --p 2 --reps 2048 --seeds 1:300
@@ -37,6 +39,7 @@ From the repository root, with BLAS single-threaded::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -48,9 +51,6 @@ from statistics import NormalDist
 import numpy as np
 
 from cescov import mc_verify as mc
-from cescov.ces_sampler import CESModel, parse_family
-from cescov.lin_core import covariance_preset
-from cescov.theory import affine_equivariant_var, mse_scm, scm_radial_structure
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 PERTURBED = ("tau1", "tau2", "mse")
@@ -64,25 +64,25 @@ def wilson(k: int, n: int, level: float = 0.95) -> list[float]:
     return [max(centre - half, 0.0), min(centre + half, 1.0)]
 
 
-def scalar_runner(args, factors: dict):
-    """The report of a thm3 or transport run at a seed, from the closed
-    forms that ``verify_target`` uses, each scaled by its factor."""
-    p = args.p
-    cov = covariance_preset(args.cov, p) if args.target == "transport" else np.eye(p, dtype=np.complex128)
-    model = CESModel(np.zeros(p, dtype=np.complex128), cov, parse_family(args.dist))
-    struct = scm_radial_structure(args.n, model.kappa, p)
-    struct = replace(struct, tau1=factors["tau1"] * struct.tau1, tau2=factors["tau2"] * struct.tau2)
-    pair = affine_equivariant_var(model.cov, struct)
-    mse_t = factors["mse"] * mse_scm(model.cov, args.n, model.kappa)[0]
+@contextlib.contextmanager
+def perturbed(factors: dict):
+    """While the block runs, ``mc_verify``'s closed forms of tau1, tau2 and
+    the SCM's MSE, each scaled by its factor."""
+    structure, mse = mc.scm_radial_structure, mc.mse_scm
 
-    def run(seed: int) -> mc.ComparisonReport:
-        emp = mc.empirical_moments(mc.MCConfig(args.reps, args.n, model, "scm", seed, args.workers))
-        radial = {}
-        if args.target == "thm3":
-            radial = dict(radial_theory=struct, radial_estimate=mc.radial_estimate_from_moments(emp))
-        return mc.compare_to_theory(emp, pair, mse_theory=mse_t, **radial)
+    def scaled_structure(*args, **kwargs):
+        s = structure(*args, **kwargs)
+        return replace(s, tau1=factors["tau1"] * s.tau1, tau2=factors["tau2"] * s.tau2)
 
-    return run
+    def scaled_mse(*args, **kwargs):
+        value, nmse = mse(*args, **kwargs)
+        return factors["mse"] * value, nmse
+
+    mc.scm_radial_structure, mc.mse_scm = scaled_structure, scaled_mse
+    try:
+        yield
+    finally:
+        mc.scm_radial_structure, mc.mse_scm = structure, mse
 
 
 def summary(values) -> dict:
@@ -93,14 +93,10 @@ def summary(values) -> dict:
 
 def null_rates(args) -> dict:
     """The record of the runs that ``args`` (the parsed command line) asks for."""
-    factors = dict.fromkeys(PERTURBED, 1.0) | args.perturb
-    if args.target in ("thm3", "transport"):
-        run = scalar_runner(args, factors)
-    else:
-        def run(seed):
-            return mc.verify_target(args.target, args.dist, args.n, args.p, args.cov, args.reps, seed, args.workers)
     start = time.perf_counter()
-    reports = [run(seed) for seed in range(args.seeds[0], args.seeds[1] + 1)]
+    with perturbed(dict.fromkeys(PERTURBED, 1.0) | args.perturb) if args.perturb else contextlib.nullcontext():
+        reports = [mc.verify_target(args.target, args.dist, args.n, args.p, args.cov, args.reps, seed, args.workers)
+                   for seed in range(args.seeds[0], args.seeds[1] + 1)]
     wall = time.perf_counter() - start
     passed = sum(r.passed for r in reports)
     checks, z = {}, {}

@@ -26,7 +26,6 @@ from .errors import (
 from .estimators import (
     SCMResult,
     estimate_kurtosis,
-    sample_mean,
     sample_variance,
     scm,
     weighted_scm,
@@ -67,7 +66,6 @@ from .theory import (
     beta_opt_univariate,
     mse_scm,
     nmse_from_sphericity,
-    oracle_mse,
     radial_var_structure,
     scm_radial_structure,
     shrinkage_curve,

@@ -1,5 +1,6 @@
-"""Sample statistics of complex datasets: mean, sample covariance matrix,
-weighted covariance matrices, and a plug-in elliptical kurtosis estimate.
+"""Sample statistics of complex datasets: the sample covariance matrix with
+the mean it used, weighted covariance matrices, the sample variance and a
+plug-in elliptical kurtosis estimate.
 
 Datasets are (n, p) complex arrays with rows as observations.  The SCM, the
 weighted SCM and the kurtosis estimate are each computed by one stacked core
@@ -50,7 +51,6 @@ from .ces_sampler import kurtosis_lower_bound
 __all__ = [
     "SCMResult",
     "require_dataset",
-    "sample_mean",
     "scm",
     "sample_variance",
     "weighted_scm",
@@ -73,19 +73,12 @@ def require_dataset(x, min_rows: int = 1) -> np.ndarray:
     return x
 
 
-def sample_mean(x) -> np.ndarray:
-    """Coordinatewise arithmetic mean of the rows."""
-    x = require_dataset(x)
-    return x.mean(axis=0)
-
-
 @dataclass(frozen=True, eq=False)
 class SCMResult:
     """Unbiased sample covariance matrix with the sample mean it used."""
 
     s: np.ndarray
     xbar: np.ndarray
-    n: int
 
 
 def _dataset_rows(x: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -180,7 +173,7 @@ def scm(x) -> SCMResult:
     x = require_dataset(x, min_rows=2)
     with _borrowed_workspace() as ws:
         h, xbar = _scm_stack(_dataset_rows(x, ws), ws)
-        return SCMResult(s=_hermitian_coords(x.shape[1]).to_matrix(h[0]), xbar=xbar[0].copy(), n=x.shape[0])
+        return SCMResult(s=_hermitian_coords(x.shape[1]).to_matrix(h[0]), xbar=xbar[0].copy())
 
 
 def sample_variance(x) -> float:

@@ -94,7 +94,8 @@ from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
 from .lin_core import (_borrowed_workspace, _hermitian_coords, _row_blocks, _scale_and_sphericity_stack,
                        _Workspace, covariance_preset, unvec)
 from .theory import (CovariancePair, RadialStructure, _var_times_commutation, affine_equivariant_var,
-                     beta_opt, empirical_structure_pair, mse_scm, nmse_from_sphericity, scm_radial_structure)
+                     beta_opt, empirical_structure_pair, mse_scm, nmse_from_sphericity, scm_radial_structure,
+                     shrinkage_report)
 
 __all__ = [
     "CHUNK",
@@ -405,6 +406,13 @@ class RadialEstimate:
     se_tau2: float
 
 
+def _require_pairs(p: int) -> None:
+    """Raise ValueError if p < 2: radial constants are read from the
+    off-diagonal pairs of the statistic."""
+    if p < 2:
+        raise ValueError("radial constants need p >= 2 (no off-diagonal pair)")
+
+
 def radial_estimate_from_moments(emp: EmpiricalMoments) -> RadialEstimate:
     """Extract radial constants from moments estimated at a spherical model
     M = c I, each the mean of a per-replication scalar (``emp.radial_sums``)
@@ -416,8 +424,7 @@ def radial_estimate_from_moments(emp: EmpiricalMoments) -> RadialEstimate:
     estimate at first order.  sigma is the mean diagonal of ``mean_stat``,
     and se_sigma the standard error of the mean of t / p."""
     p = emp.mean_stat.shape[0]
-    if p < 2:
-        raise ValueError("radial constants need p >= 2 (no off-diagonal pair)")
+    _require_pairs(p)
     pairs = p * (p - 1) / 2
     t, tt, a, aa, b, bb, bt = emp.radial_sums
     delta = t / emp.replications / p
@@ -647,38 +654,36 @@ def _oracle_sums(h: np.ndarray, rows: np.ndarray, ws: _Workspace, ref: np.ndarra
     return part
 
 
-def verify_oracle_efficiency(
-    cfg: MCConfig, beta: float | None = None, include_plugin: bool = False
-) -> ComparisonReport:
+def verify_oracle_efficiency(cfg: MCConfig, include_plugin: bool = False) -> ComparisonReport:
     """Check that scaling the SCM by the oracle coefficient shrinks its MSE
     by exactly that coefficient.
 
-    Estimates E||S - M||_F^2 and E||beta S - M||_F^2 over the configured
-    replications.  The check ``ratio_dev_se`` tests that their ratio matches
-    the coefficient beta within 3 standard errors, and the check ``ratio``
-    that it lies below 1 (a strict improvement).  The SE of the estimated
-    ratio r = mean e2 / mean e1, ``se_ratio``, is its delta-method SE: the
-    SE sd / sqrt(R) of the mean of the per-replication value e2 - r e1 (whose
-    mean is 0 by the choice of r), divided by the mean of e1, with e1 =
-    ||S - M||^2 and e2 = ||beta S - M||^2.
-    ``beta`` overrides the oracle value (useful as a control); with
-    ``include_plugin`` the ratio for a per-replication plug-in coefficient
-    (from estimated sphericity and kurtosis) is reported as well, without
-    being part of the pass criterion; its kurtosis estimate needs n >= 4.
-    The closed forms are the SCM's, so a ``cfg.statistic`` other than
-    "scm" raises ValueError.
+    The oracle coefficient beta and the SCM's MSE are those of
+    :func:`~cescov.theory.shrinkage_report` at the model's covariance, the
+    report that ``cescov theory`` prints.  Estimates E||S - M||_F^2 and
+    E||beta S - M||_F^2 over the configured replications.  The check
+    ``ratio_dev_se`` tests that their ratio matches beta within 3 standard
+    errors, and the check ``ratio`` that it lies below 1 (a strict
+    improvement).  The SE of the estimated ratio r = mean e2 / mean e1,
+    ``se_ratio``, is its delta-method SE: the SE sd / sqrt(R) of the mean
+    of the per-replication value e2 - r e1 (whose mean is 0 by the choice
+    of r), divided by the mean of e1, with e1 = ||S - M||^2 and e2 =
+    ||beta S - M||^2.  With ``include_plugin`` the ratio for a
+    per-replication plug-in coefficient (from estimated sphericity and
+    kurtosis) is reported as well, without being part of the pass
+    criterion; its kurtosis estimate needs n >= 4.  The closed forms are
+    the SCM's, so a ``cfg.statistic`` other than "scm" raises ValueError.
     """
     if cfg.statistic != "scm":
         raise ValueError(f"the oracle check is of the SCM, got statistic {cfg.statistic!r}")
     if include_plugin and cfg.n < 4:
         raise TooFewObservations(f"need at least 4 observations, got {cfg.n}")
     model = cfg.model
-    mse_t, nmse_t = mse_scm(model.cov, cfg.n, model.kappa)
-    beta_o = beta_opt(nmse_t)
-    b = beta_o if beta is None else float(beta)
+    shrink = shrinkage_report(cfg.n, model.dim, model.kappa, cov=model.cov)
+    beta_o, mse_t = shrink.beta_o, shrink.mse
 
     ref = _hermitian_coords(model.dim).from_matrix(model.cov)
-    kernel = partial(_chunk_kernel, cfg=cfg, sums=partial(_oracle_sums, ref=ref, beta=b, plugin=include_plugin))
+    kernel = partial(_chunk_kernel, cfg=cfg, sums=partial(_oracle_sums, ref=ref, beta=beta_o, plugin=include_plugin))
     tot = _reduce_chunks(kernel, cfg.replications, _chunk_size(cfg.n, model.dim), cfg.workers)
 
     r = cfg.replications
@@ -687,10 +692,9 @@ def verify_oracle_efficiency(
     ratio = e2 / r / mean1
     _, se_y = _mean_and_se(e2 - ratio * e1, e22 - 2 * ratio * e12 + ratio**2 * e11, r)  # of y = e2 - ratio e1
     se_ratio = float(se_y) / mean1
-    dev_se = abs(ratio - b) / max(se_ratio, 1e-300)
+    dev_se = abs(ratio - beta_o) / max(se_ratio, 1e-300)
 
     details = {
-        "beta_used": b,
         "beta_oracle": beta_o,
         "ratio": ratio,
         "se_ratio": se_ratio,
@@ -722,7 +726,9 @@ def verify_target(target: str, dist: str, n: int, p: int, cov: str, replications
     with its transported covariance and MSE; sphere the unit-sphere moment
     panel in dimension p (``dist`` and n unused); oracle the shrinkage MSE
     ratio at ``cov``, with the plug-in ratio if ``plugin``.  Only transport
-    and oracle read ``cov``, and only thm1 ``statistic``.
+    and oracle read ``cov``, and only thm1 ``statistic``.  thm1 and thm3
+    refuse p < 2 before they draw, as their radial constants need an
+    off-diagonal pair.
 
     The report's checks are ``var_dev_se`` for thm1; ``var_dev_se``,
     ``tau1_z``, ``tau2_z`` and ``mse_z`` for thm3; ``var_dev_se`` and
@@ -741,6 +747,8 @@ def verify_target(target: str, dist: str, n: int, p: int, cov: str, replications
     cfg = MCConfig(replications, n, model, stat, seed, workers)
     if target == "oracle":
         return verify_oracle_efficiency(cfg, include_plugin=plugin)
+    if target in ("thm1", "thm3"):
+        _require_pairs(p)  # before the first draw
     emp = empirical_moments(cfg)
     if target == "thm1":
         est = radial_estimate_from_moments(emp)

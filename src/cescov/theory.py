@@ -31,6 +31,9 @@ taken as that NMSE times ||M||_F^2.  One path checks a covariance M for
 :func:`mse_scm` and :func:`shrinkage_report` alike: Hermitian, of positive
 trace and positive definite.  The MSE-optimal scalar shrinkage of S is
 beta_o = 1/(NMSE + 1), with oracle MSE equal to beta_o * MSE.
+:func:`shrinkage_report` is the one source of beta_o, the MSE and the
+oracle MSE of a covariance, for ``cescov theory`` and for the oracle Monte
+Carlo check alike.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "mse_scm",
     "nmse_from_sphericity",
     "beta_opt",
-    "oracle_mse",
     "beta_opt_univariate",
     "shrinkage_curve",
     "shrinkage_report",
@@ -262,15 +264,6 @@ def beta_opt(nmse):
     return 1.0 / (nmse + 1.0)
 
 
-def oracle_mse(beta_o: float, mse: float) -> float:
-    """MSE of the oracle-scaled estimator beta_o * S, equal to beta_o * MSE(S)."""
-    if not (0.0 < beta_o < 1.0):
-        raise ValueError(f"beta_o must lie in (0, 1), got {beta_o}")
-    if not (mse > 0.0):
-        raise ValueError(f"MSE must be positive, got {mse}")
-    return beta_o * mse
-
-
 def beta_opt_univariate(n: int, kurt: float) -> float:
     """Optimal scaling of the sample variance: n(n-1) / (kurt (n-1) + n^2).
 
@@ -298,7 +291,9 @@ def shrinkage_curve(n: int, p: int, gamma: float, kappa_grid) -> list[tuple[floa
 
 @dataclass(frozen=True)
 class ShrinkageReport:
-    """Scale/sphericity/kurtosis inputs with the derived MSE and shrinkage outputs."""
+    """Scale/sphericity/kurtosis inputs with the derived MSE and shrinkage
+    outputs.  The oracle MSE beta_o MSE is derived from the stored fields,
+    so it cannot disagree with them; ``to_dict`` lists it after them."""
 
     eta: float
     gamma: float
@@ -308,16 +303,18 @@ class ShrinkageReport:
     mse: float
     nmse: float
     beta_o: float
-    oracle_mse: float
 
     def __post_init__(self):
         if not (0.0 < self.beta_o < 1.0):
             raise ValueError(f"beta_o must lie in (0, 1), got {self.beta_o}")
-        if abs(self.oracle_mse - self.beta_o * self.mse) > 1e-9 * abs(self.mse):
-            raise ValueError("oracle_mse must equal beta_o * mse")
+
+    @property
+    def oracle_mse(self) -> float:
+        """MSE of the oracle-scaled estimator beta_o S, equal to beta_o MSE(S)."""
+        return self.beta_o * self.mse
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "oracle_mse": self.oracle_mse}
 
 
 def shrinkage_report(n: int, p: int, kappa: float, *, cov=None, gamma: float | None = None) -> ShrinkageReport:
@@ -344,7 +341,6 @@ def shrinkage_report(n: int, p: int, kappa: float, *, cov=None, gamma: float | N
     if cov is not None:
         eta, gamma = _geometry(cov, p)
     mse, nmse = _mse_and_nmse(n, p, eta, gamma, kappa)
-    beta = beta_opt(nmse)
     return ShrinkageReport(
         eta=eta,
         gamma=float(gamma),
@@ -353,6 +349,5 @@ def shrinkage_report(n: int, p: int, kappa: float, *, cov=None, gamma: float | N
         p=int(p),
         mse=mse,
         nmse=nmse,
-        beta_o=beta,
-        oracle_mse=oracle_mse(beta, mse),
+        beta_o=beta_opt(nmse),
     )

@@ -419,6 +419,18 @@ class TestMcVerify:
         assert out == ""
         assert "p must be >= 1" in err
 
+    @pytest.mark.parametrize("target", ["thm1", "thm3"])
+    def test_radial_targets_refuse_p1_before_the_first_draw(self, capsys, monkeypatch, target):
+        draws, draw = [], mc_verify._draw_chunk
+        monkeypatch.setattr(mc_verify, "_draw_chunk", lambda *args: draws.append(args) or draw(*args))
+        code, out, err = run(
+            capsys, "mc-verify", "--target", target, "--p", "1", "--reps", "2000000", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: radial constants need p >= 2 (no off-diagonal pair)\n"
+        assert draws == []
+
     @pytest.mark.parametrize("n", ["2", "3"])
     def test_oracle_plugin_needs_four_observations(self, capsys, n):
         # the plug-in kurtosis estimate is defined for n >= 4 only

@@ -21,7 +21,6 @@ from cescov.estimators import (
     _weighted_scm_stack,
     estimate_kurtosis,
     require_dataset,
-    sample_mean,
     sample_variance,
     scm,
     weighted_scm,
@@ -193,25 +192,6 @@ class TestPooledWorkspaces:
 def test_require_dataset_rejects_a_1d_array():
     with pytest.raises(ValueError, match=r"^dataset must be 2-D, got shape \(3,\)$"):
         require_dataset(np.ones(3))
-
-
-class TestSampleMean:
-    def test_single_row(self):
-        x = np.array([[1.0 + 2j, 3.0]])
-        np.testing.assert_array_equal(sample_mean(x), x[0])
-
-    def test_scalar_case(self):
-        x = np.array([[1.0 + 1j], [3.0 - 1j]])
-        assert sample_mean(x)[0] == pytest.approx(2.0)
-
-    def test_affine_linearity(self):
-        gen = np.random.default_rng(50)
-        x = random_complex(gen, 20, 3)
-        a = random_complex(gen, 3, 3)
-        shift = random_complex(gen, 3)
-        lhs = sample_mean(x @ a.T + shift)
-        rhs = a @ sample_mean(x) + shift
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 class TestScm:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ _spec.loader.exec_module(layer_times)
 @pytest.mark.parametrize("target", list(layer_times.ROWS))
 def test_every_row_is_finite_and_restores_mc_verify(target):
     originals = {name: getattr(mc_verify, name) for name in layer_times.PATCHED}
-    p = max(2, layer_times.ROWS[target][1])  # thm3 at p = 2, the spiked rows at p = 3
+    p = layer_times.ROWS[target][1]  # the row's smallest p
     t = layer_times.layer_times(target, p, 10, repeat=1)
     assert tuple(t) == layer_times.COLUMNS
     assert all(math.isfinite(v) for v in t.values()), t
@@ -26,6 +27,16 @@ def test_every_row_is_finite_and_restores_mc_verify(target):
     assert t["ws_mb"] > 0
     assert t["m"] == mc_verify._chunk_size(10, p)  # the row's own chunk size
     assert {name: getattr(mc_verify, name) for name in layer_times.PATCHED} == originals
+
+
+def test_no_row_runs_below_its_smallest_p(monkeypatch, capsys):
+    # at --p 1 every row is skipped (thm3 needs an off-diagonal pair), so the
+    # table holds its header and the CSV line only
+    monkeypatch.setattr(layer_times, "csv_times", lambda n, repeat: {"dump": 1.0, "parse": 1.0, "exact": True})
+    monkeypatch.setattr(sys, "argv", ["layer_times.py", "--p", "1", "--repeat", "1"])
+    layer_times.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[2].startswith("csv t:10")
 
 
 def test_header_names_the_bit_generator_and_stream_contract(monkeypatch):

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1098,7 +1099,7 @@ class TestVerifyOracleEfficiency:
         monkeypatch.setattr(mc_verify, "_reduce_chunks", lambda *a: merged.append(reduce(*a)) or merged[-1])
         report = verify_oracle_efficiency(cfg, include_plugin=True)
         (tot,) = merged
-        r, b = cfg.replications, report.details["beta_used"]
+        r, b = cfg.replications, report.details["beta_oracle"]
         mean1, mean2 = float(tot["e1"]) / r, float(tot["e2"]) / r
         ratio = mean2 / mean1
         v11 = float(tot["e11"]) / r - mean1**2
@@ -1134,9 +1135,14 @@ class TestVerifyOracleEfficiency:
         want = {"e1": e1.sum(), "e2": e2.sum(), "e11": e1 @ e1, "e22": e2 @ e2, "e12": e1 @ e2}
         assert part == pytest.approx(want, rel=1e-12)
 
-    def test_beta_one_control_ratio_is_exactly_one(self):
+    def test_beta_one_control_ratio_is_exactly_one(self, monkeypatch):
+        # a wrong theory with beta_o = 1, which ShrinkageReport refuses, so a
+        # namespace of the two fields the check reads stands in for it
+        real = mc_verify.shrinkage_report
+        monkeypatch.setattr(mc_verify, "shrinkage_report",
+                            lambda *a, **k: SimpleNamespace(mse=real(*a, **k).mse, beta_o=1.0))
         cfg = MCConfig(replications=500, n=10, model=spherical_model(2), seed=20)
-        report = verify_oracle_efficiency(cfg, beta=1.0)
+        report = verify_oracle_efficiency(cfg)
         assert report.details["ratio"] == 1.0
         assert not report.passed  # no strict improvement at beta = 1
 

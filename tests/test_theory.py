@@ -18,7 +18,6 @@ from cescov.theory import (
     empirical_structure_pair,
     mse_scm,
     nmse_from_sphericity,
-    oracle_mse,
     radial_var_structure,
     scm_radial_structure,
     shrinkage_curve,
@@ -303,27 +302,21 @@ class TestBetaOpt:
 
 class TestOracleMse:
     def test_identity(self):
-        assert oracle_mse(9 / 14, 16 / 9) == pytest.approx(9 / 14 * 16 / 9, rel=1e-14)
+        rep = ShrinkageReport(1.0, 1.0, 0.0, 10, 2, mse=16 / 9, nmse=5 / 9, beta_o=9 / 14)
+        assert rep.oracle_mse == pytest.approx(9 / 14 * 16 / 9, rel=1e-14)
 
     def test_strictly_below_mse(self):
-        assert oracle_mse(0.7, 3.0) < 3.0
+        assert ShrinkageReport(1.0, 1.0, 0.0, 10, 2, mse=3.0, nmse=0.5, beta_o=0.7).oracle_mse < 3.0
 
     def test_expansion_chain(self):
-        # beta^2 MSE + (1 - beta)^2 ||M||_F^2 collapses to beta * MSE
+        # beta^2 MSE + (1 - beta)^2 ||M||_F^2 collapses to beta * MSE, the report's oracle MSE
         gen = np.random.default_rng(83)
         for kappa in (0.0, 1.5):
-            m = random_hpd(gen, 4)
-            mse, nmse = mse_scm(m, 11, kappa)
-            fro2 = mse / nmse
-            beta = beta_opt(nmse)
-            lhs = beta**2 * mse + (1 - beta) ** 2 * fro2
-            assert lhs == pytest.approx(beta * mse, rel=1e-12)
-
-    def test_domain_violations(self):
-        with pytest.raises(ValueError):
-            oracle_mse(1.0, 2.0)
-        with pytest.raises(ValueError):
-            oracle_mse(0.5, 0.0)
+            rep = shrinkage_report(11, 4, kappa, cov=random_hpd(gen, 4))
+            fro2 = rep.mse / rep.nmse
+            beta = rep.beta_o
+            lhs = beta**2 * rep.mse + (1 - beta) ** 2 * fro2
+            assert lhs == pytest.approx(rep.oracle_mse, rel=1e-12)
 
 
 class TestBetaOptUnivariate:
@@ -444,7 +437,7 @@ class TestShrinkageReport:
     def test_report_refuses_beta_outside_the_open_unit_interval(self, beta_o):
         message = f"beta_o must lie in (0, 1), got {beta_o}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ShrinkageReport(1.0, 1.0, 0.0, 10, 2, mse=1.0, nmse=0.5, beta_o=beta_o, oracle_mse=beta_o)
+            ShrinkageReport(1.0, 1.0, 0.0, 10, 2, mse=1.0, nmse=0.5, beta_o=beta_o)
 
     def test_rejects_a_cov_of_another_dimension(self):
         with pytest.raises(ValueError, match=r"^cov is 3 x 3, expected p = 2$"):

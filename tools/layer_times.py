@@ -4,7 +4,7 @@ Runs three ``mc-verify`` targets through ``mc_verify.verify_target``, as
 ``cescov mc-verify`` runs them, on ``CHUNKS`` chunks at each requested p,
 each of the m replications that ``mc_verify`` puts in a chunk at that n
 and p (column m): ``thm3`` (gaussian, identity covariance)
-at every p, and ``transport`` and ``oracle --plugin`` (k:0.5,
+where p >= 2, and ``transport`` and ``oracle --plugin`` (k:0.5,
 ``--cov spiked:gamma=2``) where p > 2.  The layers are timed inside the real
 chunk loop, which ``_reduce_chunks`` drives, by wrapping the functions the
 chunk kernel (``_chunk_kernel``) calls:
@@ -65,7 +65,7 @@ CHUNKS = 16  # chunks per timed run
 
 # target -> (its other verify_target arguments, smallest p it runs at)
 ROWS = {
-    "thm3": (dict(dist="gaussian", cov="identity"), 1),
+    "thm3": (dict(dist="gaussian", cov="identity"), 2),
     "transport": (dict(dist="k:0.5", cov="spiked:gamma=2"), 3),
     "oracle": (dict(dist="k:0.5", cov="spiked:gamma=2", plugin=True), 3),
 }

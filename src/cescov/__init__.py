@@ -26,6 +26,7 @@ from .errors import (
 from .estimators import (
     SCMResult,
     estimate_kurtosis,
+    plugin_shrinkage,
     sample_variance,
     scm,
     weighted_scm,

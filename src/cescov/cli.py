@@ -2,7 +2,8 @@
 theory, the shrinkage-versus-kurtosis curve, and Monte Carlo verification.
 
 This module only parses arguments, calls the library and prints: ``--cov``
-and ``--mu`` are ``lin_core.covariance_preset`` and ``mean_preset``, and
+and ``--mu`` are ``lin_core.covariance_preset`` and ``mean_preset``,
+``estimate`` is ``estimators.scm`` and ``estimators.plugin_shrinkage``, and
 ``mc-verify`` is ``mc_verify.verify_target``.
 
 All commands emit JSON (indented by default, compact with ``--json``) except
@@ -26,11 +27,11 @@ import numpy as np
 
 from .ces_sampler import CESModel, RngStream, kurtosis_lower_bound, parse_family, sample_ces
 from .errors import CescovError
-from .estimators import estimate_kurtosis, scm
+from .estimators import plugin_shrinkage, scm
 from .lin_core import (covariance_preset, dump_complex_matrix, load_complex_matrix, mean_preset,
                        save_complex_matrix, scale_and_sphericity)
 from .mc_verify import STATISTICS, TARGETS, verify_target
-from .theory import beta_opt, nmse_from_sphericity, scm_radial_structure, shrinkage_curve, shrinkage_report
+from .theory import scm_radial_structure, shrinkage_curve, shrinkage_report
 
 SCHEMA_VERSION = 2
 CI_ENV = "CES_SCM_CI"
@@ -154,26 +155,19 @@ def cmd_estimate(args) -> int:
     except ValueError as e:
         raise CliError(f"malformed dataset {args.infile!r}: {e}") from None
     res = scm(x)
-    n, p = x.shape
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "n": n,
-        "p": p,
+        "n": x.shape[0],
+        "p": x.shape[1],
         "xbar": _complex_pairs(res.xbar),
         **dict.fromkeys(("eta", "gamma", "kappa", "nmse", "beta_o")),
         "partial": False,
         "error": None,
     }
     try:
-        eta, gamma = scale_and_sphericity(res.s)
-        kappa = estimate_kurtosis(x)
-        nmse = nmse_from_sphericity(n, p, gamma, kappa)
-        payload.update(
-            eta=eta, gamma=gamma, kappa=kappa, nmse=nmse, beta_o=beta_opt(nmse)
-        )
+        payload.update(plugin_shrinkage(x))
     except CescovError as e:
-        payload["partial"] = True
-        payload["error"] = str(e)
+        payload.update(partial=True, error=str(e))
     if args.scm_out:
         save_complex_matrix(args.scm_out, res.s)
     else:

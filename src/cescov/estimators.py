@@ -1,13 +1,15 @@
 """Sample statistics of complex datasets: the sample covariance matrix with
-the mean it used, weighted covariance matrices, the sample variance and a
-plug-in elliptical kurtosis estimate.
+the mean it used, weighted covariance matrices, the sample variance, a
+plug-in elliptical kurtosis estimate and the plug-in shrinkage estimate of
+the SCM's optimal scaling.
 
 Datasets are (n, p) complex arrays with rows as observations.  The SCM, the
 weighted SCM and the kurtosis estimate are each computed by one stacked core
 that maps m datasets to m results at once.  A core's one input is the
 datasets' observation-major rows (n, m, 2p): observation i of dataset j is
 row (i, j), a complex entry as its real and imaginary parts.  The caller
-owns the rows and the core centres them in place.  The public
+owns the rows and the core centres them in place.  The plug-in shrinkage
+core takes the rows that the SCM core centred, with its result.  The public
 single-dataset functions validate their input and copy it into such rows
 with m = 1; the Monte Carlo harness draws a whole chunk straight into them.
 The covariance cores return the p^2 real Hermitian coordinates of
@@ -45,8 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCoordinate, SingularSCM, TooFewObservations
-from .lin_core import PD_RTOL, _borrowed_workspace, _hermitian_coords, _Workspace, as_complex_matrix
+from .lin_core import (PD_RTOL, _borrowed_workspace, _hermitian_coords, _scale_and_sphericity_stack, _Workspace,
+                       as_complex_matrix)
 from .ces_sampler import kurtosis_lower_bound
+from .theory import beta_opt, nmse_from_sphericity
 
 __all__ = [
     "SCMResult",
@@ -55,6 +59,7 @@ __all__ = [
     "sample_variance",
     "weighted_scm",
     "estimate_kurtosis",
+    "plugin_shrinkage",
 ]
 
 # margin above the kurtosis lower bound -1/(p+1) at which estimates are clipped
@@ -285,3 +290,40 @@ def estimate_kurtosis(x) -> float:
         rows = _dataset_rows(x, ws)
         _centre(rows, ws)
         return float(_kurtosis_stack(rows, ws)[0])
+
+
+def _plugin_stack(rows: np.ndarray, h: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, ...]:
+    """Plug-in shrinkage (eta, gamma, kappa, nmse, beta_o), each (m,), of m
+    datasets from their centred observation-major rows (n, m, 2p) and SCM
+    coordinates h (:func:`_scm_stack`); see :func:`plugin_shrinkage`.  The
+    rows are spent by the kurtosis (:func:`_kurtosis_stack`)."""
+    n, p = rows.shape[0], rows.shape[2] // 2
+    eta, gamma = _scale_and_sphericity_stack(h)
+    if n < 4:
+        raise TooFewObservations(f"need at least 4 observations, got {n}")
+    kappa = _kurtosis_stack(rows, ws)
+    nmse = nmse_from_sphericity(n, p, gamma, kappa)
+    return eta, gamma, kappa, nmse, beta_opt(nmse)
+
+
+def plugin_shrinkage(x) -> dict:
+    """Plug-in estimate of the MSE-optimal scaling beta_o = 1/(NMSE + 1) of
+    the SCM (Ollila & Raninen, IEEE TSP 2019): the NMSE of
+    :func:`~cescov.theory.nmse_from_sphericity` at the SCM's scale and
+    sphericity (:func:`~cescov.lin_core.scale_and_sphericity`) and at
+    :func:`estimate_kurtosis`.  Returns the floats ``eta``, ``gamma``,
+    ``kappa``, ``nmse`` and ``beta_o``, with the bits of those calls.
+
+    Raises, in this order: TooFewObservations if n < 2; ValueError if the
+    SCM is not finite; ZeroTrace if its trace is not positive;
+    TooFewObservations if n < 4; DegenerateCoordinate if a coordinate has
+    zero sample variance; ValueError if the NMSE or beta_o cannot be formed
+    (:func:`~cescov.theory.nmse_from_sphericity`,
+    :func:`~cescov.theory.beta_opt`).
+    """
+    x = require_dataset(x, min_rows=2)
+    with _borrowed_workspace() as ws:
+        rows = _dataset_rows(x, ws)
+        h, _ = _scm_stack(rows, ws)
+        as_complex_matrix(h)  # the finiteness check that scale_and_sphericity makes of S, with its message
+        return {k: float(v[0]) for k, v in zip(("eta", "gamma", "kappa", "nmse", "beta_o"), _plugin_stack(rows, h, ws))}

@@ -90,12 +90,10 @@ import numpy as np
 
 from .ces_sampler import CESModel, RngStream, StudentT, _draw_ces, _draw_sphere, parse_family
 from .errors import InvalidFamily, TooFewObservations
-from .estimators import _kurtosis_stack, _scm_stack, _weighted_scm_stack
-from .lin_core import (_borrowed_workspace, _hermitian_coords, _row_blocks, _scale_and_sphericity_stack,
-                       _Workspace, covariance_preset, unvec)
-from .theory import (CovariancePair, RadialStructure, _var_times_commutation, affine_equivariant_var,
-                     beta_opt, empirical_structure_pair, mse_scm, nmse_from_sphericity, scm_radial_structure,
-                     shrinkage_report)
+from .estimators import _plugin_stack, _scm_stack, _weighted_scm_stack
+from .lin_core import _borrowed_workspace, _hermitian_coords, _row_blocks, _Workspace, covariance_preset, unvec
+from .theory import (CovariancePair, RadialStructure, _two_constant_var, _var_times_commutation,
+                     affine_equivariant_var, mse_scm, scm_radial_structure, shrinkage_report)
 
 __all__ = [
     "CHUNK",
@@ -625,23 +623,16 @@ def verify_sphere_moments(p: int, draws: int, seed: int, workers: int = 1) -> Co
 # ---------------------------------------------------------------------------
 
 
-def _plugin_beta(rows: np.ndarray, h: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Per-replication plug-in shrinkage coefficients of a stack of datasets
-    with centred observation-major rows (n, m, 2p) and SCM coordinates h,
-    from its estimated sphericity and kurtosis."""
-    n, p = rows.shape[0], rows.shape[2] // 2
-    _, gamma = _scale_and_sphericity_stack(h)
-    return beta_opt(nmse_from_sphericity(n, p, gamma, _kurtosis_stack(rows, ws)))
-
-
 def _oracle_sums(h: np.ndarray, rows: np.ndarray, ws: _Workspace, ref: np.ndarray, beta: float,
                  plugin: bool) -> dict:
     """Partial sums of the squared errors of a chunk's SCMs with Hermitian
     coordinates h from the model covariance M with coordinates ref: e1 and
     e2 of the squared errors ||S - M||^2 and ||beta S - M||^2 of each
     replication, e11, e22 and e12 of their products e1 e1, e2 e2 and e1 e2,
-    and with ``plugin`` e3 of the squared errors of the SCMs scaled by the
-    plug-in coefficients of the centred rows."""
+    and with ``plugin`` e3 of the squared errors of the SCMs scaled by their
+    plug-in coefficients beta_o, read from the stacked core of
+    ``cescov estimate`` (``estimators._plugin_stack``), which spends the
+    centred rows."""
     sq_norm = _hermitian_coords(rows.shape[2] // 2).sq_norm
     d = ws.take("err", h.shape)
     e1 = sq_norm(np.subtract(h, ref, out=d))
@@ -649,7 +640,7 @@ def _oracle_sums(h: np.ndarray, rows: np.ndarray, ws: _Workspace, ref: np.ndarra
     e2 = sq_norm(np.subtract(d, ref, out=d))
     part = {"e1": e1.sum(), "e2": e2.sum(), "e11": e1 @ e1, "e22": e2 @ e2, "e12": e1 @ e2}
     if plugin:
-        np.multiply(_plugin_beta(rows, h, ws)[:, None], h, out=d)
+        np.multiply(_plugin_stack(rows, h, ws)[-1][:, None], h, out=d)
         part["e3"] = sq_norm(np.subtract(d, ref, out=d)).sum()
     return part
 
@@ -668,11 +659,13 @@ def verify_oracle_efficiency(cfg: MCConfig, include_plugin: bool = False) -> Com
     ``se_ratio``, is its delta-method SE: the SE sd / sqrt(R) of the mean
     of the per-replication value e2 - r e1 (whose mean is 0 by the choice
     of r), divided by the mean of e1, with e1 = ||S - M||^2 and e2 =
-    ||beta S - M||^2.  With ``include_plugin`` the ratio for a
-    per-replication plug-in coefficient (from estimated sphericity and
-    kurtosis) is reported as well, without being part of the pass
-    criterion; its kurtosis estimate needs n >= 4.  The closed forms are
-    the SCM's, so a ``cfg.statistic`` other than "scm" raises ValueError.
+    ||beta S - M||^2.  With ``include_plugin`` the ratio for each
+    replication's plug-in coefficient, the beta_o that
+    :func:`~cescov.estimators.plugin_shrinkage` (``cescov estimate``)
+    gives its dataset, is reported as well, without being part of the pass
+    criterion; its kurtosis estimate needs n >= 4, which is checked before
+    the first draw.  The closed forms are the SCM's, so a
+    ``cfg.statistic`` other than "scm" raises ValueError.
     """
     if cfg.statistic != "scm":
         raise ValueError(f"the oracle check is of the SCM, got statistic {cfg.statistic!r}")
@@ -752,7 +745,7 @@ def verify_target(target: str, dist: str, n: int, p: int, cov: str, replications
     emp = empirical_moments(cfg)
     if target == "thm1":
         est = radial_estimate_from_moments(emp)
-        return compare_to_theory(emp, empirical_structure_pair(est.tau1, est.tau2, p))
+        return compare_to_theory(emp, _two_constant_var(m, est.tau1, est.tau2))  # m = I
     # at cov = I (thm3) the transported pair is the radial form
     struct = scm_radial_structure(n, model.kappa, p)
     pair = affine_equivariant_var(model.cov, struct)

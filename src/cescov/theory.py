@@ -13,8 +13,10 @@ spherical-model constants to an arbitrary covariance matrix M:
     pvar = tau1 (M* x M) K_p   + tau2 vec(M) vec(M)^T
 
 In both forms pvar = var K_p, as for every Hermitian statistic, so only var
-is built, by one builder (the spherical form is its case M = I), and pvar
-is derived from it by a column permutation.
+is built, by one function, ``_two_constant_var``, and pvar is derived from
+it by a column permutation.  The spherical form is its case M = I, both for
+validated constants (:func:`radial_var_structure`) and for the raw
+estimated constants that the Monte Carlo thm1 check compares against.
 
 For the unbiased sample covariance matrix built from n observations with
 elliptical kurtosis kappa, the constants are sigma = 1,
@@ -52,7 +54,6 @@ __all__ = [
     "CovariancePair",
     "ShrinkageReport",
     "radial_var_structure",
-    "empirical_structure_pair",
     "affine_equivariant_var",
     "scm_radial_structure",
     "mse_scm",
@@ -112,18 +113,6 @@ def radial_var_structure(tau1: float, tau2: float, p: int) -> CovariancePair:
     """Spherical-model covariance pair: tau1-weighted identity / commutation
     parts plus the tau2-weighted vec(I) vec(I)^T rank-one part."""
     RadialStructure(1.0, tau1, tau2, p)  # validates p and the tau constraints
-    return empirical_structure_pair(tau1, tau2, p)
-
-
-def empirical_structure_pair(tau1: float, tau2: float, p: int) -> CovariancePair:
-    """Spherical-model pair built from raw estimated constants.
-
-    Unlike :func:`radial_var_structure` the theoretical constraints are not
-    enforced, so estimates that sit marginally outside them still produce a
-    comparison target.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     return _two_constant_var(np.eye(p, dtype=np.complex128), float(tau1), float(tau2))
 
 
@@ -133,9 +122,8 @@ def affine_equivariant_var(m, s: RadialStructure) -> CovariancePair:
     Reduces to :func:`radial_var_structure` at M = I.
     """
     m = hermitize(m)
-    p = m.shape[0]
-    if s.dim != p:
-        raise ValueError(f"structure is for dim {s.dim}, matrix is {p} x {p}")
+    if s.dim != m.shape[0]:
+        raise ValueError(f"structure is for dim {s.dim}, matrix is {m.shape[0]} x {m.shape[1]}")
     return _two_constant_var(m, s.tau1, s.tau2)
 
 

@@ -671,6 +671,35 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--in", str(tmp_path / "nope.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("rows, message", [
+        (np.arange(6.0).reshape(3, 2), "need at least 4 observations, got 3"),
+        (np.ones((6, 2)), "trace must be positive, got 0.000e+00"),
+        (np.ones((3, 2)), "trace must be positive, got 0.000e+00"),
+        (np.stack([np.arange(6.0), np.ones(6)], axis=1), "coordinate 1 has zero sample variance"),
+    ], ids=["n3", "identical-rows-n6", "identical-rows-n3", "constant-column"])
+    def test_partial_estimate_names_the_first_error(self, capsys, tmp_path, rows, message):
+        # the sphericity's ZeroTrace comes before the kurtosis's n >= 4, and
+        # that before its degenerate coordinate; the SCM and the mean are
+        # printed, and none of the five plug-in values
+        from cescov.lin_core import save_complex_matrix
+
+        data = tmp_path / "x.csv"
+        save_complex_matrix(data, rows + 0j)
+        code, out, _ = run(capsys, "estimate", "--in", str(data), "--json")
+        payload = json.loads(out)
+        assert (code, payload["partial"], payload["error"]) == (2, True, message)
+        assert [payload[k] for k in ("eta", "gamma", "kappa", "nmse", "beta_o")] == [None] * 5
+        assert len(payload["scm"]) == 2 and len(payload["xbar"]) == 2
+
+    def test_overflowing_scm_is_refused(self, capsys, tmp_path):
+        from cescov.lin_core import save_complex_matrix
+
+        data = tmp_path / "x.csv"
+        save_complex_matrix(data, 1e200 * np.stack([np.arange(6.0), -np.arange(6.0)], axis=1) + 0j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "estimate", "--in", str(data))
+        assert (code, out, err) == (2, "", "error: matrix contains non-finite entries\n")
+
     def test_one_row_dataset(self, capsys, tmp_path):
         data = tmp_path / "one.csv"
         data.write_text("# 1 2\nre_1,im_1,re_2,im_2\n1,0,2,0\n")

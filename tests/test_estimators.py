@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cescov import lin_core
 from cescov.ces_sampler import (
@@ -13,19 +15,21 @@ from cescov.ces_sampler import (
     kurtosis_lower_bound,
     sample_ces,
 )
-from cescov.errors import DegenerateCoordinate, SingularSCM, TooFewObservations
+from cescov.errors import DegenerateCoordinate, SingularSCM, TooFewObservations, ZeroTrace
 from cescov.estimators import (
     _GRAM_BLOCK_BYTES,
     _gram_coords,
     _scm_stack,
     _weighted_scm_stack,
     estimate_kurtosis,
+    plugin_shrinkage,
     require_dataset,
     sample_variance,
     scm,
     weighted_scm,
 )
-from cescov.lin_core import _hermitian_coords, _Workspace, centering_matrix
+from cescov.lin_core import _hermitian_coords, _Workspace, centering_matrix, scale_and_sphericity
+from cescov.theory import beta_opt, nmse_from_sphericity
 
 from util import random_complex, random_hpd, random_unitary, rows_of, stack_of
 
@@ -37,8 +41,9 @@ from util import random_complex, random_hpd, random_unitary, rows_of, stack_of
         lambda x: weighted_scm(x, np.ones_like),
         lambda x: weighted_scm(x, lambda d: d),
         estimate_kurtosis,
+        plugin_shrinkage,
     ],
-    ids=["scm", "wscm:one", "wscm:fobi", "kurtosis"],
+    ids=["scm", "wscm:one", "wscm:fobi", "kurtosis", "plugin"],
 )
 def test_estimators_leave_the_callers_data_unchanged(estimate):
     # a C-contiguous complex128 dataset reaches the stacked cores without a
@@ -385,3 +390,45 @@ class TestEstimateKurtosis:
         a = estimate_kurtosis(x)
         b = estimate_kurtosis(x @ q.T)
         assert a == pytest.approx(b, abs=0.05)
+
+
+def _four_call_chain(x):
+    """The plug-in shrinkage of ``cescov estimate`` as four public calls."""
+    n, p = x.shape
+    eta, gamma = scale_and_sphericity(scm(x).s)
+    kappa = estimate_kurtosis(x)
+    nmse = nmse_from_sphericity(n, p, gamma, kappa)
+    return {"eta": eta, "gamma": gamma, "kappa": kappa, "nmse": nmse, "beta_o": beta_opt(nmse)}
+
+
+class TestPluginShrinkage:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(p=st.integers(1, 6), n=st.integers(4, 50), tail=st.floats(0.2, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_has_the_bits_of_the_four_call_chain(self, p, n, tail, seed):
+        # heavy-tailed rows (a gamma texture of shape ``tail``) at a random
+        # covariance and mean
+        gen = np.random.default_rng(seed)
+        x = random_complex(gen, n, p) @ random_hpd(gen, p) * np.sqrt(gen.gamma(tail, size=(n, 1)))
+        x += random_complex(gen, p)
+        got, want = plugin_shrinkage(x), _four_call_chain(x)
+        assert list(got) == list(want)
+        assert np.array_equal(np.array(list(got.values())).view(np.uint64),
+                              np.array(list(want.values())).view(np.uint64))
+
+    @pytest.mark.parametrize("x, error, message", [
+        (np.ones((1, 2)), TooFewObservations, "need at least 2 observations, got 1"),
+        (np.arange(6.0).reshape(3, 2), TooFewObservations, "need at least 4 observations, got 3"),
+        (np.ones((3, 2)), ZeroTrace, "trace must be positive, got 0.000e+00"),
+        (np.ones((6, 2)), ZeroTrace, "trace must be positive, got 0.000e+00"),
+        (np.stack([np.arange(6.0), np.ones(6)], axis=1), DegenerateCoordinate,
+         "coordinate 1 has zero sample variance"),
+        (1e200 * np.stack([np.arange(6.0), -np.arange(6.0)], axis=1), ValueError,
+         "matrix contains non-finite entries"),
+    ], ids=["n1", "n3", "constant-n3", "constant-n6", "constant-column", "overflowing-scm"])
+    def test_refuses_in_the_order_of_the_chain(self, x, error, message):
+        # the sphericity's ZeroTrace before the kurtosis's n >= 4, and the
+        # finiteness of the SCM before both, as in the four-call chain
+        for estimate in (plugin_shrinkage, _four_call_chain):
+            with pytest.raises(error) as info, np.errstate(over="ignore", invalid="ignore"):
+                estimate(x + 0j)
+            assert str(info.value) == message

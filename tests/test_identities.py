@@ -15,8 +15,8 @@ from cescov.estimators import scm
 from cescov.lin_core import _hermitian_coords, _Workspace, commutation_matrix, vec
 from cescov.theory import (
     RadialStructure,
+    _two_constant_var,
     affine_equivariant_var,
-    empirical_structure_pair,
     mse_scm,
     radial_var_structure,
     scm_radial_structure,
@@ -88,12 +88,12 @@ def test_transport_at_identity_is_radial_form(p, tau1, t):
 @exact
 @given(p=st.integers(1, 8), tau1=st.floats(-10.0, 10.0), tau2=st.floats(-10.0, 10.0))
 def test_empirical_pair_has_the_bits_of_the_dense_form(p, tau1, tau2):
-    # the blocked two-constant builder at M = I against the dense real
-    # expression and its complex cast, with tau's inside and outside the
-    # constraints tau1 >= 0 and tau2 >= -tau1/p
+    # _two_constant_var at M = I, the pair thm1 compares against, against
+    # the dense real expression and its complex cast, with tau's inside and
+    # outside the constraints tau1 >= 0 and tau2 >= -tau1/p
     v = vec(np.eye(p))
     want = (tau1 * np.eye(p * p) + tau2 * np.outer(v, v)).astype(np.complex128)
-    got = empirical_structure_pair(tau1, tau2, p).var
+    got = _two_constant_var(np.eye(p, dtype=np.complex128), tau1, tau2).var
     assert got.shape == want.shape and got.flags.c_contiguous
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -132,6 +132,9 @@ def test_oracle_mse_is_beta_times_mse(p, n, u, seed):
         return beta * beta * (rep.mse + f2) - 2.0 * beta * f2 + f2
 
     assert abs(risk(rep.beta_o) - rep.oracle_mse) <= 1e-12 * f2
-    assert abs(rep.oracle_mse - rep.beta_o * rep.mse) <= 1e-12 * rep.mse
+    # the report's MSE, which the oracle check compares against, is the
+    # trace of the transported covariance, an independent path to it
+    var = affine_equivariant_var(m, scm_radial_structure(n, kappa_for(p, u), p)).var
+    assert abs(rep.mse - np.trace(var).real) <= 1e-12 * rep.mse
     for step in (-1e-3, 1e-3):
         assert risk(rep.beta_o + step) > rep.oracle_mse

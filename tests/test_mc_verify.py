@@ -32,7 +32,8 @@ from cescov.ces_sampler import (
 from cescov.cli import build_parser
 from cescov.errors import InvalidFamily, SingularSCM
 from cescov import mc_verify
-from cescov.estimators import _scm_stack, _weighted_scm_stack, estimate_kurtosis, scm, weighted_scm
+from cescov.estimators import (_plugin_stack, _scm_stack, _weighted_scm_stack, estimate_kurtosis, plugin_shrinkage,
+                               scm, weighted_scm)
 from cescov.lin_core import (
     _hermitian_coords,
     _vec_transpose_index,
@@ -63,7 +64,6 @@ from cescov.mc_verify import (
     _moment_sums,
     _moments_from_sums,
     _oracle_sums,
-    _plugin_beta,
     _reduce_chunks,
     _sidak_limit,
     _sphere_kernel,
@@ -422,15 +422,35 @@ class TestStackedKernels:
             np.testing.assert_array_equal(stacked[i], single(x))
 
     def test_plugin_beta_matches_single_dataset(self, chunk):
+        # the oracle's stacked plug-in core against plugin_shrinkage of each
+        # dataset, and both against the chain of the four public calls
         n, p = chunk.shape[1:]
         ws = _Workspace()
         rows = rows_of(chunk)
         h, _ = _scm_stack(rows, ws)  # centres the rows
-        stacked = _plugin_beta(rows, h, ws)
+        stacked = _plugin_stack(rows, h, ws)
         for i, x in enumerate(chunk):
-            _, gamma = scale_and_sphericity(scm(x).s)
+            eta, gamma = scale_and_sphericity(scm(x).s)
             kappa = estimate_kurtosis(x)
-            assert stacked[i] == beta_opt(nmse_from_sphericity(n, p, gamma, kappa))
+            nmse = nmse_from_sphericity(n, p, gamma, kappa)
+            chain = {"eta": eta, "gamma": gamma, "kappa": kappa, "nmse": nmse, "beta_o": beta_opt(nmse)}
+            assert plugin_shrinkage(x) == chain
+            assert [float(v[i]) for v in stacked] == list(chain.values())
+
+    def test_oracle_plugin_ratio_reads_the_plugin_core(self, cfg, monkeypatch):
+        # each chunk's plug-in coefficients are the last value of the core
+        # that plugin_shrinkage runs
+        calls = []
+
+        def core(rows, h, ws):
+            calls.append(rows.shape[1])
+            return _plugin_stack(rows, h, ws)
+
+        monkeypatch.setattr(mc_verify, "_plugin_stack", core)
+        size = _chunk_size(cfg.n, 3)
+        report = verify_oracle_efficiency(replace(cfg, replications=size + 7), include_plugin=True)
+        assert calls == [size, 7]
+        assert 0.0 < report.details["plugin_ratio"] < 1.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])

@@ -79,6 +79,28 @@ def test_perturb_scales_the_closed_forms_that_verify_target_reads(capsys, monkey
         assert got.to_dict() == want.to_dict()
 
 
+def test_perturb_kappa_evaluates_the_closed_forms_at_a_scaled_kurtosis(capsys, monkeypatch):
+    # t:10 data (kappa 1/3) checked with t:12's kurtosis, 1/4
+    reports = []
+    verify = mc_verify.verify_target
+    monkeypatch.setattr(mc_verify, "verify_target", lambda *a: reports.append(verify(*a)) or reports[-1])
+    argv = ["--target", "thm3", "--dist", "t:10", "--n", "10", "--p", "2", "--reps", "512", "--seeds", "1:2"]
+    record = run(capsys, [*argv, "--perturb", "kappa=0.75"])
+    assert record["config"]["perturb"] == {"kappa": 0.75}
+    model = CESModel(np.zeros(2, dtype=np.complex128), np.eye(2, dtype=np.complex128), parse_family("t:10"))
+    kappa = 0.75 * model.kappa
+    assert kappa == 0.25
+    struct = theory.scm_radial_structure(10, kappa, 2)
+    pair = theory.affine_equivariant_var(model.cov, struct)
+    mse_t = theory.mse_scm(model.cov, 10, kappa)[0]
+    assert len(reports) == 2
+    for seed, got in zip(range(1, 3), reports):
+        emp = empirical_moments(MCConfig(512, 10, model, "scm", seed))
+        want = compare_to_theory(emp, pair, mse_theory=mse_t, radial_theory=struct,
+                                 radial_estimate=radial_estimate_from_moments(emp))
+        assert got.to_dict() == want.to_dict()
+
+
 def test_perturb_puts_the_closed_forms_back(capsys):
     run(capsys, [*THM3, "--perturb", "mse=2"])
     assert mc_verify.scm_radial_structure is theory.scm_radial_structure

@@ -12,10 +12,10 @@ from cescov.theory import (
     RadialStructure,
     ShrinkageReport,
     _scm_constants,
+    _two_constant_var,
     affine_equivariant_var,
     beta_opt,
     beta_opt_univariate,
-    empirical_structure_pair,
     mse_scm,
     nmse_from_sphericity,
     radial_var_structure,
@@ -64,7 +64,8 @@ class TestRadialStructure:
             radial_var_structure(1.0, -0.6, 2)
 
     def test_empirical_pair_skips_constraints(self):
-        pair = empirical_structure_pair(1.0, -0.7, 2)
+        # thm1 compares against the two-constant form at M = I with raw estimates
+        pair = _two_constant_var(np.eye(2, dtype=np.complex128), 1.0, -0.7)
         assert isinstance(pair, CovariancePair)
 
     def test_peak_memory_in_p4_units(self):
@@ -172,8 +173,7 @@ class TestAffineEquivariantVar:
 @pytest.mark.parametrize("build, message", [
     (lambda: RadialStructure(1.0, 0.5, 0.0, dim=0), "dim must be >= 1, got 0"),
     (lambda: RadialStructure(1.0, np.nan, 0.0, dim=2), "tau constants must be finite"),
-    (lambda: empirical_structure_pair(0.5, 0.0, 0), "p must be >= 1, got 0"),
-], ids=["radial-dim0", "radial-nan-tau", "empirical-p0"])
+], ids=["radial-dim0", "radial-nan-tau"])
 def test_structures_refuse_a_bad_dimension_or_tau(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

@@ -24,13 +24,15 @@ included) and prints one JSON record:
 
 Every run is a call of ``mc_verify.verify_target``, so an unperturbed
 record holds its reports, with nothing of the library wrapped.
-``--perturb NAME=FACTOR`` (NAME ``tau1``, ``tau2`` or ``mse``; repeatable;
-thm3 and transport only) scales that closed form where ``verify_target``
-reads it: while the runs last, ``mc_verify.scm_radial_structure`` and
-``mc_verify.mse_scm`` are wrapped so that they return their tau1, tau2 and
-MSE times the factors, and the originals are put back afterwards, also
-when a run raises.  tau1 and tau2 then reach the covariance pair and the
-radial checks, and the MSE its check.  From the repository root, with BLAS single-threaded::
+``--perturb NAME=FACTOR`` (NAME ``tau1``, ``tau2``, ``mse`` or ``kappa``;
+repeatable; thm3 and transport only) scales that closed form, or the
+kurtosis it is evaluated at, where ``verify_target`` reads it: while the
+runs last, ``mc_verify.scm_radial_structure`` and ``mc_verify.mse_scm`` are
+wrapped so that they are called at kappa times its factor and return their
+tau1, tau2 and MSE times theirs, and the originals are put back afterwards,
+also when a run raises.  tau1 and tau2 then reach the covariance pair and
+the radial checks, and the MSE its check; ``kappa=0.75`` on t:10 data
+checks them with the kurtosis of t:12, a neighbouring family.  From the repository root, with BLAS single-threaded::
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python3 tools/null_rates.py \\
         --target thm3 --dist gaussian --n 10 --p 2 --reps 2048 --seeds 1:300
@@ -53,7 +55,7 @@ import numpy as np
 from cescov import mc_verify as mc
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-PERTURBED = ("tau1", "tau2", "mse")
+PERTURBED = ("tau1", "tau2", "mse", "kappa")
 
 
 def wilson(k: int, n: int, level: float = 0.95) -> list[float]:
@@ -67,15 +69,16 @@ def wilson(k: int, n: int, level: float = 0.95) -> list[float]:
 @contextlib.contextmanager
 def perturbed(factors: dict):
     """While the block runs, ``mc_verify``'s closed forms of tau1, tau2 and
-    the SCM's MSE, each scaled by its factor."""
+    the SCM's MSE at the kurtosis times its factor, each scaled by its
+    factor."""
     structure, mse = mc.scm_radial_structure, mc.mse_scm
 
-    def scaled_structure(*args, **kwargs):
-        s = structure(*args, **kwargs)
+    def scaled_structure(n, kappa, p):
+        s = structure(n, factors["kappa"] * kappa, p)
         return replace(s, tau1=factors["tau1"] * s.tau1, tau2=factors["tau2"] * s.tau2)
 
-    def scaled_mse(*args, **kwargs):
-        value, nmse = mse(*args, **kwargs)
+    def scaled_mse(m, n, kappa):
+        value, nmse = mse(m, n, factors["kappa"] * kappa)
         return factors["mse"] * value, nmse
 
     mc.scm_radial_structure, mc.mse_scm = scaled_structure, scaled_mse
@@ -151,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seeds", type=_seeds, required=True, help="A:B, both included")
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--perturb", type=_factor, action="append", default=[],
-                    help="NAME=FACTOR: scale the closed form of tau1, tau2 or mse (thm3, transport)")
+                    help="NAME=FACTOR: scale the closed form of tau1, tau2 or mse, or the kappa they are "
+                         "evaluated at (thm3, transport)")
     return ap
 
 

@@ -16,8 +16,8 @@ bit.  The runs are:
   file (with a complex CSV mean), a line hashing the bytes of the file;
 * ``cescov estimate --in <file> --json`` on each sampled file, a line
   hashing its standard output: the public ``scm`` and
-  ``estimate_kurtosis``, which share their stacked cores with the Monte
-  Carlo statistics;
+  ``plugin_shrinkage``, which share their stacked cores with the Monte
+  Carlo statistic and the oracle's plug-in ratio;
 * ``cescov theory --json``, a line hashing its standard output, at n = 10:
   ``--gamma 2`` at p = 10 with kappa 0 and 2, and ``--cov`` (kappa 0.5)
   ``identity`` at p = 2, ``spiked:gamma=2`` at p = 10 and the complex CSV
